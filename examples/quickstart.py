@@ -8,6 +8,7 @@ Run:  python examples/quickstart.py
 
 from repro import Environment, FunctionRegistration, Worker, WorkerConfig
 from repro.experiments import print_table
+from repro.experiments.table2_breakdown import component_table
 
 
 def main() -> None:
@@ -22,6 +23,9 @@ def main() -> None:
             keepalive_policy="GD",  # Greedy-Dual keep-alive
         ),
     )
+    # Retain each invocation's lifecycle context: their component
+    # intervals feed the breakdown table at the end.
+    worker.lifecycle.keep_contexts = True
     worker.start()
 
     hello = FunctionRegistration(
@@ -60,7 +64,7 @@ def main() -> None:
 
     # --- component breakdown (paper Table 2) --------------------------------
     print_table(
-        worker.spans.breakdown_table(scale=1000.0),
+        component_table(worker.lifecycle.contexts, scale=1000.0),
         title="Control-plane latency breakdown (ms, mean per invocation)",
     )
 

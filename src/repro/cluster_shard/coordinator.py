@@ -14,11 +14,12 @@ indices — instead of one tuple per invocation.
 The sync request for the next epoch's boundary rides inside the current
 epoch's message, so shards simulate (and compute the next loads) while
 the coordinator is still slicing the following epoch and accounting this
-one's spans.  Span accounting itself is batched: ``lb_pick``/``lb_rpc``
-spans are emitted with explicit times after the epoch is sent, replacing
-the per-arrival virtual-clock toggle; the clock is written once per epoch
-(per arrival only when a snapshot status board must publish exact
-per-arrival load-read times into the telemetry stream).
+one's spans.  Span accounting itself is batched: when telemetry is on,
+``lb_pick``/``lb_rpc`` spans and trace rows are emitted with explicit
+times after the epoch is sent, replacing the per-arrival virtual-clock
+toggle; the clock is written once per epoch (per arrival only when a
+snapshot status board must publish exact per-arrival load-read times
+into the telemetry stream).
 
 Conservative-epoch synchronization: between two sync arrivals no load is
 read, so every shard holds all the information it needs to simulate up to
@@ -42,7 +43,7 @@ from ..core.config import WorkerConfig
 from ..dispatch.registry import is_pull_policy
 from ..loadbalancer.cluster import Cluster
 from ..loadbalancer.policies import StatusBoard, make_balancer
-from ..metrics.spans import SpanRecorder
+from ..metrics.spans import Span
 from .protocol import (
     EPOCH_CHUNK,
     ShardSpec,
@@ -363,15 +364,12 @@ def run_sharded_replay(
     balancer = make_balancer(lb_policy, status_board.load, bound_factor=bound_factor)
     for name in worker_names:
         balancer.add_worker(name)
-    spans = SpanRecorder(
-        clock=partial(getattr, clk, "now"), enabled=base.tracing_enabled
-    )
+    lb_spans: Optional[list] = None
     lb_loads = None
     if telemetry_config is not None:
         from ..telemetry.sampler import Timeseries
 
-        if telemetry_config.keep_spans:
-            spans.keep_spans = True
+        lb_spans = []
         lb_loads = Timeseries(("t", "worker", "load"))
         # publish(worker, t, value) -> row (t, worker, value), matching
         # TelemetrySampler.record_lb_load on the single-process path.
@@ -397,17 +395,12 @@ def run_sharded_replay(
     placements = 0
     sent = [0] * num_shards
     pick = balancer.pick
-    emit = spans.emit
-    spans_on = spans.enabled
     rpc = float(rpc_latency)
-    trace_on = telemetry_config is not None and getattr(
-        telemetry_config, "trace", False
-    )
-    lb_trace: Optional[list] = None
-    if trace_on:
-        from ..tracing import TraceEvent
+    lb_tracer = None
+    if telemetry_config is not None and telemetry_config.trace:
+        from ..tracing import TraceCollector
 
-        lb_trace = []
+        lb_tracer = TraceCollector()
     fr = FlightRecorder() if flight_recorder else None
     live_writer = None
     next_live_t = 0.0
@@ -490,30 +483,18 @@ def run_sharded_replay(
             # next loads): overlap the coordinator-side work — slicing
             # the next chunk and accounting this one's spans/traces.
             nxt = _prep(next(descs, None))
-            if spans_on:
+            if lb_spans is not None:
+                # Same spans and trace rows the serial Cluster.async_invoke
+                # records (pick at t, rpc [t, t+rpc]); the trace id is the
+                # sharded invocation id (arrival index + 1).
                 names = worker_names
                 for i in range(m):
                     t = tlist[i]
-                    f = fq[i]
-                    emit("lb_pick", t, t, f)
-                    emit("lb_rpc", t, t + rpc, names[picks[i]])
-            if lb_trace is not None:
-                # The seam's pick-side trace events: same times the serial
-                # Cluster.async_invoke stamps (pick at t, rpc [t, t+rpc]),
-                # trace id = sharded invocation id (arrival index + 1).
-                names = worker_names
-                for i in range(m):
-                    t = tlist[i]
-                    tid = a + i + 1
-                    lb_trace.append(TraceEvent(
-                        trace_id=tid, seq=0, name="lb_pick", kind="lb",
-                        start=t, end=t,
-                    ))
-                    lb_trace.append(TraceEvent(
-                        trace_id=tid, seq=1, name="lb_rpc", kind="lb",
-                        start=t, end=t + rpc, parent="lb_pick",
-                        worker=names[picks[i]],
-                    ))
+                    target = names[picks[i]]
+                    lb_spans.append(Span("lb_pick", t, t, fq[i]))
+                    lb_spans.append(Span("lb_rpc", t, t + rpc, target))
+                    if lb_tracer is not None:
+                        lb_tracer.record_lb(a + i + 1, t, t, t, t + rpc, target)
             if live_writer is not None and m and tlist[-1] >= next_live_t:
                 live_writer.heartbeat({
                     "t": tlist[-1],
@@ -611,9 +592,9 @@ def run_sharded_replay(
             config=telemetry_config,
             worker_names=worker_names,
             shard_parts=tele_parts,
-            lb_spans=spans.spans(),
+            lb_spans=lb_spans,
             lb_loads=lb_loads,
-            lb_traces=lb_trace,
+            lb_traces=lb_tracer.events if lb_tracer is not None else None,
             flight=flight_log,
             seam_stats=seam_stats,
             shards=num_shards,

@@ -166,14 +166,10 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         # Streams go out pre-sorted by the coordinator's merge keys
         # (records and spans already are, by Telemetry's contract).
         _stream_parts(conn, "records", telemetry.records())
-        spans_out = telemetry.spans()
-        if tracer is not None:
-            # Shard attribution rides the spans only when tracing asked
-            # for it, so untraced sharded exports stay byte-identical to
-            # serial ones.
-            for s in spans_out:
-                s.shard = spec.index
-        _stream_parts(conn, "spans", spans_out)
+        # Worker spans carry the shard index only when tracing asked for
+        # it (tracer.shard), so untraced sharded exports stay
+        # byte-identical to serial ones.
+        _stream_parts(conn, "spans", telemetry.spans())
         _stream_parts(
             conn, "breakdowns",
             sorted(telemetry.breakdowns(), key=_BREAKDOWN_KEY),

@@ -79,10 +79,7 @@ class WorkerConfig:
     namespace_pool_size: int = 32
     namespace_pool_enabled: bool = True
     http_client_cache_enabled: bool = True
-    # Monitoring.  tracing_enabled=False turns the worker's SpanRecorder
-    # into a true no-op (the paper keeps tracing off the warm path); the
-    # Table-2 breakdown obviously requires it on.
-    tracing_enabled: bool = True
+    # Monitoring.
     load_sample_interval: float = 1.0
     latency: WorkerLatencyProfile = field(default_factory=WorkerLatencyProfile)
     seed: int = 1

@@ -19,9 +19,9 @@ Three pieces make up the seam:
   admission, backend selection.
 * :class:`InvocationLifecycle` — the worker's stages as named units with
   a uniform enter/exit contract.  Each stage spends its component
-  latencies as DES timeouts with paired spans, exactly as the worker's
-  previous inlined control flow did: the pipeline is behaviour-preserving
-  by construction, pinned bit-for-bit by the determinism suites and the
+  latencies as DES timeouts, exactly as the worker's previous inlined
+  control flow did: the pipeline is behaviour-preserving by
+  construction, pinned bit-for-bit by the determinism suites and the
   golden A/B fixture under ``tests/data/``.
 
 :class:`StageTracker` is the substrate the OpenWhisk baseline shares: it
@@ -32,7 +32,9 @@ Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
 component per invocation), stage stamps and hook dispatch cost one
 attribute load when nobody observes, and per-invocation interval
-collection is off unless telemetry attached.
+collection is off unless telemetry attached.  The context ``intervals``
+are the only per-invocation record of component timing: spans, phase
+breakdowns, trace trees and Table 2 are all derived from them.
 """
 
 from __future__ import annotations
@@ -107,7 +109,6 @@ class InvocationContext:
     __slots__ = (
         "inv",
         "done",
-        "tag",
         "collect",
         "token",
         "entry",
@@ -123,12 +124,10 @@ class InvocationContext:
         self,
         inv: Invocation,
         done: Event,
-        tag: Optional[str] = None,
         collect: bool = False,
     ):
         self.inv = inv
         self.done = done
-        self.tag = tag
         self.collect = collect
         self.token = None
         self.entry = None
@@ -218,7 +217,7 @@ class StageTracker:
 
     Shared by the worker's :class:`InvocationLifecycle` and the OpenWhisk
     baseline: both stamp stage boundaries through :meth:`stage_enter` /
-    :meth:`stage_exit` and retain completed contexts for telemetry when
+    :meth:`stage_exit` and retain every opened context for telemetry when
     ``keep_contexts`` is set (flipped by ``Telemetry.attach_worker``).
     """
 
@@ -233,10 +232,14 @@ class StageTracker:
         # drop, and timeout — so claim slots can never leak.
         self.dispatch_seam = None
 
-    def open(
-        self, inv: Invocation, done: Event, tag: Optional[str] = None
-    ) -> InvocationContext:
-        return InvocationContext(inv, done, tag=tag, collect=self.keep_contexts)
+    def open(self, inv: Invocation, done: Event) -> InvocationContext:
+        """A new context; retained from here on when ``keep_contexts`` is
+        set, so an invocation still in flight when the run stops keeps
+        the component intervals it finished."""
+        ctx = InvocationContext(inv, done, collect=self.keep_contexts)
+        if ctx.collect:
+            self.contexts.append(ctx)
+        return ctx
 
     def stage_enter(self, ctx: InvocationContext, stage: str) -> None:
         ctx.stage = stage
@@ -261,13 +264,11 @@ class StageTracker:
                 hooks.fire_exit(stage, ctx)
 
     def close(self, ctx: InvocationContext, outcome: Outcome) -> None:
-        """Record the terminal outcome and retain the context if asked."""
+        """Record the terminal outcome."""
         ctx.outcome = outcome
         seam = self.dispatch_seam
         if seam is not None:
             seam.on_complete(ctx)
-        if ctx.collect:
-            self.contexts.append(ctx)
 
 
 class InvocationLifecycle(StageTracker):
@@ -276,7 +277,7 @@ class InvocationLifecycle(StageTracker):
     Owns everything between ``async_invoke`` handing over an
     :class:`~repro.core.function.Invocation` and the completion event
     succeeding: component latencies (means from paper Table 2 with a
-    batched exponential tail), span emission, metrics/characteristics
+    batched exponential tail), interval collection, metrics/characteristics
     recording at stage boundaries, memory admission, container creation,
     and the terminal drop/timeout paths.  The worker keeps only the
     background processes (dispatcher, evictor, samplers) and the public
@@ -292,7 +293,6 @@ class InvocationLifecycle(StageTracker):
         cfg = worker.config
         self.config = cfg
         self.latency = cfg.latency
-        self.spans = worker.spans
         self.metrics = worker.metrics
         self.characteristics = worker.characteristics
         self.pool = worker.pool
@@ -334,13 +334,6 @@ class InvocationLifecycle(StageTracker):
             i = 0
         self._jitter_i = i + 1
         return base + frac * base * buf[i]
-
-    def open(self, inv: Invocation, done: Event) -> InvocationContext:
-        # Tag spans with the invocation id only when spans are retained —
-        # the telemetry decomposition joins on it; the aggregate-only mode
-        # (and the disabled recorder) skips the str() allocation entirely.
-        tag = str(inv.id) if self.spans.keep_spans else None
-        return InvocationContext(inv, done, tag=tag, collect=self.keep_contexts)
 
     # -------------------------------------------------------------- drivers
     def ingest(self, inv: Invocation, done: Event) -> Generator:
@@ -390,15 +383,14 @@ class InvocationLifecycle(StageTracker):
     def admit(self, ctx: InvocationContext) -> Generator:
         """API handling and the bypass decision; True to bypass the queue.
 
-        Component latencies are spent inline with paired span begin/end —
-        a contextmanager (or a ``_spend`` sub-generator) here costs an
-        allocation per component per invocation.
+        Component latencies are spent inline, each interval recorded
+        once behind the ``collect`` guard — a contextmanager (or a
+        ``_spend`` sub-generator) here costs an allocation per component
+        per invocation.
         """
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
         collect = ctx.collect
         self.stage_enter(ctx, ADMIT)
 
@@ -406,10 +398,9 @@ class InvocationLifecycle(StageTracker):
         if offered is not None:
             # Pull dispatch: the wait between the offer landing on the
             # shared queue and a worker claiming it is control-plane
-            # time — surface it as its own span/interval so the overhead
+            # time — surface it as its own interval so the overhead
             # decomposition can attribute it (a "claim_wait" phase).
             claimed = inv.claimed_at
-            spans.record_span("claim_wait", offered, claimed, tag)
             if collect:
                 ctx.intervals.append(("claim_wait", offered, claimed))
             metrics = self.metrics
@@ -418,21 +409,17 @@ class InvocationLifecycle(StageTracker):
 
         if collect:
             start = env.now
-        handle = spans.begin("invoke", tag)
         cost = self._lat(lat.invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("invoke", start, env.now))
 
         if collect:
             start = env.now
-        handle = spans.begin("sync_invoke", tag)
         cost = self._lat(lat.sync_invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("sync_invoke", start, env.now))
 
@@ -449,20 +436,16 @@ class InvocationLifecycle(StageTracker):
     def enqueue(self, ctx: InvocationContext) -> Generator:
         """Queue insertion: priority assignment and the admission check."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
         collect = ctx.collect
         self.stage_enter(ctx, ENQUEUE)
 
         if collect:
             start = env.now
-        handle = spans.begin("enqueue_invocation", tag)
         cost = self._lat(lat.enqueue_invocation)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("enqueue_invocation", start, env.now))
 
@@ -471,11 +454,9 @@ class InvocationLifecycle(StageTracker):
 
         if collect:
             start = env.now
-        handle = spans.begin("add_item_to_q", tag)
         cost = self._lat(lat.add_item_to_q)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("add_item_to_q", start, env.now))
         # Admission check at the moment of insertion, so concurrent
@@ -491,29 +472,23 @@ class InvocationLifecycle(StageTracker):
     def dispatch(self, ctx: InvocationContext) -> Generator:
         """The dispatched invocation's handoff to a handler process."""
         env = self.env
-        spans = self.spans
         lat = self.latency
-        tag = ctx.tag
         collect = ctx.collect
         self.stage_enter(ctx, DISPATCH)
 
         if collect:
             start = env.now
-        handle = spans.begin("dequeue", tag)
         cost = self._lat(lat.dequeue)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("dequeue", start, env.now))
 
         if collect:
             start = env.now
-        handle = spans.begin("spawn_worker", tag)
         cost = self._lat(lat.spawn_worker)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("spawn_worker", start, env.now))
         self.stage_exit(ctx, DISPATCH)
@@ -522,19 +497,15 @@ class InvocationLifecycle(StageTracker):
         """Container acquisition; False when the cold path shed the
         invocation (the only way acquisition fails)."""
         env = self.env
-        spans = self.spans
-        tag = ctx.tag
         collect = ctx.collect
         fqdn = ctx.inv.function.fqdn()
         self.stage_enter(ctx, ACQUIRE)
 
         if collect:
             start = env.now
-        handle = spans.begin("acquire_container", tag)
         cost = self._lat(self.latency.acquire_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("acquire_container", start, env.now))
 
@@ -548,17 +519,14 @@ class InvocationLifecycle(StageTracker):
     def warm(self, ctx: InvocationContext) -> Generator:
         """Warm branch: lock the already-running container."""
         env = self.env
-        spans = self.spans
         collect = ctx.collect
         self.stage_enter(ctx, WARM)
 
         if collect:
             start = env.now
-        handle = spans.begin("try_lock_container", ctx.tag)
         cost = self._lat(self.latency.try_lock_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("try_lock_container", start, env.now))
         ctx.inv.cold = False
@@ -569,7 +537,6 @@ class InvocationLifecycle(StageTracker):
         cold-path detour the warm path skips.  False when the invocation
         was shed waiting for memory."""
         env = self.env
-        spans = self.spans
         inv = ctx.inv
         collect = ctx.collect
         inv.cold = True
@@ -577,17 +544,14 @@ class InvocationLifecycle(StageTracker):
 
         if collect:
             start = env.now
-        handle = spans.begin("cold_create", ctx.tag)
         took = yield from self.take_memory(inv.function.memory_mb)
         if not took:
-            spans.end(handle)
             if collect:
                 ctx.intervals.append(("cold_create", start, env.now))
             self.stage_exit(ctx, COLD_CREATE)
             self.drop(ctx, "insufficient memory")
             return False
         ctx.entry = yield from self.create_container(inv.function)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("cold_create", start, env.now))
         self.stage_exit(ctx, COLD_CREATE)
@@ -597,27 +561,22 @@ class InvocationLifecycle(StageTracker):
         """Agent communication around the execution window; True when the
         invocation exceeded its execution limit (timeout stage taken)."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
         collect = ctx.collect
         self.stage_enter(ctx, EXECUTE)
 
         if collect:
             start = env.now
-        handle = spans.begin("prepare_invoke", tag)
         cost = self._lat(lat.prepare_invoke)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("prepare_invoke", start, env.now))
 
         conn_cost = self.http_clients.connection_cost(ctx.entry.container.id)
         if conn_cost > 0:
             yield env.timeout(conn_cost)
-            spans.record("http_client_create", conn_cost, tag)
             if collect:
                 ctx.intervals.append(
                     ("http_client_create", env.now - conn_cost, env.now)
@@ -646,24 +605,19 @@ class InvocationLifecycle(StageTracker):
         else:
             yield invoke_proc
         inv.exec_finished_at = inv.exec_started_at + exec_time
-        # The execution window itself, retained (not aggregated) so the
-        # telemetry decomposition can subtract function time exactly.
-        spans.record_span("exec", call_start, call_start + exec_time, tag)
         if collect:
+            # The execution window itself (the decomposition subtracts
+            # function time exactly; Table 2 leaves it out), then the
+            # HTTP overhead around it.
+            comm = max(env.now - call_start - exec_time, 0.0)
             ctx.intervals.append(("exec", call_start, call_start + exec_time))
-        # call_container span is the HTTP overhead around execution.
-        comm = max(env.now - call_start - exec_time, 0.0)
-        spans.record("call_container", comm, tag)
-        if collect:
             ctx.intervals.append(("call_container", env.now - comm, env.now))
 
         if collect:
             start = env.now
-        handle = spans.begin("download_result", tag)
         cost = self._lat(lat.download_result)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("download_result", start, env.now))
         self.stage_exit(ctx, EXECUTE)
@@ -673,20 +627,16 @@ class InvocationLifecycle(StageTracker):
         """Terminal stage: return the container to the pool and the
         results to the caller, record the invocation."""
         env = self.env
-        spans = self.spans
         lat = self.latency
         inv = ctx.inv
-        tag = ctx.tag
         collect = ctx.collect
         self.stage_enter(ctx, COMPLETE)
 
         if collect:
             start = env.now
-        handle = spans.begin("return_container", tag)
         cost = self._lat(lat.return_container)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("return_container", start, env.now))
 
@@ -695,11 +645,9 @@ class InvocationLifecycle(StageTracker):
 
         if collect:
             start = env.now
-        handle = spans.begin("return_results", tag)
         cost = self._lat(lat.return_results)
         if cost > 0:
             yield env.timeout(cost)
-        spans.end(handle)
         if collect:
             ctx.intervals.append(("return_results", start, env.now))
 

@@ -14,9 +14,9 @@ execute → complete/drop/timeout``); this module keeps the public API, the
 background processes, and the wiring that assembles the subsystems the
 pipeline drives.  Every control-plane component *spends* its latency as a
 DES timeout (means from paper Table 2 with a small exponential tail), so
-measured spans and end-to-end overheads are consistent with the paper's
-warm-path numbers by construction, while queueing and cold-start
-behaviour emerge from the actual control flow.
+measured component intervals and end-to-end overheads are consistent
+with the paper's warm-path numbers by construction, while queueing and
+cold-start behaviour emerge from the actual control flow.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from ..errors import DuplicateRegistration, FunctionNotRegistered
 from ..keepalive.policies import make_policy
 from ..metrics.energy import EnergyMonitor
 from ..metrics.registry import MetricsRegistry
-from ..metrics.spans import SpanRecorder
 from ..queueing.bypass import NoBypass, ShortFunctionBypass
 from ..queueing.policies import make_queue_policy
 from ..queueing.regulator import AIMDConfig, ConcurrencyRegulator, LoadTracker
@@ -73,12 +72,10 @@ class Worker:
 
         self.characteristics = CharacteristicsMap()
         # partial(getattr, env, "now") is a C-level clock callable — no
-        # Python frame per sample, and these clocks fire many times per
-        # invocation (spans tick twice per component).  One callable is
-        # shared by every clocked subsystem.
+        # Python frame per sample.  One callable is shared by every
+        # clocked subsystem.
         clock = partial(getattr, env, "now")
         self.metrics = MetricsRegistry(clock=clock)
-        self.spans = SpanRecorder(clock=clock, enabled=cfg.tracing_enabled)
         # Simulated RAPL: integrates a linear power model over busy cores
         # (Section 5.1's self-contained system monitoring).
         self.energy = EnergyMonitor(clock=clock)

@@ -15,7 +15,6 @@ drain a shared logical queue.
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Optional, Sequence
 
 from ..core.config import WorkerConfig
@@ -23,7 +22,7 @@ from ..core.function import FunctionRegistration
 from ..core.worker import Worker
 from ..dispatch import PullEngine, make_dispatch
 from ..errors import FunctionNotRegistered
-from ..metrics.spans import SpanRecorder
+from ..metrics.spans import Span
 from ..sim.core import Environment, Event
 from .chbl import BoundedLoadBalancer
 from .policies import StatusBoard, make_balancer
@@ -98,11 +97,10 @@ class Cluster:
             self._pull = None
         self.registrations: dict[str, FunctionRegistration] = {}
         self.placements = 0
-        # LB-level spans (placement decisions, RPC hops) share the workers'
-        # tracing switch; disabled they cost nothing on the pick path.
-        self.spans = SpanRecorder(
-            clock=partial(getattr, env, "now"), enabled=base.tracing_enabled
-        )
+        # LB-level spans (placement decisions, RPC hops): a list once
+        # Telemetry.attach_cluster opts the run in, None (no recording on
+        # the pick path) otherwise.
+        self.spans: Optional[list[Span]] = None
         # Causal-trace collector; set by Telemetry.attach_cluster when
         # TelemetryConfig(trace=True) opts a run in, None otherwise.
         self.tracer = None
@@ -154,10 +152,10 @@ class Cluster:
             return self._pull.submit(fqdn, args)
         spans = self.spans
         tracer = self.tracer
-        pick_t = self.env.now if tracer is not None else 0.0
-        handle = spans.begin("lb_pick", tag=fqdn)
+        pick_t = self.env.now
         target = self.balancer.pick(fqdn)
-        spans.end(handle)
+        if spans is not None:
+            spans.append(Span("lb_pick", pick_t, pick_t, fqdn))
         self.placements += 1
         worker = self.workers[target]
         if self.rpc_latency <= 0:
@@ -172,10 +170,10 @@ class Cluster:
         done = self.env.event()
 
         def forward():
-            rpc = spans.begin("lb_rpc", tag=target)
             yield self.env.timeout(self.rpc_latency)
-            spans.end(rpc)
             rpc_end = self.env.now
+            if spans is not None:
+                spans.append(Span("lb_rpc", pick_t, rpc_end, target))
             inner = worker.async_invoke(fqdn, args)
             inv = yield inner
             if tracer is not None:

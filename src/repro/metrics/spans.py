@@ -1,12 +1,14 @@
 """Span-based component tracing, modelled on Ilúvatar's use of the Rust
 ``tracing`` crate (Section 5.1).
 
-Every worker component wraps its work in a named span; spans record the
-simulated (or wall-clock) duration and are grouped by name.  Table 2 of the
-paper — the per-component latency breakdown of a single warm invocation —
-is regenerated directly from these spans.
+:class:`Span` is the exported form of one named interval (``spans.jsonl``).
+The Ilúvatar worker does not record spans itself: its lifecycle contexts
+hold each component interval once, and telemetry derives spans from them.
+:data:`SPAN_GROUPS` is the paper's Table 2 grouping of those components.
 
-Two recording APIs exist:
+:class:`SpanRecorder` is the standalone recorder for components that
+time themselves (the OpenWhisk baseline's pipeline stages).  Two
+recording APIs exist:
 
 * ``with recorder.span("name"):`` — the ergonomic context manager, for
   call sites off the hot path.
@@ -158,25 +160,6 @@ class SpanRecorder:
         finally:
             self.end(handle)
 
-    def emit(
-        self, name: str, start: float, end: float, tag: Optional[str] = None
-    ) -> None:
-        """Record a completed span with explicit times.
-
-        The batch-emission path for callers that already know both
-        endpoints (the cluster-shard coordinator accounts a whole epoch of
-        ``lb_pick``/``lb_rpc`` spans after the fact instead of toggling a
-        virtual clock per arrival).  Equivalent to ``begin``/``end`` under
-        a clock that returned ``start`` then ``end`` — the duration is the
-        same ``end - start`` float operation — without touching the clock
-        or allocating a handle.
-        """
-        if not self.enabled:
-            return
-        self._durations[name].append(end - start)
-        if self.keep_spans:
-            self._spans.append(Span(name=name, start=start, end=end, tag=tag))
-
     def record(self, name: str, duration: float, tag: Optional[str] = None) -> None:
         """Record an externally measured duration under ``name``."""
         if not self.enabled:
@@ -187,23 +170,6 @@ class SpanRecorder:
         if self.keep_spans:
             now = self.clock()
             self._spans.append(Span(name=name, start=now - duration, end=now, tag=tag))
-
-    def record_span(
-        self, name: str, start: float, end: float, tag: Optional[str] = None
-    ) -> None:
-        """Append a raw interval to the retained span log *without* touching
-        the aggregate durations.
-
-        Used for intervals that are context, not control-plane components —
-        e.g. the function-execution window the telemetry decomposition
-        subtracts — so aggregate reports (Table 2) stay component-only.
-        No-op unless both ``enabled`` and ``keep_spans`` are set.
-        """
-        if not (self.enabled and self.keep_spans):
-            return
-        if end < start:
-            raise ValueError(f"span {name!r} ends before it starts")
-        self._spans.append(Span(name=name, start=start, end=end, tag=tag))
 
     # -- reporting ---------------------------------------------------------
     def names(self) -> list[str]:
@@ -223,33 +189,6 @@ class SpanRecorder:
 
     def spans(self) -> list[Span]:
         return list(self._spans)
-
-    def breakdown_table(self, scale: float = 1.0) -> list[dict]:
-        """Rows in the shape of paper Table 2: group, name, mean time.
-
-        ``scale`` converts the clock unit into the reporting unit (e.g.
-        1000.0 for seconds → milliseconds).
-        """
-        rows = []
-        for name in SPAN_GROUPS:
-            if name in self._durations:
-                rows.append(
-                    {
-                        "group": SPAN_GROUPS[name],
-                        "function": name,
-                        "time": self.mean(name) * scale,
-                    }
-                )
-        # Components outside the canonical table come last, alphabetically.
-        for name in sorted(set(self._durations) - set(SPAN_GROUPS)):
-            rows.append(
-                {
-                    "group": "Other",
-                    "function": name,
-                    "time": self.mean(name) * scale,
-                }
-            )
-        return rows
 
     def reset(self) -> None:
         self._durations.clear()

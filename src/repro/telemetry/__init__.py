@@ -9,8 +9,9 @@ status.  This package reproduces that stack for the simulator —
   -time grid into columnar :class:`Timeseries`;
 * latency histograms — recorded into each worker's
   :class:`~repro.metrics.registry.MetricsRegistry` at completion;
-* span-derived overhead :mod:`~repro.telemetry.decomposition` — the
-  per-phase critical-path breakdown behind the paper's Table 2;
+* the overhead :mod:`~repro.telemetry.decomposition`, read off the
+  retained lifecycle contexts — the per-phase critical-path breakdown
+  behind the paper's Table 2;
 * :mod:`~repro.telemetry.exporters` + ``repro inspect`` — JSONL/CSV/
   Prometheus artifacts and the CLI that reads them back.
 
@@ -27,7 +28,6 @@ from .decomposition import (
     InvocationBreakdown,
     aggregate_phases,
     breakdown_rows,
-    decompose,
     decompose_contexts,
     match_records,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "InvocationBreakdown",
     "aggregate_phases",
     "breakdown_rows",
-    "decompose",
     "decompose_contexts",
     "match_records",
     "dump_timeseries_csv",

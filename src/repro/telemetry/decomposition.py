@@ -1,14 +1,13 @@
 """Overhead decomposition (the paper's Table 2, per run).
 
-The primary source is the invocation-lifecycle pipeline itself: when
-telemetry is attached, each completed
-:class:`~repro.core.lifecycle.InvocationContext` carries the component
-intervals of its critical path, and :func:`decompose_contexts` reads the
-phase boundaries directly off those contexts.  :func:`decompose` derives
-the same breakdowns by reconstructing invocations from tagged spans — the
-independent cross-check ``repro inspect`` runs against exported span
-streams.  Both paths feed the identical per-invocation arithmetic, so
-their outputs are bit-for-bit interchangeable.
+The source is the invocation-lifecycle pipeline itself: when telemetry
+is attached, each :class:`~repro.core.lifecycle.InvocationContext`
+carries the component intervals of its critical path — the run's only
+per-invocation record of component timing — and
+:func:`decompose_contexts` reads the phase boundaries directly off the
+completed contexts.  The independent checks are :func:`match_records`
+(against the ``overhead`` each record computes from the invocation's own
+timestamps) and the golden fixture.
 
 The control-plane overhead (everything that is not function code) splits
 into phases:
@@ -21,13 +20,13 @@ into phases:
 * ``exec_comm``   — agent communication around execution (HTTP prepare /
                     call / result download);
 * ``post``        — returning the container and the results;
-* ``other``       — any spans outside the canonical mapping (forward
+* ``other``       — any intervals outside the canonical mapping (forward
                     compatibility; normally zero).
 
 Pull-dispatch runs add one conditional phase, ``claim_wait`` — the time
 an offer sat on the shared logical queue before a worker claimed it.
-It is deliberately *not* part of :data:`PHASES`: push runs never emit
-the span, their breakdowns carry exactly the canonical six keys, and
+It is deliberately *not* part of :data:`PHASES`: push runs never record
+the interval, their breakdowns carry exactly the canonical six keys, and
 the golden fixture stays byte-stable.  Aggregations include the extra
 phase only when at least one breakdown carries it.
 
@@ -44,15 +43,12 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..metrics.spans import Span
-
 __all__ = [
     "PHASES",
     "CLAIM_WAIT_PHASE",
     "PHASE_OF_SPAN",
     "EXEC_SPAN",
     "InvocationBreakdown",
-    "decompose",
     "decompose_contexts",
     "aggregate_phases",
     "breakdown_rows",
@@ -90,12 +86,12 @@ PHASE_OF_SPAN: dict[str, str] = {
 class InvocationBreakdown:
     """One invocation's critical path, phase by phase (seconds)."""
 
-    tag: str                       # span tag == str(invocation_id)
+    tag: str                       # str(invocation_id), the span tag
     phases: Mapping[str, float]
     exec_time: float
     cold: bool
-    start: float                   # first span start (≈ arrival)
-    end: float                     # last span end (≈ completion)
+    start: float                   # first interval start (≈ arrival)
+    end: float                     # last interval end (≈ completion)
 
     @property
     def overhead(self) -> float:
@@ -110,12 +106,10 @@ class InvocationBreakdown:
 def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreakdown]:
     """One invocation's breakdown from ``(name, start, end)`` intervals.
 
-    The single arithmetic both decomposition paths share: intervals must
-    arrive in recording order (they do — the lifecycle appends them as the
-    span recorder retains them), and the queue-wait gap is added after the
-    loop, so span-derived and context-derived sums accumulate in the same
-    float order and agree bit-for-bit.  ``None`` when the invocation has
-    no execution window (dropped / timed out / not an invocation).
+    Intervals arrive in recording order and the queue-wait gap is added
+    after the loop, which fixes the float accumulation order the golden
+    fixture pins.  ``None`` when the invocation has no execution window
+    (dropped / timed out).
     """
     if not any(name == EXEC_SPAN for name, _start, _end in intervals):
         return None
@@ -158,46 +152,22 @@ def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreak
 _SORT_KEY = lambda b: (b.invocation_id is None, b.invocation_id, b.tag)  # noqa: E731
 
 
-def decompose(spans: Iterable[Span]) -> list[InvocationBreakdown]:
-    """Reconstruct per-invocation phase breakdowns from tagged spans.
-
-    Only groups containing an execution window (i.e. invocations that ran
-    to completion) are decomposable; load-balancer spans (tagged with
-    fqdns), dropped and timed-out invocations are skipped.  Results are
-    ordered by invocation id.
-    """
-    groups: dict[str, list[tuple]] = {}
-    for s in spans:
-        if s.tag is not None:
-            groups.setdefault(s.tag, []).append((s.name, s.start, s.end))
-
-    out: list[InvocationBreakdown] = []
-    for tag, group in groups.items():
-        b = _breakdown(tag, group)
-        if b is not None:
-            out.append(b)
-    out.sort(key=_SORT_KEY)
-    return out
-
-
 def decompose_contexts(contexts: Iterable) -> list[InvocationBreakdown]:
     """Phase breakdowns read directly off lifecycle contexts.
 
-    ``contexts`` are completed
-    :class:`~repro.core.lifecycle.InvocationContext` objects whose
-    ``intervals`` were collected (telemetry attached); each context *is*
-    one invocation, so no tag-join is needed.  Contexts without an
-    execution window (dropped / timed out) or without collected intervals
-    are skipped.  Results are ordered by invocation id, and values are
-    bit-identical to :func:`decompose` over the same run's spans.
+    ``contexts`` are :class:`~repro.core.lifecycle.InvocationContext`
+    objects whose ``intervals`` were collected (telemetry attached); each
+    context *is* one invocation.  Contexts still in flight (no
+    ``outcome``), without an execution window (dropped / timed out) or
+    without collected intervals are skipped.  Results are ordered by
+    invocation id.
     """
     out: list[InvocationBreakdown] = []
     for ctx in contexts:
         intervals = ctx.intervals
-        if not intervals:
+        if not intervals or ctx.outcome is None:
             continue
-        tag = ctx.tag if ctx.tag is not None else str(ctx.inv.id)
-        b = _breakdown(tag, intervals)
+        b = _breakdown(str(ctx.inv.id), intervals)
         if b is not None:
             out.append(b)
     out.sort(key=_SORT_KEY)

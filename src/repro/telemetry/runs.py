@@ -9,7 +9,8 @@ produce a self-contained run directory:
 ``timeseries.jsonl``  sampled gauge rows, one JSON object per line,
                       ``series`` keying the worker (plus ``lb`` for the
                       status-board load signal)
-``spans.jsonl``       merged retained spans (workers + load balancer)
+``spans.jsonl``       merged spans (workers' derived from the lifecycle
+                      contexts' intervals, plus the load balancer's)
 ``records.jsonl``     per-invocation records
 ``metrics.prom``      Prometheus text-format snapshot of the merged
                       registries
@@ -34,12 +35,7 @@ from typing import Optional, Union
 
 from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
 from ..metrics.spans import Span, dump_spans_jsonl, load_spans_jsonl
-from .decomposition import (
-    breakdown_rows,
-    decompose,
-    decompose_contexts,
-    match_records,
-)
+from .decomposition import breakdown_rows, decompose_contexts, match_records
 from .exporters import (
     dump_timeseries_jsonl,
     write_health_prometheus,
@@ -182,7 +178,6 @@ def build_summary(
     cfg = {
         "interval": config.interval,
         "sample_energy": config.sample_energy,
-        "keep_spans": config.keep_spans,
         "histograms": config.histograms,
     }
     # Only present when enabled, so a health-off summary.json stays
@@ -230,7 +225,6 @@ def build_manifest(
     cfg = {
         "interval": config.interval,
         "sample_energy": config.sample_energy,
-        "keep_spans": config.keep_spans,
         "histograms": config.histograms,
         "trace": getattr(config, "trace", False),
     }
@@ -253,12 +247,15 @@ def build_manifest(
 
 
 class Telemetry:
-    """One run's telemetry: sampler + span retention + latency histograms.
+    """One run's telemetry: sampler + context retention + latency histograms.
 
-    Attach targets before ``start()``; attaching flips the retained-span
-    and histogram switches on the target's existing recorder/registry, so
-    the instrumentation already woven through the worker starts keeping
-    data — no new callbacks enter the invocation path.
+    Attach targets before ``start()``; attaching flips the context
+    -retention and histogram switches on the target's existing lifecycle
+    and registry, so the instrumentation already woven through the worker
+    starts keeping data — no new callbacks enter the invocation path.
+    The retained contexts' ``intervals`` are the run's one per-invocation
+    timeline: :meth:`spans`, :meth:`breakdowns` and the trace trees are
+    all derived from them.
     """
 
     def __init__(self, env, config: Optional[TelemetryConfig] = None):
@@ -270,7 +267,7 @@ class Telemetry:
             sample_energy=self.config.sample_energy,
         )
         self._workers: list = []
-        self._extra_recorders: list = []  # LB span recorders, merged on export
+        self._lb_spans: list = []  # attached clusters' LB span lists
         self.tracer = None
         if self.config.trace:
             # Deferred: the tracing package only loads when a run opts in.
@@ -289,14 +286,7 @@ class Telemetry:
     # -- wiring ------------------------------------------------------------
     def attach_worker(self, worker) -> None:
         self.sampler.attach_worker(worker)
-        if self.config.keep_spans:
-            worker.spans.keep_spans = True
-            # Retain completed lifecycle contexts: the decomposition reads
-            # phase boundaries directly off them (spans stay the
-            # independent cross-check `repro inspect` recomputes from).
-            lifecycle = getattr(worker, "lifecycle", None)
-            if lifecycle is not None:
-                lifecycle.keep_contexts = True
+        worker.lifecycle.keep_contexts = True
         if self.config.histograms:
             worker.metrics.enable_latency_histograms()
         if self.tracer is not None:
@@ -308,9 +298,8 @@ class Telemetry:
     def attach_cluster(self, cluster) -> None:
         for worker in cluster.workers.values():
             self.attach_worker(worker)
-        if self.config.keep_spans:
-            cluster.spans.keep_spans = True
-            self._extra_recorders.append(cluster.spans)
+        cluster.spans = []
+        self._lb_spans.append(cluster.spans)
         if self.tracer is not None:
             # The cluster reports its pick/rpc spans into the collector;
             # worker stage chains hang under whichever LB span is last.
@@ -389,13 +378,24 @@ class Telemetry:
     def series(self) -> dict[str, Timeseries]:
         return self.sampler.series
 
+    def _contexts(self) -> list:
+        return [ctx for w in self._workers for ctx in w.lifecycle.contexts]
+
     def spans(self) -> list[Span]:
-        """All retained spans across workers and the LB, in start order."""
+        """One span per retained context interval (tagged with the
+        invocation id; in-flight invocations included), plus the LB
+        spans, in ``(start, end, name)`` order.  Worker spans carry the
+        tracer's shard index on traced sharded runs."""
+        shard = self.tracer.shard if self.tracer is not None else None
         out: list[Span] = []
-        for w in self._workers:
-            out.extend(w.spans.spans())
-        for rec in self._extra_recorders:
-            out.extend(rec.spans())
+        for ctx in self._contexts():
+            tag = str(ctx.inv.id)
+            out.extend(
+                Span(name, start, end, tag, shard)
+                for name, start, end in ctx.intervals
+            )
+        for lb_spans in self._lb_spans:
+            out.extend(lb_spans)
         out.sort(key=lambda s: (s.start, s.end, s.name))
         return out
 
@@ -407,24 +407,9 @@ class Telemetry:
         return out
 
     def breakdowns(self):
-        """Per-invocation phase breakdowns, read off lifecycle contexts.
-
-        Falls back to span-tag reconstruction when any attached worker has
-        no lifecycle context store (or retention was never enabled), so
-        the result is the same either way — bit-identical, in fact, which
-        :meth:`breakdowns_from_spans` lets callers assert.
-        """
-        contexts: list = []
-        for w in self._workers:
-            lifecycle = getattr(w, "lifecycle", None)
-            if lifecycle is None or not lifecycle.keep_contexts:
-                return self.breakdowns_from_spans()
-            contexts.extend(lifecycle.contexts)
-        return decompose_contexts(contexts)
-
-    def breakdowns_from_spans(self):
-        """The span-tag reconstruction of :meth:`breakdowns` (cross-check)."""
-        return decompose(self.spans())
+        """Per-invocation phase breakdowns of the completed invocations,
+        read off the retained lifecycle contexts."""
+        return decompose_contexts(self._contexts())
 
     def trace_events(self) -> list:
         """Collected causal trace events in ``(trace_id, seq)`` order;
@@ -635,16 +620,17 @@ def inspect_report(run_dir: Union[str, Path]) -> str:
             )
         lines.append("")
 
-    # Recompute the decomposition from the spans on disk so inspect works
-    # even on directories whose summary predates this report format.
-    breakdowns = decompose(data["spans"])
-    if breakdowns:
-        matched, compared = match_records(breakdowns, data["records"])
+    # The decomposition summary.json already holds (computed at export
+    # from the lifecycle contexts and checked against the records).
+    decomposition = (summary or {}).get("decomposition") or {}
+    if decomposition.get("invocations"):
         lines.append(
-            f"overhead decomposition ({len(breakdowns)} invocations; "
-            f"phase sums match {matched}/{compared} records):"
+            f"overhead decomposition ({decomposition['invocations']} "
+            f"invocations; phase sums match "
+            f"{decomposition['matched_records']}/"
+            f"{decomposition['compared_records']} records):"
         )
-        lines.extend(_table(breakdown_rows(breakdowns), [
+        lines.extend(_table(decomposition["rows"], [
             ("phase", "phase"), ("mean", "mean_ms"),
             ("p99", "p99_ms"), ("share_pct", "share_%"),
         ]))
@@ -707,6 +693,6 @@ def inspect_report(run_dir: Union[str, Path]) -> str:
                 f"mean running {sum(running) / len(running):.3f}, "
                 f"peak queue depth {max(depth)}"
             )
-    if not (summary or breakdowns or ts):
+    if not (summary or ts):
         lines.append("(no telemetry artifacts found)")
     return "\n".join(lines).rstrip() + "\n"

@@ -10,10 +10,11 @@ Hooks observe simulated state without yielding, so a traced run produces
 bit-identical records, spans, and breakdowns to an untraced one (pinned
 by ``tests/test_tracing.py`` against the golden fixture).
 
-LB spans enter through :meth:`TraceCollector.record_lb`: the serial
+LB spans enter through :meth:`TraceCollector.record_lb`, the one
+function both engines emit LB trace rows through: the serial
 :class:`~repro.loadbalancer.cluster.Cluster` calls it at forward
 completion (the invocation id is only known then), the cluster-shard
-coordinator synthesizes the identical events from its batched epoch walk.
+coordinator from its batched epoch walk.
 ``root`` names the LB span worker-side stage chains hang under —
 ``"lb_rpc"`` behind an RPC-forwarding balancer, ``"lb_pick"`` when the
 RPC hop is disabled, ``None`` for a standalone worker.

@@ -355,11 +355,12 @@ def test_pull_cluster_charges_claim_wait_into_overhead():
     assert compared == 6 and matched == 6
     phases = aggregate_phases(breakdowns)
     assert phases[CLAIM_WAIT_PHASE]["total"] > 0.0
-    # Span-derived and context-derived breakdowns agree on the new phase.
-    from repro.telemetry.decomposition import decompose
-    by_span = {b.tag: b.phases for b in decompose(telemetry.spans())}
+    # Each breakdown's claim-wait phase is exactly its invocation's
+    # offer-to-claim gap.
+    by_id = {inv.id: inv for inv in results}
     for b in breakdowns:
-        assert by_span[b.tag] == dict(b.phases)
+        inv = by_id[b.invocation_id]
+        assert b.phases[CLAIM_WAIT_PHASE] == inv.claimed_at - inv.offered_at
 
 
 def test_push_cluster_summary_has_no_claim_artifacts():

@@ -62,6 +62,9 @@ def test_fig1_iluvatar_beats_openwhisk():
 # ---------------------------------------------------------------- Table 2
 def test_table2_agent_communication_dominates():
     rows = run_table2(warm_invocations=30)
+    # Warm-only and component-only (no exec window, no cold_create): the
+    # paper's rows, in Table 2 order.
+    assert [r["function"] for r in rows] == list(PAPER_TABLE2_MS)
     by_fn = {r["function"]: r["time"] for r in rows}
     assert by_fn["call_container"] == max(
         v for k, v in by_fn.items() if k in PAPER_TABLE2_MS

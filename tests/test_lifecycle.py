@@ -29,7 +29,7 @@ from repro.core.lifecycle import (
 from repro.core.worker import Worker
 from repro.metrics.registry import Outcome
 from repro.sim.core import Environment
-from repro.telemetry.decomposition import decompose, decompose_contexts
+from repro.telemetry.decomposition import decompose_contexts, match_records
 
 REG = FunctionRegistration(name="f", memory_mb=128, warm_time=0.1, cold_time=0.5)
 
@@ -207,7 +207,6 @@ def test_contexts_not_retained_by_default():
 
 def test_context_retention_and_interval_collection():
     env, worker = make_worker()
-    worker.spans.keep_spans = True
     worker.lifecycle.keep_contexts = True
     results = []
 
@@ -223,21 +222,22 @@ def test_context_retention_and_interval_collection():
     contexts = worker.lifecycle.contexts
     assert [ctx.inv.id for ctx in contexts] == [inv.id for inv in results]
     for ctx, inv in zip(contexts, results):
-        assert ctx.tag == str(inv.id)
         assert ctx.outcome in (Outcome.COLD, Outcome.WARM)
         assert ctx.registration is REG
         assert ctx.invocation_id == inv.id
         assert ctx.cold == inv.cold
         names = [name for name, _start, _end in ctx.intervals]
         assert "exec" in names and "invoke" in names
-    # The context intervals mirror the retained spans exactly, so the two
-    # decomposition paths agree bit-for-bit.
-    from_spans = decompose(worker.spans.spans())
-    from_contexts = decompose_contexts(contexts)
-    assert [(b.tag, b.phases, b.exec_time, b.cold, b.start, b.end)
-            for b in from_spans] == \
-           [(b.tag, b.phases, b.exec_time, b.cold, b.start, b.end)
-            for b in from_contexts]
+    # The intervals account for every control-plane second: each phase
+    # sum equals the overhead the record computes from the invocation's
+    # own timestamps.
+    breakdowns = decompose_contexts(contexts)
+    assert match_records(breakdowns, worker.metrics.records) == (2, 2)
+    cold, warm = breakdowns
+    assert cold.tag == str(results[0].id) and cold.cold
+    assert not warm.cold and warm.phases["cold_create"] == 0.0
+    assert warm.phases["acquire"] > 0.0 and warm.phases["exec_comm"] > 0.0
+    assert cold.exec_time == results[0].exec_time
 
 
 def test_context_slots_reject_stray_attributes():

@@ -158,18 +158,30 @@ def test_span_disabled_records_nothing():
 
 
 def test_breakdown_table_grouping_and_order():
-    rec, _ = _clocked_recorder()
-    rec.record("call_container", 0.00136)
-    rec.record("invoke", 0.000026)
-    rec.record("custom_component", 0.001)
-    rows = rec.breakdown_table(scale=1000.0)
+    from types import SimpleNamespace
+
+    from repro.experiments.table2_breakdown import component_table
+
+    contexts = [
+        SimpleNamespace(intervals=[
+            ("custom_component", 0.0, 0.001),
+            ("call_container", 0.001, 0.00226),
+            ("exec", 0.00226, 0.5),          # function time -> no row
+        ]),
+        SimpleNamespace(intervals=[
+            ("invoke", 1.0, 1.000026),
+            ("call_container", 1.0, 1.00146),
+        ]),
+    ]
+    rows = component_table(contexts, scale=1000.0)
     by_fn = {r["function"]: r for r in rows}
     assert by_fn["invoke"]["group"] == "Ingestion & Queuing"
     assert by_fn["call_container"]["group"] == "Agent Communication"
     assert by_fn["custom_component"]["group"] == "Other"
     assert by_fn["call_container"]["time"] == pytest.approx(1.36)
-    # Canonical components come before "Other".
-    assert rows[-1]["function"] == "custom_component"
+    # Canonical components come first, in Table 2 order, then "Other".
+    assert [r["function"] for r in rows] == \
+        ["invoke", "call_container", "custom_component"]
 
 
 def test_span_keep_spans_records_intervals():
@@ -442,7 +454,7 @@ def test_recorder_dump_load_round_trip(tmp_path):
     h = rec.begin("invoke", tag="inv-1")
     clock["t"] += 0.5
     rec.end(h)
-    rec.record_span("exec", 0.5, 1.5, tag="inv-1")
+    rec.record("call_container", 1.0, tag="inv-1")
     path = tmp_path / "spans.jsonl"
     rec.dump_jsonl(path)
     from repro.metrics import load_spans_jsonl
@@ -450,14 +462,3 @@ def test_recorder_dump_load_round_trip(tmp_path):
     assert load_spans_jsonl(path) == rec.spans()
 
 
-def test_record_span_skips_aggregates():
-    rec, _ = _clocked_recorder()
-    rec.keep_spans = True
-    rec.record_span("exec", 0.0, 1.0, tag="1")
-    assert rec.names() == []          # not in the Table-2 aggregates
-    assert len(rec.spans()) == 1      # but retained for decomposition
-    with pytest.raises(ValueError):
-        rec.record_span("exec", 1.0, 0.5)
-    rec.keep_spans = False
-    rec.record_span("exec", 0.0, 1.0)  # no-op without keep_spans
-    assert len(rec.spans()) == 1

@@ -4,6 +4,7 @@ exporters, run directories and the inspect CLI."""
 import json
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.telemetry import (
     TelemetryConfig,
     TelemetrySampler,
     Timeseries,
-    decompose,
+    decompose_contexts,
     dump_timeseries_csv,
     inspect_report,
     load_run,
@@ -277,17 +278,25 @@ def test_decomposition_phases_sum_to_recorded_overhead():
     assert (matched, compared) == (4, 4)
 
 
-def test_decomposition_skips_untagged_and_execless_groups():
-    from repro.metrics.spans import Span
+def _context(inv_id, intervals, outcome=Outcome.WARM):
+    """A stand-in for a closed InvocationContext with collected intervals."""
+    return SimpleNamespace(inv=SimpleNamespace(id=inv_id),
+                           intervals=intervals, outcome=outcome)
 
-    spans = [
-        Span("invoke", 0.0, 0.1, tag=None),          # untagged -> ignored
-        Span("lb_pick", 0.0, 0.1, tag="fn-fqdn"),    # no exec span -> skipped
-        Span("invoke", 0.0, 0.1, tag="7"),
-        Span("exec", 0.1, 0.3, tag="7"),
-        Span("weird_component", 0.3, 0.4, tag="7"),  # unknown -> "other"
+
+def test_decomposition_skips_untagged_and_execless_groups():
+    contexts = [
+        _context(3, None),                           # not collected -> ignored
+        _context(5, [("invoke", 0.0, 0.1)]),         # no exec interval -> skipped
+        _context(9, [("invoke", 0.0, 0.1), ("exec", 0.1, 0.3)],
+                 outcome=None),                      # still in flight -> skipped
+        _context(7, [
+            ("invoke", 0.0, 0.1),
+            ("exec", 0.1, 0.3),
+            ("weird_component", 0.3, 0.4),           # unknown -> "other"
+        ]),
     ]
-    out = decompose(spans)
+    out = decompose_contexts(contexts)
     assert len(out) == 1
     b = out[0]
     assert b.invocation_id == 7
@@ -297,15 +306,104 @@ def test_decomposition_skips_untagged_and_execless_groups():
 
 
 def test_decomposition_counts_queue_wait_gap():
-    from repro.metrics.spans import Span
-
-    spans = [
-        Span("add_item_to_q", 0.0, 0.1, tag="1"),
-        Span("dequeue", 0.6, 0.7, tag="1"),  # 0.5 s waiting in queue
-        Span("exec", 0.7, 1.0, tag="1"),
+    intervals = [
+        ("add_item_to_q", 0.0, 0.1),
+        ("dequeue", 0.6, 0.7),  # 0.5 s waiting in queue
+        ("exec", 0.7, 1.0),
     ]
-    b = decompose(spans)[0]
+    b = decompose_contexts([_context(1, intervals)])[0]
     assert b.phases["queue"] == pytest.approx(0.1 + 0.1 + 0.5)
+
+
+# ------------------------------------------------------- one timeline
+def _replay_chbl(telemetry_config=None):
+    """A small CH-BL cluster replaying an open-loop plan to completion."""
+    from repro.loadgen.openloop import FunctionMix, build_plan, replay_plan
+    from repro.sim.distributions import Exponential
+
+    env = Environment()
+    cluster = Cluster(env, num_workers=3, lb_policy="ch_bl",
+                      config=WorkerConfig(cores=2, memory_mb=4096, seed=5,
+                                          backend="null"))
+    telemetry = None
+    if telemetry_config is not None:
+        telemetry = Telemetry(env, telemetry_config)
+        cluster.attach_telemetry(telemetry)
+        telemetry.start()
+    cluster.start()
+    cluster.register_sync(REG)
+    plan = build_plan([FunctionMix(REG.fqdn(), Exponential(0.2))], 20.0, seed=3)
+    invocations = replay_plan(env, cluster, plan, grace=10.0)
+    cluster.stop()
+    if telemetry is not None:
+        telemetry.stop()
+    assert invocations and all(i.completed_at is not None for i in invocations)
+    return cluster, telemetry, invocations
+
+
+def test_untelemetered_replay_keeps_no_per_invocation_timing():
+    cluster, _, _ = _replay_chbl()
+    for w in cluster.workers.values():
+        assert not hasattr(w, "spans")
+        assert w.lifecycle.contexts == []
+    assert cluster.spans is None
+
+
+def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
+    from repro.metrics import load_spans_jsonl
+
+    cluster, telemetry, invocations = _replay_chbl(TelemetryConfig())
+    paths = telemetry.export(tmp_path / "run")
+    exported = load_spans_jsonl(paths["spans"])
+    contexts = [ctx for w in cluster.workers.values()
+                for ctx in w.lifecycle.contexts]
+    assert len(contexts) == len(invocations)
+    derived = [(name, start, end, str(ctx.inv.id))
+               for ctx in contexts for name, start, end in ctx.intervals]
+    lb = [(s.name, s.start, s.end, s.tag) for s in cluster.spans]
+    assert len(lb) == 2 * len(invocations)        # one lb_pick + one lb_rpc each
+    assert len(exported) == len(derived) + len(lb)
+    assert sorted((s.name, s.start, s.end, s.tag) for s in exported) == \
+        sorted(derived + lb)
+    assert [(s.start, s.end, s.name) for s in exported] == \
+        sorted((s.start, s.end, s.name) for s in exported)
+
+
+def _single_invocation(until):
+    """One cold invocation on a telemetry-attached worker, cut at ``until``;
+    also returns when the (uncut) invocation entered its complete stage."""
+    from repro.core.lifecycle import COMPLETE
+
+    env = Environment()
+    worker = Worker(env, WorkerConfig(cores=2, memory_mb=4096))
+    telemetry = Telemetry(env, TelemetryConfig())
+    telemetry.attach_worker(worker)
+    entered = []
+    worker.lifecycle.hooks.on_enter(COMPLETE, lambda _s, _c: entered.append(env.now))
+    worker.start()
+    worker.register_sync(REG)
+    env.process(worker.invoke(REG.fqdn()), name="one")
+    env.run(until=until)
+    return worker, telemetry, entered
+
+
+def test_cut_off_invocation_exports_finished_spans_but_no_breakdown():
+    _, _, entered = _single_invocation(until=30.0)
+    # Cut inside return_container: after the exec interval was recorded,
+    # before the invocation could close.
+    worker, telemetry, entered_cut = _single_invocation(until=entered[0] + 1e-6)
+    assert entered_cut == entered
+    (ctx,) = worker.lifecycle.contexts
+    assert ctx.outcome is None and worker.metrics.records == []
+    names = [name for name, _start, _end in ctx.intervals]
+    assert "exec" in names and "download_result" in names
+    assert "return_container" not in names
+    spans = telemetry.spans()
+    assert [(s.name, s.start, s.end) for s in spans] == \
+        sorted(((n, a, b) for n, a, b in ctx.intervals),
+               key=lambda t: (t[1], t[2], t[0]))
+    assert all(s.tag == str(ctx.inv.id) for s in spans)
+    assert telemetry.breakdowns() == []
 
 
 # -------------------------------------------------------------- exporters

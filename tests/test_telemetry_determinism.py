@@ -96,9 +96,8 @@ def test_telemetry_off_allocates_nothing():
     for w in cluster.workers.values():
         assert w.metrics.histograms == {}          # no histogram objects
         assert not w.metrics.latency_histograms_enabled
-        assert not w.spans.keep_spans              # no retained Span objects
-        assert w.spans.spans() == []
-    assert cluster.spans.spans() == []
+        assert w.lifecycle.contexts == []          # no per-invocation timing
+    assert cluster.spans is None                   # LB records nothing
     assert cluster.status_board.publish is None    # no publish hook installed
 
 
@@ -109,5 +108,6 @@ def test_telemetry_on_flips_only_observation_switches():
         assert w.metrics.histograms["e2e_seconds"].count == len(
             [r for r in w.metrics.records]
         ) - sum(1 for r in w.metrics.records if r.outcome.value in ("dropped", "timeout"))
-        assert w.spans.keep_spans
+        assert w.lifecycle.keep_contexts
+    assert cluster.spans is not None
     assert cluster.status_board.publish is not None

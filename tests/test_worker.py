@@ -140,9 +140,10 @@ def test_spans_recorded_for_warm_path():
     env, worker = make_worker()
     worker.register_sync(reg(warm=0.2))  # above bypass threshold
     env.run_process(worker.invoke("hello.1"))
-    worker.spans.reset()
+    worker.lifecycle.keep_contexts = True
     env.run_process(worker.invoke("hello.1"))
-    names = set(worker.spans.names())
+    (ctx,) = worker.lifecycle.contexts
+    names = {name for name, _start, _end in ctx.intervals}
     for expected in ("invoke", "enqueue_invocation", "dequeue",
                      "acquire_container", "prepare_invoke", "return_results"):
         assert expected in names
