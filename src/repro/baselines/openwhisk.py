@@ -28,7 +28,6 @@ exactly the comparison Figures 6 and 7 make.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -52,7 +51,6 @@ from ..core.lifecycle import (
 from ..errors import DuplicateRegistration, FunctionNotRegistered
 from ..keepalive.policies import make_policy
 from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
-from ..metrics.spans import SpanRecorder
 from ..sim.core import Environment, Event
 from ..sim.resources import Gauge
 from .components import ControllerModel, CouchDBModel, GCModel, KafkaModel, NginxModel
@@ -75,10 +73,6 @@ class OpenWhiskConfig:
     memory_wait_timeout: float = 2.0    # OW sheds quickly when memory-starved
     # CPU overcommitment: execution stretches when running > cores.
     enable_cpu_stretch: bool = True
-    # Pipeline-stage tracing (nginx/controller/kafka/couchdb spans).  Off
-    # by default: the baseline's published numbers need no breakdown, and
-    # a disabled recorder is a true no-op on the hot path.
-    tracing_enabled: bool = False
     seed: int = 7
 
     def __post_init__(self):
@@ -125,9 +119,6 @@ class OpenWhiskWorker:
 
         self.characteristics = CharacteristicsMap()
         self.metrics = MetricsRegistry(clock=lambda: env.now)
-        self.spans = SpanRecorder(
-            clock=partial(getattr, env, "now"), enabled=cfg.tracing_enabled
-        )
         # The shared stage contract: same context type, hooks, and stage
         # names as the Ilúvatar worker's pipeline, OpenWhisk semantics.
         self.lifecycle = StageTracker(env)
@@ -207,26 +198,19 @@ class OpenWhiskWorker:
         OpenWhisk's "queue" is this front-end pipeline; ``enqueued_at`` is
         the moment the activation reaches the invoker.
         """
-        spans = self.spans
         lc = self.lifecycle
         lc.stage_enter(ctx, ENQUEUE)
-        handle = spans.begin("nginx")
         yield self.env.timeout(self.nginx.latency(self.rng))
-        spans.end(handle)
         yield from self.gc.stall()
-        handle = spans.begin("controller")
         yield self.env.timeout(self.controller.latency(self.rng, self.inflight))
-        spans.end(handle)
 
         # Shared Kafka queue (controller -> invoker).
         self.kafka_backlog += 1
-        handle = spans.begin("kafka")
         try:
             yield self.env.timeout(
                 self.kafka.latency(self.rng, self.kafka_backlog)
             )
         finally:
-            spans.end(handle)
             self.kafka_backlog -= 1
         yield from self.gc.stall()
         ctx.inv.enqueued_at = self.env.now
@@ -255,7 +239,6 @@ class OpenWhiskWorker:
                 self._drop(ctx, "insufficient memory")
                 return False
             # Docker container create (no namespace pool, no reuse).
-            handle = self.spans.begin("container_create", tag=inv.function.fqdn())
             create = cfg.container_create_mean
             yield self.env.timeout(
                 create + float(self.rng.exponential(0.15 * create))
@@ -263,7 +246,6 @@ class OpenWhiskWorker:
             container = yield self.env.process(
                 self.backend.create(inv.function)
             )
-            self.spans.end(handle)
             ctx.entry = self.pool.add_in_use(
                 container, init_cost=inv.function.init_time
             )
@@ -310,11 +292,9 @@ class OpenWhiskWorker:
         ctx.entry = None
 
         yield from self.gc.stall()
-        handle = self.spans.begin("couchdb")
         yield self.env.timeout(
             self.couchdb.write_latency(self.rng, self.inflight)
         )
-        self.spans.end(handle)
 
         inv.completed_at = self.env.now
         self.characteristics.record_execution(fqdn, ctx.exec_time, inv.cold)

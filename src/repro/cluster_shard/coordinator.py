@@ -282,11 +282,11 @@ def run_sharded_replay(
 
     ``live_path``, when set, appends coordinator heartbeats (JSON lines:
     sim time reached, epoch count, placements so far) for ``repro watch``
-    to tail while the run executes; the final beat carries the merged
-    health totals when health telemetry was enabled.  Heartbeats are
-    written from the coordinator's overlap region, so they cost nothing
-    the flight recorder would not already attribute to overlapped work —
-    and they never touch simulated state.
+    to tail while the run executes; the final beat carries the health
+    totals of the merged records when health telemetry was enabled.
+    Heartbeats are written from the coordinator's overlap region, so they
+    cost nothing the flight recorder would not already attribute to
+    overlapped work — and they never touch simulated state.
 
     Raises :class:`ShardingUnavailable` when shard processes cannot start
     (callers fall back to the single-process path), and ``ValueError``
@@ -608,6 +608,7 @@ def run_sharded_replay(
             "placements": placements,
             "epoch": sum(sent),
         }
+        # Folded from the merged records here; the export reuses it.
         merged_health = getattr(telemetry, "health", None)
         if merged_health is not None:
             final.update(merged_health.totals())

@@ -14,18 +14,24 @@ serial run's (invocation ids aside: sharded runs number arrivals 0..N-1
 plus one, serial runs continue the process-global counter; all *relative*
 ids match).
 
+Shards ship no histograms and no health collectors: like the serial
+engine, the export derives every latency distribution and the health
+collector from the merged records (and the claim-wait distribution from
+the merged breakdowns), so both engines feed the derivation the same
+lists.  Shard metrics parts carry only counters and gauges.
+
 With a ``spool_dir``, :class:`ShardTelemetryParts` appends each incoming
 chunk to an on-disk pickle spool instead of RAM, and the merge re-reads
 the spools as lazy streams — a full-trace replay's records and spans
-never live in coordinator memory all at once.  ``summary()`` is the one
+never live in coordinator memory all at once.  The summary is the one
 documented exception: it materializes the merged record and breakdown
-lists transiently (outcome tallies and record↔breakdown matching need
-random access), then drops them.
+lists transiently (outcome tallies, record↔breakdown matching and the
+latency distributions need random access), then drops them.
 """
 
 from __future__ import annotations
 
-import copy
+import functools
 import heapq
 import os
 import pickle
@@ -81,7 +87,7 @@ class ShardTelemetryParts:
 
     def set_meta(self, meta: Optional[dict]) -> None:
         """Terminal payload arrived: stop accepting chunks, keep the small
-        leftovers (registry parts, gauge series, sample count)."""
+        leftovers (counters and gauges, gauge series, sample count)."""
         self.meta = meta
         for fh in self._files.values():
             fh.close()
@@ -152,9 +158,9 @@ class MergedTelemetry:
         self.seam_stats = seam_stats
         self.shards = len(self._parts) if shards is None else int(shards)
         metas = [p.meta or {} for p in self._parts]
-        # (name, counters, gauges, histograms) per worker, cluster order —
-        # shards hold contiguous worker ranges, so shard order is worker
-        # order and counter/histogram accumulation order matches serial.
+        # (name, counters, gauges) per worker, cluster order — shards hold
+        # contiguous worker ranges, so shard order is worker order and
+        # counter accumulation order matches serial.
         self._metric_parts = [part for m in metas for part in m.get("metrics", ())]
         self.series = {}
         for m in metas:
@@ -162,19 +168,16 @@ class MergedTelemetry:
         # Shards tick the same simulated grid over the same horizon, so
         # every shard saw the same number of sampler rounds.
         self.samples = max((m.get("samples", 0) for m in metas), default=0)
-        # Per-shard health collectors, merged in shard order.  Every
-        # accumulator inside is an integer count or integer-merged sketch
-        # bucket, so the merge is order-independent and the result is the
-        # collector a serial run over the same arrivals builds.
-        self.health = None
-        health_parts = [
-            m["health"] for m in metas if m.get("health") is not None
-        ]
-        for part in health_parts:
-            if self.health is None:
-                self.health = part
-            else:
-                self.health.merge(part)
+
+    @functools.cached_property
+    def health(self):
+        """The run's health collector, folded from the merged records on
+        first use (``None`` when health is off) — the same records, so
+        the same collector, as a serial run's."""
+        config = getattr(self.config, "health", None)
+        if config is None:
+            return None
+        return config.collector(self.iter_records())
 
     # -- streams (merge-key order, never materialized) ----------------------
     def iter_records(self) -> Iterator:
@@ -216,38 +219,34 @@ class MergedTelemetry:
         return list(self.iter_traces())
 
     def merged_metrics(self) -> MetricsRegistry:
-        """Counters summed, histograms merged, gauges worker-prefixed —
-        the same worker-order accumulation as Telemetry.merged_metrics."""
+        """Counters summed, gauges worker-prefixed — the same worker-order
+        accumulation as Telemetry.merged_metrics."""
         merged = MetricsRegistry()
-        for name, counters, gauges, histograms in self._metric_parts:
+        for name, counters, gauges in self._metric_parts:
             for key, v in counters.items():
                 merged.incr(key, v)
             for key, v in gauges.items():
                 merged.set_gauge(f"{name}.{key}", v)
-            for key, hist in histograms.items():
-                target = merged.histograms.get(key)
-                if target is None:
-                    merged.histograms[key] = copy.deepcopy(hist)
-                else:
-                    target.merge(hist)
         return merged
 
     # -- export ------------------------------------------------------------
     def summary(self) -> dict:
+        return self._summary(self.records())[0]
+
+    def _summary(self, records: list) -> tuple[dict, dict]:
         from ..telemetry.runs import build_summary
 
         return build_summary(
             self.config,
             self.worker_names,
             self.samples,
-            list(self.iter_records()),
-            self.merged_metrics(),
-            list(self.iter_breakdowns()),
+            records,
+            self.breakdowns(),
             dispatch=self.dispatch_info,
         )
 
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:
-        from ..telemetry.runs import build_manifest, write_run_dir
+        from ..telemetry.runs import write_run_dir
 
         series = dict(self.series)
         if self.lb_loads is not None and len(self.lb_loads):
@@ -258,32 +257,23 @@ class MergedTelemetry:
             flight_payload = dict(self.flight)
             if self.seam_stats is not None:
                 flight_payload["seam_stats"] = dict(self.seam_stats)
-        health = slo_rows = None
-        if self.health is not None:
-            from ..health.slo import evaluate_health
-
-            report = evaluate_health(
-                self.health, series=series,
-                config=getattr(self.config, "health", None),
-            )
-            health, slo_rows = report.health, report.rows
-        # summary() first (its own transient passes), then stream the
-        # record/span files straight off the merged iterators.
-        summary = self.summary()
+        # The summary's own transient pass, then the record/span files
+        # stream straight off the merged iterators.
+        summary, histograms = self._summary(self.records())
         return write_run_dir(
             run_dir,
+            config=self.config,
+            worker_names=self.worker_names,
             series=series,
             spans=self.iter_spans(),
             records=self.iter_records(),
             registry=self.merged_metrics(),
             summary=summary,
+            histograms=histograms,
+            health=self.health,
             traces=self.iter_traces() if trace_on else None,
             flight=flight_payload,
-            health=health,
-            slo_rows=slo_rows,
-            manifest=build_manifest(
-                self.config, self.worker_names, shards=self.shards
-            ),
+            shards=self.shards,
         )
 
     def cleanup(self) -> None:

@@ -177,22 +177,18 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         if tracer is not None:
             _stream_parts(conn, "traces", telemetry.trace_events())
         payload["telemetry"] = {
-            # Per-worker registry parts, in cluster worker order (the
+            # Per-worker counters and gauges, in cluster worker order (the
             # merged registry sums counters in this order, matching
-            # Telemetry.merged_metrics on a single-process run).
+            # Telemetry.merged_metrics on a single-process run).  No
+            # distributions or health collector: the coordinator derives
+            # them from the merged records at export.
             "metrics": [
-                (w.name, dict(w.metrics.counters), dict(w.metrics.gauges),
-                 dict(w.metrics.histograms))
+                (w.name, dict(w.metrics.counters), dict(w.metrics.gauges))
                 for w in workers.values()
             ],
             "series": dict(telemetry.series),
             "samples": telemetry.sampler.samples,
         }
-        if telemetry.health is not None:
-            # The whole collector ships: integer bucket counts, so the
-            # coordinator's shard-order merge reproduces the serial
-            # collector bit for bit.
-            payload["telemetry"]["health"] = telemetry.health
     conn.send(("result", payload))
 
 

@@ -394,18 +394,12 @@ class InvocationLifecycle(StageTracker):
         collect = ctx.collect
         self.stage_enter(ctx, ADMIT)
 
-        offered = inv.offered_at
-        if offered is not None:
+        if collect and inv.offered_at is not None:
             # Pull dispatch: the wait between the offer landing on the
             # shared queue and a worker claiming it is control-plane
             # time — surface it as its own interval so the overhead
             # decomposition can attribute it (a "claim_wait" phase).
-            claimed = inv.claimed_at
-            if collect:
-                ctx.intervals.append(("claim_wait", offered, claimed))
-            metrics = self.metrics
-            if metrics.latency_histograms_enabled:
-                metrics.observe("claim_wait_seconds", claimed - offered)
+            ctx.intervals.append(("claim_wait", inv.offered_at, inv.claimed_at))
 
         if collect:
             start = env.now

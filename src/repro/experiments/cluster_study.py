@@ -247,7 +247,7 @@ def run_cluster_study(
         )
         cluster.attach_telemetry(telemetry)
         telemetry.start()
-        if telemetry.health is not None:
+        if telemetry.config.health is not None:
             from pathlib import Path
 
             telemetry.enable_live(Path(telemetry_dir) / RUN_FILES["live"])

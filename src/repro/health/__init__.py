@@ -8,12 +8,12 @@ tuned :class:`HealthConfig`) and the run dir gains ``health.json``,
 ``slo.jsonl``, ``health.prom`` and a ``live.jsonl`` heartbeat; read them
 back with ``repro health RUN_DIR`` and ``repro watch RUN_DIR``.
 
-Determinism contract: the collector holds only integer counters and
-integer-merged :class:`DDSketch` buckets, so per-shard collectors from
-the sharded engine reduce to exactly the serial run's collector and the
-exported ``health.json`` / ``slo.jsonl`` are byte-identical across
-engines.  With health off, runs are bit-identical to a build without
-this package.
+Determinism contract: the collector is built at export from the run's
+merged records and holds only integer counters and :class:`DDSketch`
+buckets, so the sharded engine builds exactly the serial run's collector
+and the exported ``health.json`` / ``slo.jsonl`` are byte-identical
+across engines.  With health off, runs are bit-identical to a build
+without this package.
 """
 
 from .collector import HealthCollector

@@ -1,13 +1,14 @@
-"""Streaming per-function health accumulator fed from the record hook.
+"""Per-function health accumulator, folded from the run's records.
 
-A :class:`HealthCollector` hangs off the telemetry layer's record sink
-(:attr:`repro.metrics.registry.MetricsRegistry.record_sink`) and folds
-every finished invocation into windowed sketches and integer counters —
-per function for end-to-end latency and outcome mix, per worker for
-queue time and control-plane overhead.  It holds nothing that depends on
-observation order: integer counts, integer-merged sketches, and
-order-independent min/max, so per-shard collectors reduce with
-:meth:`merge` to exactly the collector a serial run would have built.
+A :class:`HealthCollector` folds finished invocations
+(:meth:`HealthCollector.observe_record`) into windowed sketches and
+integer counters — per function for end-to-end latency and outcome mix,
+per worker for queue time and control-plane overhead.  Both engines build
+it when they export a run, from the run's merged records; the serial live
+heartbeat keeps its own, folded at each beat.  It holds nothing that
+depends on observation order: integer counts, integer sketch buckets and
+order-independent min/max, so the same records in any order build the
+same collector.
 
 The collector is deliberately ignorant of SLO targets; it only measures.
 :func:`repro.health.slo.evaluate_health` turns a collector (plus sampled
@@ -28,7 +29,7 @@ COUNT_KEYS = ("total", "completed", "cold", "dropped")
 
 
 class HealthCollector:
-    """Windowed health accumulators; picklable, deterministically mergeable."""
+    """Windowed health accumulators; picklable and order-independent."""
 
     __slots__ = (
         "window", "relative_accuracy",
@@ -98,7 +99,7 @@ class HealthCollector:
             row["dropped"] += 1
 
     def observe_record(self, record) -> None:
-        """Record-sink adapter for :class:`~repro.metrics.registry.MetricsRegistry`.
+        """Fold in one :class:`~repro.metrics.registry.InvocationRecord`.
 
         Dropped/timed-out invocations carry no useful e2e; they are folded
         in at arrival time.  Completed ones land in the window of their
@@ -116,45 +117,6 @@ class HealthCollector:
             overhead=record.overhead if completed else None,
             worker=record.worker or "",
         )
-
-    # -- reduction ---------------------------------------------------------
-    def merge(self, other: "HealthCollector") -> None:
-        """Fold another collector in; pure integer/sketch merges, so the
-        result is independent of merge order and bit-identical to a
-        single-stream collector over the union of samples."""
-        if (other.window != self.window
-                or other.relative_accuracy != self.relative_accuracy):
-            raise ValueError(
-                "cannot merge health collectors with different config: "
-                f"window {self.window} vs {other.window}, "
-                f"relative_accuracy {self.relative_accuracy} vs "
-                f"{other.relative_accuracy}"
-            )
-        for fqdn, sketch in other.e2e.items():
-            mine = self.e2e.get(fqdn)
-            if mine is None:
-                self.e2e[fqdn] = mine = self._sketch()
-            mine.merge(sketch)
-        for fqdn, by_window in other.counts.items():
-            mine_w = self.counts.get(fqdn)
-            if mine_w is None:
-                mine_w = self.counts[fqdn] = {}
-            for idx, row in by_window.items():
-                mine_row = mine_w.get(idx)
-                if mine_row is None:
-                    mine_w[idx] = dict(row)
-                else:
-                    for key in COUNT_KEYS:
-                        mine_row[key] += row[key]
-        for attr in ("queue", "overhead"):
-            theirs = getattr(other, attr)
-            ours = getattr(self, attr)
-            for worker, sketch in theirs.items():
-                mine = ours.get(worker)
-                if mine is None:
-                    ours[worker] = mine = self._sketch()
-                mine.merge(sketch)
-        self.overall.merge(other.overall)
 
     # -- queries -----------------------------------------------------------
     def functions(self) -> list[str]:

@@ -1,23 +1,19 @@
 """Mergeable relative-error quantile sketches, windowed over sim time.
 
-The health engine answers "what is this function's p99 *right now*"
-continuously, per function, per window — a question the end-of-run
-histograms cannot answer, and one the sharded engine must answer without
-ever concentrating raw samples in one process.  :class:`DDSketch` is the
-structure that makes this tractable: a DDSketch-style sketch with
-geometric buckets of relative width ``gamma = (1+a)/(1-a)``, so any
-quantile estimate is within relative error ``a`` of the exact
+Every latency distribution a run dir reports is a :class:`DDSketch`: the
+health engine's per-function, per-window p99s, and the whole-run
+histograms in ``summary.json`` / ``metrics.prom``.  It is a DDSketch-style
+sketch with geometric buckets of relative width ``gamma = (1+a)/(1-a)``,
+so any quantile estimate is within relative error ``a`` of the exact
 nearest-rank sample it stands for, at O(1) per observation and a few
 hundred buckets per sketch.
 
-Merging is the load-bearing property.  A sketch holds only integer
-bucket counts plus an order-independent min/max, so merging per-shard
-sketches (in any order) produces *exactly* the sketch a single process
-would have built observing the same samples — bit for bit, not
-approximately.  No float accumulates in observation order anywhere in
-this module; that is what lets a sharded run's ``health.json`` be
-byte-identical to the serial run's (same discipline as
-:class:`~repro.cluster_shard.merge.MergedTelemetry`).
+Order independence is the load-bearing property.  A sketch holds only
+integer bucket counts plus an order-independent min/max, so the same
+samples observed in any order — or split across sketches and merged —
+produce *exactly* the same sketch, bit for bit.  No float accumulates in
+observation order anywhere in this module; that is what lets a sharded
+run's ``health.json`` be byte-identical to the serial run's.
 
 :class:`WindowedSketch` keys sketches by fixed sim-time window
 (``index = floor(t / window)``), stored sparsely so an idle function
@@ -159,6 +155,18 @@ class DDSketch:
                 return value
         return float(self._max)  # pragma: no cover - rank <= count
 
+    def cumulative(self) -> Iterator[tuple[float, int]]:
+        """(upper_bound, cumulative_count) pairs, Prometheus-style: the
+        zero bucket (bound ``min_value``) first, then the upper edge
+        ``gamma**k`` of each occupied bucket, closing with
+        ``(+inf, count)``."""
+        cum = self.zero_count
+        yield self.min_value, cum
+        for k in sorted(self.counts):
+            cum += self.counts[k]
+            yield self.gamma ** k, cum
+        yield float("inf"), self.count
+
     def percentiles(self) -> dict[str, float]:
         return {
             "p50": self.quantile(50.0),
@@ -226,20 +234,6 @@ class WindowedSketch:
                 self.relative_accuracy, self.min_value
             )
         sketch.observe(value)
-
-    def merge(self, other: "WindowedSketch") -> None:
-        if other.window != self.window:
-            raise ValueError(
-                f"cannot merge windowed sketches over different windows: "
-                f"{self.window} vs {other.window}"
-            )
-        for idx, sketch in other.sketches.items():
-            mine = self.sketches.get(idx)
-            if mine is None:
-                mine = self.sketches[idx] = DDSketch(
-                    self.relative_accuracy, self.min_value
-                )
-            mine.merge(sketch)
 
     def window_indices(self) -> list[int]:
         return sorted(self.sketches)

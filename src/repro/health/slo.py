@@ -16,18 +16,17 @@ matching target and produces the run-dir artifacts:
     (``violating-fraction / error-budget``), per-worker queue/overhead
     sketches, anomaly alerts, and totals.
 
-Everything here is a pure function of integer-merged accumulators and
+Everything here is a pure function of order-independent accumulators and
 the sampled gauge series, iterated in sorted order — which is the whole
-determinism argument: a sharded run that merges per-shard collectors
-feeds this module the *same* inputs as the serial run, so the JSON bytes
-match.
+determinism argument: a sharded run folds the same records into its
+collector as the serial run, so the JSON bytes match.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .collector import COUNT_KEYS, HealthCollector
 
@@ -123,8 +122,12 @@ class HealthConfig:
     def heartbeat_interval(self) -> float:
         return self.live_interval if self.live_interval is not None else self.window
 
-    def collector(self) -> HealthCollector:
-        return HealthCollector(self.window, self.relative_accuracy)
+    def collector(self, records: Iterable = ()) -> HealthCollector:
+        """A collector on this config's grid with ``records`` folded in."""
+        collector = HealthCollector(self.window, self.relative_accuracy)
+        for record in records:
+            collector.observe_record(record)
+        return collector
 
     def describe(self) -> dict:
         return {

@@ -1,27 +1,18 @@
-"""Metrics substrate: spans, counters, histograms, summaries, simulated energy."""
+"""Metrics substrate: spans, counters, records, summaries, simulated energy."""
 
 from .energy import EnergyModel, EnergyMonitor
-from .histograms import LogHistogram
-from .registry import (
-    LATENCY_HISTOGRAMS,
-    InvocationRecord,
-    MetricsRegistry,
-    Outcome,
-)
-from .spans import SPAN_GROUPS, Span, SpanRecorder, dump_spans_jsonl, load_spans_jsonl
+from .registry import InvocationRecord, MetricsRegistry, Outcome
+from .spans import SPAN_GROUPS, Span, dump_spans_jsonl, load_spans_jsonl
 from .stats import LatencySummary, OnlineStats, bin_timeseries, percentile, summarize
 
 __all__ = [
     "EnergyModel",
     "EnergyMonitor",
-    "LogHistogram",
-    "LATENCY_HISTOGRAMS",
     "InvocationRecord",
     "MetricsRegistry",
     "Outcome",
     "SPAN_GROUPS",
     "Span",
-    "SpanRecorder",
     "dump_spans_jsonl",
     "load_spans_jsonl",
     "LatencySummary",

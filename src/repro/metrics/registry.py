@@ -4,6 +4,8 @@ Ilúvatar tracks all internal/external function metrics itself rather than
 relying on external monitoring services (Section 5.1).  This registry is
 the equivalent: a single consistent view of counts, levels and per-function
 outcome tallies that every component writes to and every experiment reads.
+Latency distributions are not kept here: telemetry derives them from the
+records when it exports a run (:mod:`repro.telemetry.distributions`).
 """
 
 from __future__ import annotations
@@ -13,13 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
-from .histograms import LogHistogram
-
-__all__ = ["Outcome", "InvocationRecord", "MetricsRegistry", "LATENCY_HISTOGRAMS"]
-
-# Histogram names recorded at invocation completion once
-# :meth:`MetricsRegistry.enable_latency_histograms` opts in (telemetry).
-LATENCY_HISTOGRAMS = ("e2e_seconds", "queue_seconds", "overhead_seconds")
+__all__ = ["Outcome", "InvocationRecord", "MetricsRegistry"]
 
 
 class Outcome(str, Enum):
@@ -65,17 +61,6 @@ class MetricsRegistry:
     counters: dict[str, int] = field(default_factory=lambda: defaultdict(int))
     gauges: dict[str, float] = field(default_factory=dict)
     records: list[InvocationRecord] = field(default_factory=list)
-    histograms: dict[str, LogHistogram] = field(default_factory=dict)
-    # When set (telemetry opt-in), the (e2e, queue, overhead) histograms
-    # observed at completion.  ``None`` keeps record_invocation on its
-    # original path: one attribute load and a branch, no allocation.
-    _latency_hists: Optional[tuple] = field(default=None, repr=False)
-    # When set (health opt-in), called with every finished record — the
-    # streaming health collector's feed.  Same cost discipline as
-    # ``_latency_hists``: one attribute load and a branch when off.
-    record_sink: Optional[Callable[[InvocationRecord], None]] = field(
-        default=None, repr=False
-    )
 
     # -- counters / gauges ----------------------------------------------
     def incr(self, name: str, amount: int = 1) -> None:
@@ -87,27 +72,6 @@ class MetricsRegistry:
     def count(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    # -- histograms -------------------------------------------------------
-    def histogram(self, name: str, **kwargs) -> LogHistogram:
-        """Get or lazily create the named histogram."""
-        hist = self.histograms.get(name)
-        if hist is None:
-            hist = self.histograms[name] = LogHistogram(**kwargs)
-        return hist
-
-    def observe(self, name: str, value: float) -> None:
-        """Record one sample into the named histogram."""
-        self.histogram(name).observe(value)
-
-    def enable_latency_histograms(self) -> None:
-        """Opt in to distribution tracking of e2e / queue / overhead at
-        invocation completion (the telemetry pipeline's switch)."""
-        self._latency_hists = tuple(self.histogram(n) for n in LATENCY_HISTOGRAMS)
-
-    @property
-    def latency_histograms_enabled(self) -> bool:
-        return self._latency_hists is not None
-
     # -- invocation records ----------------------------------------------
     def record_invocation(self, record: InvocationRecord) -> None:
         self.records.append(record)
@@ -115,14 +79,6 @@ class MetricsRegistry:
         if record.outcome not in (Outcome.DROPPED, Outcome.TIMEOUT):
             self.incr("invocations.completed")
             self.incr("invocations.cold" if record.cold else "invocations.warm_start")
-            hists = self._latency_hists
-            if hists is not None:
-                hists[0].observe(record.e2e_time)
-                hists[1].observe(record.queue_time)
-                hists[2].observe(record.overhead)
-        sink = self.record_sink
-        if sink is not None:
-            sink(record)
 
     # -- rollups -----------------------------------------------------------
     def outcomes(self) -> dict[Outcome, int]:
@@ -172,6 +128,3 @@ class MetricsRegistry:
         self.counters.clear()
         self.gauges.clear()
         self.records.clear()
-        self.histograms.clear()
-        if self._latency_hists is not None:
-            self.enable_latency_histograms()

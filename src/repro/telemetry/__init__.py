@@ -7,8 +7,8 @@ status.  This package reproduces that stack for the simulator —
 * :class:`TelemetrySampler` — a DES process snapshotting per-worker
   gauges (queue depth, containers, memory, cores, energy) on a simulated
   -time grid into columnar :class:`Timeseries`;
-* latency histograms — recorded into each worker's
-  :class:`~repro.metrics.registry.MetricsRegistry` at completion;
+* latency :mod:`~repro.telemetry.distributions` — sketches derived at
+  export from the run's merged invocation records;
 * the overhead :mod:`~repro.telemetry.decomposition`, read off the
   retained lifecycle contexts — the per-phase critical-path breakdown
   behind the paper's Table 2;
@@ -31,6 +31,7 @@ from .decomposition import (
     decompose_contexts,
     match_records,
 )
+from .distributions import LATENCY_HISTOGRAMS, Distribution, latency_distributions
 from .exporters import (
     dump_timeseries_csv,
     dump_timeseries_jsonl,
@@ -66,6 +67,9 @@ __all__ = [
     "breakdown_rows",
     "decompose_contexts",
     "match_records",
+    "LATENCY_HISTOGRAMS",
+    "Distribution",
+    "latency_distributions",
     "dump_timeseries_csv",
     "dump_timeseries_jsonl",
     "escape_label_value",

@@ -4,8 +4,9 @@ Ilúvatar keeps metrics in-process and exposes them on demand (Section
 5.1); these writers are the on-demand part.  JSONL is the machine-readable
 run artifact (one row per line, ``series`` column identifying the worker),
 CSV is for spreadsheets/pandas, and the Prometheus text exposition format
-makes the registry's counters, gauges and histograms scrapeable by the
-standard ecosystem without any client library.
+makes the registry's counters and gauges, and the run's latency
+distributions, scrapeable by the standard ecosystem without any client
+library.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import csv
 import json
 from pathlib import Path
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 from ..metrics.registry import MetricsRegistry
 from .sampler import Timeseries
@@ -82,12 +83,18 @@ def _help_text(text: str) -> str:
     return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
-def render_prometheus(metrics: MetricsRegistry, help_text: bool = True) -> str:
+def render_prometheus(
+    metrics: MetricsRegistry,
+    histograms: Optional[Mapping] = None,
+    help_text: bool = True,
+) -> str:
     """Render the registry in the Prometheus text exposition format.
 
     Counters get a ``_total`` suffix, gauges are emitted as-is, and each
-    histogram becomes the conventional ``_bucket{le=...}`` /  ``_sum`` /
-    ``_count`` family (cumulative buckets, closing with ``le="+Inf"``).
+    of ``histograms`` (name → :class:`~repro.telemetry.distributions.
+    Distribution`) becomes the conventional ``_bucket{le=...}`` / ``_sum``
+    / ``_count`` family: cumulative buckets at the sketch bucket upper
+    bounds, zero bucket first, closing with ``le="+Inf"``.
     """
     lines: list[str] = []
     for name in sorted(metrics.counters):
@@ -108,29 +115,33 @@ def render_prometheus(metrics: MetricsRegistry, help_text: bool = True) -> str:
             )
             lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_fmt(metrics.gauges[name])}")
-    for name in sorted(metrics.histograms):
-        hist = metrics.histograms[name]
+    histograms = histograms or {}
+    for name in sorted(histograms):
+        hist = histograms[name]
         metric = _metric_name(name)
         if help_text:
             lines.append(
                 f"# HELP {metric} "
-                + _help_text(f"Histogram {name!r} from the repro registry.")
+                + _help_text(f"Latency distribution {name!r} of the run.")
             )
             lines.append(f"# TYPE {metric} histogram")
-        for bound, cum in hist.cumulative():
+        for bound, cum in hist.sketch.cumulative():
             lines.append(f'{metric}_bucket{{le="{_fmt(bound)}"}} {cum}')
         lines.append(f"{metric}_sum {_fmt(hist.total)}")
-        lines.append(f"{metric}_count {hist.count}")
+        lines.append(f"{metric}_count {hist.sketch.count}")
     lines.append("")
     return "\n".join(lines)
 
 
 def write_prometheus(
-    metrics: MetricsRegistry, path: Union[str, Path], help_text: bool = True
+    metrics: MetricsRegistry,
+    path: Union[str, Path],
+    histograms: Optional[Mapping] = None,
+    help_text: bool = True,
 ) -> None:
     """Write :func:`render_prometheus` output to ``path``."""
     with open(path, "w") as fh:
-        fh.write(render_prometheus(metrics, help_text=help_text))
+        fh.write(render_prometheus(metrics, histograms, help_text=help_text))
 
 
 def _labeled(metric: str, labels: dict, value) -> str:

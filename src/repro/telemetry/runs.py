@@ -14,9 +14,13 @@ produce a self-contained run directory:
 ``records.jsonl``     per-invocation records
 ``metrics.prom``      Prometheus text-format snapshot of the merged
                       registries
-``summary.json``      config echo, outcome tallies, latency-histogram
+``summary.json``      config echo, outcome tallies, latency-distribution
                       summaries and the phase decomposition
 =================  ====================================================
+
+Every distribution (``summary.json``, the ``metrics.prom`` histograms)
+and the health grade are derived here, at export, from the run's merged
+records — nothing feeds them while the simulation runs.
 
 ``repro inspect <run-dir>`` (see :func:`inspect_report`) renders the
 directory back into the paper-style tables.  When no ``Telemetry`` is
@@ -26,7 +30,6 @@ a build without this package.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import os
@@ -36,6 +39,7 @@ from typing import Optional, Union
 from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
 from ..metrics.spans import Span, dump_spans_jsonl, load_spans_jsonl
 from .decomposition import breakdown_rows, decompose_contexts, match_records
+from .distributions import latency_distributions
 from .exporters import (
     dump_timeseries_jsonl,
     write_health_prometheus,
@@ -57,8 +61,8 @@ __all__ = [
 # always written; the rest only when the run produced them ("traces" when
 # tracing was enabled, "flight" when the sharded coordinator recorded its
 # flight log, "health"/"slo"/"health_prom" when the health layer was on,
-# "live" while a health-enabled run is in flight, "manifest" whenever the
-# writer supplies provenance).
+# "live" while a health-enabled run is in flight); "manifest" is always
+# written.
 RUN_FILES = {
     "timeseries": "timeseries.jsonl",
     "spans": "spans.jsonl",
@@ -79,28 +83,34 @@ _CORE_FILES = ("timeseries", "spans", "records", "metrics", "summary")
 def write_run_dir(
     run_dir: Union[str, Path],
     *,
+    config: TelemetryConfig,
+    worker_names: list,
     series: dict,
     spans,
     records,
     registry: MetricsRegistry,
     summary: dict,
+    histograms: dict,
+    health=None,
     traces=None,
     flight: Optional[dict] = None,
-    health: Optional[dict] = None,
-    slo_rows=None,
-    manifest: Optional[dict] = None,
+    shards: int = 1,
 ) -> dict[str, Path]:
-    """Write the canonical run-directory layout from already-merged parts.
+    """Write the canonical run-directory layout from already-merged parts,
+    grading ``health`` and stamping the manifest on the way.
 
     :class:`Telemetry` feeds this from one live pipeline; the cluster-shard
-    merge feeds it from per-shard payloads.  Either way the directory is
-    identical and ``repro inspect`` reads it back the same.  ``spans``,
-    ``records``, and ``traces`` may be any single-pass iterables (each is
-    walked exactly once, straight onto disk) — the cluster-shard merge
-    hands over lazy k-way-merged streams.  The optional artifacts are
-    written (and included in the returned paths) only when supplied, so a
-    tracing-off export stays byte-identical to earlier layouts apart from
-    the provenance manifest.
+    merge feeds it from per-shard payloads.  Either way the parts — and so
+    the directory — are identical, and ``repro inspect`` reads it back the
+    same.  ``summary`` and ``histograms`` come from :func:`build_summary`;
+    ``health`` is the run's :class:`~repro.health.HealthCollector`
+    (``None`` when health is off).  ``spans``, ``records`` and ``traces``
+    may be any single-pass iterables (each is walked exactly once,
+    straight onto disk) — the cluster-shard merge hands over lazy
+    k-way-merged streams.  The optional artifacts are written (and
+    included in the returned paths) only when supplied, so a tracing-off
+    export stays byte-identical to earlier layouts apart from the
+    provenance manifest.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -125,7 +135,7 @@ def write_run_dir(
             }))
             fh.write("\n")
 
-    write_prometheus(registry, paths["metrics"])
+    write_prometheus(registry, paths["metrics"], histograms)
 
     with open(paths["summary"], "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -142,22 +152,24 @@ def write_run_dir(
             json.dump(flight, fh, indent=2)
             fh.write("\n")
     if health is not None:
+        from ..health.slo import evaluate_health
+
+        report = evaluate_health(health, series=series, config=config.health)
         paths["health"] = run_dir / RUN_FILES["health"]
         with open(paths["health"], "w") as fh:
-            json.dump(health, fh, indent=2)
+            json.dump(report.health, fh, indent=2)
             fh.write("\n")
         paths["slo"] = run_dir / RUN_FILES["slo"]
         with open(paths["slo"], "w") as fh:
-            for row in (slo_rows or ()):
+            for row in report.rows:
                 fh.write(json.dumps(row, separators=(",", ":")))
                 fh.write("\n")
         paths["health_prom"] = run_dir / RUN_FILES["health_prom"]
-        write_health_prometheus(health, paths["health_prom"])
-    if manifest is not None:
-        paths["manifest"] = run_dir / RUN_FILES["manifest"]
-        with open(paths["manifest"], "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        write_health_prometheus(report.health, paths["health_prom"])
+    paths["manifest"] = run_dir / RUN_FILES["manifest"]
+    with open(paths["manifest"], "w") as fh:
+        json.dump(build_manifest(config, worker_names, shards), fh, indent=2)
+        fh.write("\n")
     return paths
 
 
@@ -166,11 +178,14 @@ def build_summary(
     worker_names: list,
     samples: int,
     records: list,
-    merged: MetricsRegistry,
     breakdowns: list,
     dispatch: Optional[dict] = None,
-) -> dict:
-    """The ``summary.json`` structure from already-merged run parts."""
+) -> tuple[dict, dict]:
+    """The ``summary.json`` structure from already-merged run parts, and
+    the :func:`latency_distributions` it summarizes (``metrics.prom``
+    renders them).  Exports call this before building the span list, so
+    the breakdowns need not outlive it."""
+    histograms = latency_distributions(records, breakdowns)
     outcomes: dict[str, int] = {}
     for r in records:
         outcomes[r.outcome.value] = outcomes.get(r.outcome.value, 0) + 1
@@ -178,7 +193,6 @@ def build_summary(
     cfg = {
         "interval": config.interval,
         "sample_energy": config.sample_energy,
-        "histograms": config.histograms,
     }
     # Only present when enabled, so a health-off summary.json stays
     # byte-identical to exports from before the health layer existed.
@@ -192,8 +206,7 @@ def build_summary(
         "invocations": len(records),
         "outcomes": outcomes,
         "histograms": {
-            name: merged.histograms[name].summary()
-            for name in sorted(merged.histograms)
+            name: dist.summary() for name, dist in histograms.items()
         },
         "decomposition": {
             "invocations": len(breakdowns),
@@ -207,7 +220,7 @@ def build_summary(
     # from before the dispatch layer simply lack the key.
     if dispatch is not None:
         out["dispatch"] = dict(dispatch)
-    return out
+    return out, histograms
 
 
 def build_manifest(
@@ -225,7 +238,6 @@ def build_manifest(
     cfg = {
         "interval": config.interval,
         "sample_energy": config.sample_energy,
-        "histograms": config.histograms,
         "trace": getattr(config, "trace", False),
     }
     health = getattr(config, "health", None)
@@ -247,15 +259,16 @@ def build_manifest(
 
 
 class Telemetry:
-    """One run's telemetry: sampler + context retention + latency histograms.
+    """One run's telemetry: sampler + context retention, derived at export.
 
     Attach targets before ``start()``; attaching flips the context
-    -retention and histogram switches on the target's existing lifecycle
-    and registry, so the instrumentation already woven through the worker
-    starts keeping data — no new callbacks enter the invocation path.
-    The retained contexts' ``intervals`` are the run's one per-invocation
-    timeline: :meth:`spans`, :meth:`breakdowns` and the trace trees are
-    all derived from them.
+    -retention switch on the target's existing lifecycle, so the
+    instrumentation already woven through the worker starts keeping data
+    — no new callbacks enter the invocation path.  The retained contexts'
+    ``intervals`` are the run's one per-invocation timeline (:meth:`spans`,
+    :meth:`breakdowns` and the trace trees are derived from them), and the
+    registries' records are its one outcome log: the latency distributions
+    and the health collector are built from them by :meth:`export`.
     """
 
     def __init__(self, env, config: Optional[TelemetryConfig] = None):
@@ -274,25 +287,22 @@ class Telemetry:
             from ..tracing import TraceCollector
 
             self.tracer = TraceCollector()
-        self.health = None
-        if self.config.health is not None:
-            self.health = self.config.health.collector()
         # Active dispatch policy description; set by attach_cluster
         # (worker-only pipelines have no placement layer to describe).
         self.dispatch_info = None
         self._live_writer = None
         self._live_running = False
+        # The heartbeat's own collector, and how many of each worker's
+        # records it has folded in (worker name -> cursor).
+        self._live_health = None
+        self._live_cursors: dict[str, int] = {}
 
     # -- wiring ------------------------------------------------------------
     def attach_worker(self, worker) -> None:
         self.sampler.attach_worker(worker)
         worker.lifecycle.keep_contexts = True
-        if self.config.histograms:
-            worker.metrics.enable_latency_histograms()
         if self.tracer is not None:
             self.tracer.attach_worker(worker)
-        if self.health is not None:
-            worker.metrics.record_sink = self.health.observe_record
         self._workers.append(worker)
 
     def attach_cluster(self, cluster) -> None:
@@ -324,9 +334,11 @@ class Telemetry:
     def enable_live(self, path) -> None:
         """Stream windowed health snapshots to ``path`` (JSON lines) while
         the run executes — the feed ``repro watch`` tails.  Requires
-        health to be enabled; probes are read-only, so the heartbeat
-        process cannot perturb the schedule."""
-        if self.health is None:
+        health to be enabled.  Each beat folds the records appended since
+        the last one into the heartbeat's own collector; that and the
+        other probes are read-only, so the heartbeat process cannot
+        perturb the schedule."""
+        if self.config.health is None:
             raise RuntimeError(
                 "live heartbeats need health enabled: TelemetryConfig(health=...)"
             )
@@ -335,17 +347,25 @@ class Telemetry:
         from ..health.live import LiveWriter
 
         self._live_writer = LiveWriter(path)
+        self._live_health = self.config.health.collector()
         self._live_running = True
         self.env.process(self._live_loop(), name="health-live-heartbeat")
 
     def _live_snapshot(self) -> dict:
-        totals = self.health.totals()
+        health = self._live_health
+        cursors = self._live_cursors
+        for w in self._workers:
+            records = w.metrics.records
+            for record in records[cursors.get(w.name, 0):]:
+                health.observe_record(record)
+            cursors[w.name] = len(records)
+        totals = health.totals()
         queue_depth = sum(len(w.queue) for w in self._workers)
         running = sum(w.load.running for w in self._workers)
-        indices = sorted(self.health.overall.sketches)
+        indices = sorted(health.overall.sketches)
         p99 = None
         if indices:
-            value = self.health.overall.sketches[indices[-1]].quantile(99.0)
+            value = health.overall.sketches[indices[-1]].quantile(99.0)
             p99 = value if value == value else None
         return {
             "t": self.env.now,
@@ -419,7 +439,7 @@ class Telemetry:
         return self.tracer.trace_events()
 
     def merged_metrics(self) -> MetricsRegistry:
-        """Counters summed, histograms merged, gauges worker-prefixed."""
+        """Counters summed, gauges worker-prefixed."""
         merged = MetricsRegistry()
         for w in self._workers:
             m = w.metrics
@@ -427,14 +447,6 @@ class Telemetry:
                 merged.incr(name, v)
             for name, v in m.gauges.items():
                 merged.set_gauge(f"{w.name}.{name}", v)
-            for name, hist in m.histograms.items():
-                target = merged.histograms.get(name)
-                if target is None:
-                    # Clone the first worker's shape so merge() accepts the
-                    # rest (all workers share the default shape anyway).
-                    merged.histograms[name] = copy.deepcopy(hist)
-                else:
-                    target.merge(hist)
         return merged
 
     # -- export ------------------------------------------------------------
@@ -444,36 +456,32 @@ class Telemetry:
         series = dict(self.sampler.series)
         if len(self.sampler.lb_loads):
             series["lb"] = self.sampler.lb_loads
-        health = slo_rows = None
-        if self.health is not None:
-            from ..health.slo import evaluate_health
-
-            report = evaluate_health(
-                self.health, series=series, config=self.config.health
-            )
-            health, slo_rows = report.health, report.rows
+        records = self.records()
+        summary, histograms = self._summary(records)
+        health = self.config.health
         return write_run_dir(
             run_dir,
+            config=self.config,
+            worker_names=[w.name for w in self._workers],
             series=series,
             spans=self.spans(),
-            records=self.records(),
+            records=records,
             registry=self.merged_metrics(),
-            summary=self.summary(),
+            summary=summary,
+            histograms=histograms,
+            health=None if health is None else health.collector(records),
             traces=self.trace_events() if self.tracer is not None else None,
-            health=health,
-            slo_rows=slo_rows,
-            manifest=build_manifest(
-                self.config, [w.name for w in self._workers]
-            ),
         )
 
     def summary(self) -> dict:
+        return self._summary(self.records())[0]
+
+    def _summary(self, records: list) -> tuple[dict, dict]:
         return build_summary(
             self.config,
             [w.name for w in self._workers],
             self.sampler.samples,
-            self.records(),
-            self.merged_metrics(),
+            records,
             self.breakdowns(),
             dispatch=self.dispatch_info,
         )

@@ -50,7 +50,6 @@ class TelemetryConfig:
 
     interval: float = 1.0          # sampling period, simulated seconds
     sample_energy: bool = False    # add power/energy columns (default-off)
-    histograms: bool = True        # e2e/queue/overhead latency histograms
     trace: bool = False            # collect causal trace trees (repro.tracing)
     # Streaming health/SLO layer (repro.health): None/False = off,
     # True = defaults, or a repro.health.HealthConfig.  Normalized to a

@@ -5,7 +5,6 @@ import pytest
 from repro import Environment, FunctionRegistration, Worker, WorkerConfig
 from repro.experiments.report import format_table
 from repro.loadgen import ClosedLoopClient
-from repro.metrics.spans import SpanRecorder
 
 
 def test_prewarm_fails_when_memory_unavailable():
@@ -57,17 +56,6 @@ def test_closed_loop_client_think_time_validation():
     worker = Worker(env, WorkerConfig(backend="null"))
     with pytest.raises(ValueError):
         ClosedLoopClient(worker, "f.1", think_time=-1.0)
-
-
-def test_span_recorder_durations_and_missing():
-    rec = SpanRecorder(clock=lambda: 0.0)
-    rec.record("x", 1.0)
-    rec.record("x", 3.0)
-    assert rec.durations("x") == [1.0, 3.0]
-    assert rec.durations("missing") == []
-    import math
-
-    assert math.isnan(rec.mean("missing"))
 
 
 def test_format_table_handles_mixed_and_special_values():

@@ -176,14 +176,15 @@ def test_windowed_sketch_buckets_by_window_and_merges():
     assert ws.count == 3
     assert ws.sketch(0).count == 1
     assert ws.sketch(5) is None
-    other = WindowedSketch(window=10.0)
-    other.observe(12.5, 3.5)
-    ws.merge(other)
+    ws.observe(12.5, 3.5)
     assert ws.sketch(1).count == 3
+    # merged() folds every window into the whole-run sketch.
     merged = ws.merged()
     assert merged.count == 4
-    with pytest.raises(ValueError, match="different windows"):
-        ws.merge(WindowedSketch(window=5.0))
+    whole = DDSketch()
+    for x in (0.5, 1.5, 2.5, 3.5):
+        whole.observe(x)
+    assert merged == whole
     with pytest.raises(ValueError, match="window must be positive"):
         WindowedSketch(window=0.0)
 
@@ -224,26 +225,14 @@ def test_collector_shard_merge_equals_serial():
     ]
     records.append(_record(function="fn-0.1", arrival=7.0,
                            outcome=Outcome.DROPPED))
-    serial = HealthCollector(window=5.0)
-    for r in records:
-        serial.observe_record(r)
-    shards = [HealthCollector(window=5.0) for _ in range(4)]
-    for i, r in enumerate(records):
-        shards[i % 4].observe_record(r)
-    # Merge in reverse shard order: order independence is the contract.
-    merged = HealthCollector(window=5.0)
-    for part in reversed(shards):
-        merged.merge(part)
+    config = HealthConfig(window=5.0)
+    serial = config.collector(records)
+    # Fold the shards' record streams in reverse shard order: order
+    # independence is the contract.
+    shards = [records[i::4] for i in range(4)]
+    merged = config.collector(r for part in reversed(shards) for r in part)
     assert merged == serial
     assert pickle.loads(pickle.dumps(merged)) == serial
-
-
-def test_collector_merge_rejects_mismatched_config():
-    with pytest.raises(ValueError, match="window 10.0 vs 5.0"):
-        HealthCollector(window=10.0).merge(HealthCollector(window=5.0))
-    with pytest.raises(ValueError, match="relative_accuracy"):
-        HealthCollector(relative_accuracy=0.01).merge(
-            HealthCollector(relative_accuracy=0.02))
 
 
 def test_collector_validation():

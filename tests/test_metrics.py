@@ -12,7 +12,6 @@ from repro.metrics import (
     MetricsRegistry,
     OnlineStats,
     Outcome,
-    SpanRecorder,
     bin_timeseries,
     percentile,
     summarize,
@@ -118,45 +117,6 @@ def test_online_stats_merge_empty_edges():
 
 
 # ------------------------------------------------------------------- spans
-def _clocked_recorder():
-    clock = {"t": 0.0}
-
-    def now():
-        return clock["t"]
-
-    return SpanRecorder(clock=now), clock
-
-
-def test_span_context_manager_measures_clock():
-    rec, clock = _clocked_recorder()
-    with rec.span("invoke"):
-        clock["t"] += 0.005
-    assert rec.mean("invoke") == pytest.approx(0.005)
-
-
-def test_span_record_external_duration():
-    rec, _ = _clocked_recorder()
-    rec.record("call_container", 0.0014)
-    rec.record("call_container", 0.0016)
-    assert rec.mean("call_container") == pytest.approx(0.0015)
-    assert rec.summary("call_container").count == 2
-
-
-def test_span_negative_duration_rejected():
-    rec, _ = _clocked_recorder()
-    with pytest.raises(ValueError):
-        rec.record("x", -1.0)
-
-
-def test_span_disabled_records_nothing():
-    rec, clock = _clocked_recorder()
-    rec.enabled = False
-    with rec.span("invoke"):
-        clock["t"] += 1.0
-    rec.record("other", 1.0)
-    assert rec.names() == []
-
-
 def test_breakdown_table_grouping_and_order():
     from types import SimpleNamespace
 
@@ -184,105 +144,13 @@ def test_breakdown_table_grouping_and_order():
         ["invoke", "call_container", "custom_component"]
 
 
-def test_span_keep_spans_records_intervals():
-    rec, clock = _clocked_recorder()
-    rec.keep_spans = True
-    with rec.span("invoke", tag="inv-1"):
-        clock["t"] += 2.0
-    spans = rec.spans()
-    assert len(spans) == 1
-    assert spans[0].duration == pytest.approx(2.0)
-    assert spans[0].tag == "inv-1"
-
-
-def test_span_reset():
-    rec, _ = _clocked_recorder()
-    rec.record("invoke", 1.0)
-    rec.reset()
-    assert rec.names() == []
-
-
-def test_span_begin_end_measures_clock():
-    rec, clock = _clocked_recorder()
-    handle = rec.begin("invoke")
-    clock["t"] += 0.004
-    rec.end(handle)
-    assert rec.mean("invoke") == pytest.approx(0.004)
-
-
-def test_span_begin_disabled_is_noop():
-    rec, clock = _clocked_recorder()
-    rec.enabled = False
-    handle = rec.begin("invoke")
-    assert handle is None
-    clock["t"] += 1.0
-    rec.end(handle)  # accepts the disabled-path None without error
-    assert rec.names() == []
-
-
-def test_span_begin_end_nested():
-    rec, clock = _clocked_recorder()
-    outer = rec.begin("outer")
-    clock["t"] += 1.0
-    inner = rec.begin("inner")
-    clock["t"] += 2.0
-    rec.end(inner)
-    clock["t"] += 3.0
-    rec.end(outer)
-    assert rec.mean("inner") == pytest.approx(2.0)
-    assert rec.mean("outer") == pytest.approx(6.0)
-
-
-def test_span_double_end_rejected():
-    rec, clock = _clocked_recorder()
-    handle = rec.begin("invoke")
-    clock["t"] += 1.0
-    rec.end(handle)
-    with pytest.raises(ValueError):
-        rec.end(handle)
-
-
-def test_span_handles_are_pooled():
-    rec, clock = _clocked_recorder()
-    first = rec.begin("a")
-    rec.end(first)
-    second = rec.begin("b", tag="t")
-    # The ended handle is recycled, with its fields reset for the new span.
-    assert second is first
-    assert second.name == "b" and second.tag == "t"
-    clock["t"] += 1.0
-    rec.end(second)
-    assert rec.mean("b") == pytest.approx(1.0)
-
-
-def test_span_begin_end_keeps_intervals():
-    rec, clock = _clocked_recorder()
-    rec.keep_spans = True
-    handle = rec.begin("invoke", tag="inv-7")
-    clock["t"] += 2.5
-    rec.end(handle)
-    spans = rec.spans()
-    assert len(spans) == 1
-    assert spans[0].duration == pytest.approx(2.5)
-    assert spans[0].tag == "inv-7"
-
-
-def test_dump_jsonl_requires_keep_spans(tmp_path):
-    rec, _ = _clocked_recorder()
-    rec.record("invoke", 1.0)  # aggregated only; no retained spans
-    with pytest.raises(ValueError, match="keep_spans"):
-        rec.dump_jsonl(tmp_path / "spans.jsonl")
-
-
 def test_dump_jsonl_writes_all_spans(tmp_path):
-    rec, clock = _clocked_recorder()
-    rec.keep_spans = True
-    for i in range(3):
-        h = rec.begin("invoke", tag=f"inv-{i}")
-        clock["t"] += 1.0
-        rec.end(h)
+    from repro.metrics import Span, dump_spans_jsonl
+
+    # A lazy stream is written through without being materialized.
+    spans = (Span("invoke", float(i), i + 1.0, tag=f"inv-{i}") for i in range(3))
     path = tmp_path / "spans.jsonl"
-    written = rec.dump_jsonl(path)
+    written = dump_spans_jsonl(spans, path)
     lines = path.read_text().splitlines()
     assert written == 3
     assert len(lines) == 3
@@ -446,19 +314,3 @@ def test_span_jsonl_round_trip(tmp_path):
     assert loaded == spans
     assert loaded[1].duration == 0.0
     assert loaded[2].tag is None
-
-
-def test_recorder_dump_load_round_trip(tmp_path):
-    rec, clock = _clocked_recorder()
-    rec.keep_spans = True
-    h = rec.begin("invoke", tag="inv-1")
-    clock["t"] += 0.5
-    rec.end(h)
-    rec.record("call_container", 1.0, tag="inv-1")
-    path = tmp_path / "spans.jsonl"
-    rec.dump_jsonl(path)
-    from repro.metrics import load_spans_jsonl
-
-    assert load_spans_jsonl(path) == rec.spans()
-
-

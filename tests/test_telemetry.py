@@ -1,5 +1,5 @@
-"""Tests for the telemetry pipeline: histograms, sampler, decomposition,
-exporters, run directories and the inspect CLI."""
+"""Tests for the telemetry pipeline: export-time latency distributions,
+sampler, decomposition, exporters, run directories and the inspect CLI."""
 
 import json
 import math
@@ -13,10 +13,12 @@ from repro.core.config import WorkerConfig
 from repro.core.function import FunctionRegistration
 from repro.core.worker import Worker
 from repro.loadbalancer.cluster import Cluster
-from repro.metrics import LATENCY_HISTOGRAMS, LogHistogram, MetricsRegistry
+from repro.health import DDSketch
+from repro.metrics import MetricsRegistry
 from repro.metrics.registry import InvocationRecord, Outcome
 from repro.sim.core import Environment
 from repro.telemetry import (
+    LATENCY_HISTOGRAMS,
     PHASES,
     Telemetry,
     TelemetryConfig,
@@ -25,6 +27,7 @@ from repro.telemetry import (
     decompose_contexts,
     dump_timeseries_csv,
     inspect_report,
+    latency_distributions,
     load_run,
     match_records,
     render_prometheus,
@@ -56,140 +59,137 @@ def _run_worker(n_invocations=3, telemetry_config=None, until=30.0):
     return worker, telemetry
 
 
-# ---------------------------------------------------------------- histogram
+# ------------------------------------------------------------ distributions
+def _done(e2e, queue=0.0, overhead=0.0, arrival=0.0, worker=None):
+    return InvocationRecord(
+        function="f", arrival=arrival, outcome=Outcome.WARM, exec_time=0.1,
+        e2e_time=e2e, queue_time=queue, overhead=overhead, worker=worker,
+    )
+
+
+def _e2e(samples):
+    """The e2e distribution of completed records with these e2e times."""
+    return latency_distributions([_done(v) for v in samples], [])["e2e_seconds"]
+
+
 def test_histogram_bucket_semantics():
-    h = LogHistogram(lo=0.001, hi=10.0, buckets_per_decade=1)
-    # bounds = [0.001, 0.01, 0.1, 1.0, 10.0]; zero lands in bucket 0.
-    h.observe(0.0)
-    h.observe(0.001)     # == bounds[0] -> bucket 0
-    h.observe(0.005)     # (0.001, 0.01] -> bucket 1
-    h.observe(100.0)     # overflow
-    assert h.count == 4
-    assert h.counts[0] == 2
-    assert h.counts[1] == 1
-    assert h.counts[-1] == 1
-    assert h.minimum == 0.0 and h.maximum == 100.0
+    dist = _e2e([0.0, 0.005, 0.0051, 100.0])
+    sketch = dist.sketch
+    pairs = list(dist.sketch.cumulative())
+    # Zero bucket first (exact zeros cannot sit on a log scale), then one
+    # bucket per occupied sketch key, then +Inf.
+    assert pairs[0] == (sketch.min_value, 1)
+    assert [c for _, c in pairs] == [1, 2, 3, 4, 4]
+    for (prev, _), (bound, _), sample in zip(pairs, pairs[1:], (0.005, 0.0051, 100.0)):
+        assert prev < sample <= bound
+        assert bound == sketch.gamma ** sketch.key(sample)
+    assert pairs[-1] == (float("inf"), 4)
+    assert (sketch.minimum, sketch.maximum) == (0.0, 100.0)
 
 
 def test_histogram_rejects_bad_samples():
-    h = LogHistogram()
     with pytest.raises(ValueError):
-        h.observe(-1.0)
+        _e2e([-1.0])
     with pytest.raises(ValueError):
-        h.observe(float("nan"))
+        _e2e([float("nan")])
 
 
 def test_histogram_validation():
+    dists = latency_distributions([], [])
+    assert sorted(dists) == sorted(LATENCY_HISTOGRAMS)  # claim wait: pull only
+    summary = dists["e2e_seconds"].summary()
+    assert summary["count"] == 0
+    assert all(math.isnan(summary[k]) for k in ("mean", "min", "max", "p50", "p99"))
     with pytest.raises(ValueError):
-        LogHistogram(lo=0.0)
-    with pytest.raises(ValueError):
-        LogHistogram(lo=1.0, hi=0.5)
-    with pytest.raises(ValueError):
-        LogHistogram(buckets_per_decade=0)
-    h = LogHistogram()
-    with pytest.raises(ValueError):
-        h.quantile(101)
-    assert math.isnan(h.quantile(50))
+        dists["e2e_seconds"].sketch.quantile(101)
 
 
 def test_histogram_quantiles_bounded_by_bucket():
-    h = LogHistogram(lo=1e-4, hi=1e3, buckets_per_decade=10)
-    # Stays within [lo, hi]: in-range samples get the one-bucket guarantee
-    # (the overflow bucket is only bounded by the observed max).
     samples = [0.01 * 1.07**i for i in range(150)]
-    for s in samples:
-        h.observe(s)
+    dist = _e2e(samples)
+    accuracy = dist.sketch.relative_accuracy
+    summary = dist.summary()
     samples.sort()
-    for q in (50, 90, 99, 100):
-        rank = max(1, math.ceil(q / 100 * len(samples)))
-        exact = samples[rank - 1]
-        est = h.quantile(q)
-        # Estimate within one geometric bucket of the exact quantile.
-        assert exact / h.growth <= est <= exact * h.growth
-    assert h.quantile(100) == pytest.approx(h.maximum)
+    for key, q in (("p50", 50), ("p90", 90), ("p99", 99)):
+        exact = samples[max(1, math.ceil(q / 100 * len(samples))) - 1]
+        # Within one sketch bucket: the relative accuracy of the exact
+        # nearest-rank sample.
+        assert abs(summary[key] - exact) <= accuracy * exact
+    assert summary["max"] == samples[-1]
 
 
 def test_histogram_merge():
-    a, b = LogHistogram(), LogHistogram()
-    for v in (0.1, 0.2):
-        a.observe(v)
-    for v in (0.4, 0.8):
-        b.observe(v)
-    a.merge(b)
-    assert a.count == 4
-    assert a.total == pytest.approx(1.5)
-    assert a.maximum == 0.8
-    with pytest.raises(ValueError):
-        a.merge(LogHistogram(lo=1e-3))
+    # Per-worker record lists merge by concatenation: count, extremes and
+    # the exact sum (hence mean) come out of the union.
+    a = [_done(v, worker="w0") for v in (0.1, 0.2)]
+    b = [_done(v, worker="w1") for v in (0.4, 0.8)]
+    dist = latency_distributions(a + b, [])["e2e_seconds"]
+    assert dist.sketch.count == 4
+    assert dist.total == math.fsum((0.1, 0.2, 0.4, 0.8))
+    assert dist.summary()["mean"] == dist.total / 4
+    assert dist.sketch.maximum == 0.8
 
 
 def test_histogram_merge_mismatch_names_both_geometries():
-    # The error must say *how* the shapes differ — base, offset, bound
-    # count — so a failed shard merge is diagnosable from the message.
-    with pytest.raises(ValueError, match=r"offset 1e-05 vs 0\.001"):
-        LogHistogram().merge(LogHistogram(lo=1e-3))
-    with pytest.raises(ValueError, match=r"base .* vs .*bounds"):
-        LogHistogram().merge(LogHistogram(buckets_per_decade=5))
+    # Sketches of one geometry merge (the health windows fold into one
+    # whole-run sketch); the error for any other names both geometries.
+    with pytest.raises(ValueError, match=r"relative_accuracy 0\.01 vs 0\.05"):
+        DDSketch().merge(DDSketch(relative_accuracy=0.05))
+    with pytest.raises(ValueError, match=r"min_value 1e-09 vs 1e-06"):
+        DDSketch().merge(DDSketch(min_value=1e-6))
 
 
 def test_histogram_merge_empty_is_identity():
-    h = LogHistogram()
-    for v in (0.05, 0.2, 1.5):
-        h.observe(v)
-    counts = list(h.counts)
-    h.merge(LogHistogram())          # populated <- empty: no-op
-    assert h.counts == counts
-    assert (h.count, h.minimum, h.maximum) == (3, 0.05, 1.5)
-    empty = LogHistogram()
-    empty.merge(h)                   # empty <- populated: full copy
-    assert empty.counts == h.counts
-    assert (empty.count, empty.minimum, empty.maximum) == (3, 0.05, 1.5)
+    done = [_done(v, queue=v / 2, overhead=v / 4) for v in (0.05, 0.2, 1.5)]
+    cut_off = [
+        InvocationRecord(function="f", arrival=9.0, outcome=outcome, e2e_time=50.0)
+        for outcome in (Outcome.DROPPED, Outcome.TIMEOUT)
+    ]
+    # Dropped and timed-out records add nothing to any distribution.
+    with_drops = latency_distributions(done + cut_off, [])
+    alone = latency_distributions(done, [])
+    for name in LATENCY_HISTOGRAMS:
+        assert with_drops[name].sketch == alone[name].sketch
+        assert with_drops[name].summary() == alone[name].summary()
+        assert alone[name].sketch.count == 3
 
 
 def test_histogram_quantile_after_merge_matches_single_stream():
     samples = [0.01 * (i + 1) for i in range(50)] + [2.0, 5.0, 9.0]
-    whole = LogHistogram()
-    for v in samples:
-        whole.observe(v)
-    a, b = LogHistogram(), LogHistogram()
-    for i, v in enumerate(samples):
-        (a if i % 2 else b).observe(v)
-    a.merge(b)
-    assert a.counts == whole.counts
-    for q in (0, 50, 90, 99, 100):
-        assert a.quantile(q) == whole.quantile(q)
+    whole = latency_distributions([_done(v) for v in samples], [])
+    # Records of two shards, merged in a different order.
+    shard_a = [_done(v) for i, v in enumerate(samples) if i % 2]
+    shard_b = [_done(v) for i, v in enumerate(samples) if not i % 2]
+    merged = latency_distributions(shard_b + shard_a, [])
+    for name in LATENCY_HISTOGRAMS:
+        assert merged[name].sketch == whole[name].sketch
+        assert merged[name].summary() == whole[name].summary()
 
 
 def test_histogram_cumulative_and_reset():
-    h = LogHistogram(lo=0.1, hi=10.0, buckets_per_decade=1)
-    h.observe(0.5)
-    pairs = list(h.cumulative())
-    assert pairs[-1] == (float("inf"), 1)
+    pairs = list(_e2e([0.5, 0.05, 5.0, 0.5]).sketch.cumulative())
     cums = [c for _, c in pairs]
     assert cums == sorted(cums)  # cumulative counts are monotone
-    h.reset()
-    assert h.count == 0 and h.maximum is None
+    assert pairs[-1] == (float("inf"), 4)
+    # An empty distribution still renders its zero and +Inf buckets.
+    assert list(_e2e([]).sketch.cumulative()) == [(1e-9, 0), (float("inf"), 0)]
 
 
 def test_registry_latency_histograms_opt_in():
     reg = MetricsRegistry()
-    rec = InvocationRecord(
-        function="f", arrival=0.0, outcome=Outcome.WARM,
-        exec_time=0.1, e2e_time=0.15, queue_time=0.02, overhead=0.05,
-    )
-    reg.record_invocation(rec)
-    assert reg.histograms == {}  # off by default: nothing allocated
-    reg.enable_latency_histograms()
+    rec = _done(0.15, queue=0.02, overhead=0.05)
     reg.record_invocation(rec)
     reg.record_invocation(
         InvocationRecord(function="f", arrival=0.0, outcome=Outcome.DROPPED)
     )
+    # The registry keeps records and counters only ...
+    assert not hasattr(reg, "histograms")
+    assert reg.records[0] is rec and reg.count("invocations.completed") == 1
+    # ... and the distributions are derived from the records at export.
+    dists = latency_distributions(reg.records, [])
     for name in LATENCY_HISTOGRAMS:
-        assert reg.histograms[name].count == 1  # drop not observed
-    assert reg.histograms["e2e_seconds"].maximum == pytest.approx(0.15)
-    reg.reset()
-    assert reg.latency_histograms_enabled  # survives reset, empty again
-    assert all(reg.histograms[n].count == 0 for n in LATENCY_HISTOGRAMS)
+        assert dists[name].sketch.count == 1  # drop not observed
+    assert dists["e2e_seconds"].sketch.maximum == pytest.approx(0.15)
 
 
 # --------------------------------------------------------------- timeseries
@@ -428,14 +428,8 @@ def test_prometheus_rendering_parses():
     reg = MetricsRegistry()
     reg.incr("scheduler.bypass", 3)
     reg.set_gauge("pool.memory-used", 42.5)
-    reg.enable_latency_histograms()
-    reg.record_invocation(
-        InvocationRecord(
-            function="f", arrival=0.0, outcome=Outcome.WARM,
-            exec_time=0.1, e2e_time=0.15, queue_time=0.02, overhead=0.05,
-        )
-    )
-    text = render_prometheus(reg)
+    reg.record_invocation(_done(0.15, queue=0.02, overhead=0.05))
+    text = render_prometheus(reg, latency_distributions(reg.records, []))
     assert text.endswith("\n")
     lines = text.splitlines()
     for line in lines:
@@ -529,14 +523,12 @@ def test_registry_prometheus_conformance_round_trip():
     reg = MetricsRegistry()
     reg.incr("scheduler.bypass", 3)
     reg.set_gauge("pool.memory-used", 42.5)
-    reg.enable_latency_histograms()
-    reg.record_invocation(
-        InvocationRecord(
-            function="f", arrival=0.0, outcome=Outcome.WARM,
-            exec_time=0.1, e2e_time=0.15, queue_time=0.02, overhead=0.05,
-        )
-    )
-    samples, helps, types = _parse_exposition(render_prometheus(reg))
+    # Queue times include an exact 0.0 (the sketch's zero bucket).
+    for i, (e2e, queue) in enumerate(((0.15, 0.0), (0.4, 0.02), (2.5, 0.0), (0.4, 1.0))):
+        reg.record_invocation(_done(e2e, queue=queue, overhead=0.05, arrival=i))
+    breakdowns = [SimpleNamespace(phases={"claim_wait": w}) for w in (0.0, 0.003)]
+    dists = latency_distributions(reg.records, breakdowns)
+    samples, helps, types = _parse_exposition(render_prometheus(reg, dists))
     assert samples
     # Every sample belongs to a family with both # HELP and # TYPE.
     for name, _, _ in samples:
@@ -547,6 +539,28 @@ def test_registry_prometheus_conformance_round_trip():
     assert types["repro_scheduler_bypass_total"] == "counter"
     assert types["repro_pool_memory_used"] == "gauge"
     assert types["repro_e2e_seconds"] == "histogram"
+    # Sketch-backed histogram families: strictly increasing le bounds,
+    # non-decreasing cumulative counts, +Inf last and equal to _count.
+    values = {name: value for name, labels, value in samples if not labels}
+    for name, dist in dists.items():
+        family = f"repro_{name}"
+        assert types[family] == "histogram"
+        buckets = [(float(labels["le"]), int(value))
+                   for sample, labels, value in samples
+                   if sample == f"{family}_bucket"]
+        bounds = [le for le, _ in buckets]
+        counts = [c for _, c in buckets]
+        assert all(a < b for a, b in zip(bounds, bounds[1:])), family
+        assert counts == sorted(counts), family
+        assert bounds[-1] == float("inf")
+        assert counts[-1] == int(values[f"{family}_count"]) == dist.sketch.count
+        assert float(values[f"{family}_sum"]) == dist.total
+    # A 0.0 sample lands in the first (zero) bucket.
+    first = {sample: int(value) for sample, labels, value in samples
+             if sample.endswith("_bucket") and float(labels["le"]) == 1e-9}
+    assert first["repro_queue_seconds_bucket"] == 2
+    assert first["repro_claim_wait_seconds_bucket"] == 1
+    assert first["repro_e2e_seconds_bucket"] == 0
 
 
 def test_health_prometheus_conformance_and_label_escaping():

@@ -94,8 +94,8 @@ def test_energy_identical_with_and_without_sampling():
 def test_telemetry_off_allocates_nothing():
     cluster, _ = _run_cluster(with_telemetry=False)
     for w in cluster.workers.values():
-        assert w.metrics.histograms == {}          # no histogram objects
-        assert not w.metrics.latency_histograms_enabled
+        # Records and counters only: no distribution and no record hook.
+        assert set(vars(w.metrics)) == {"clock", "counters", "gauges", "records"}
         assert w.lifecycle.contexts == []          # no per-invocation timing
     assert cluster.spans is None                   # LB records nothing
     assert cluster.status_board.publish is None    # no publish hook installed
@@ -104,10 +104,14 @@ def test_telemetry_off_allocates_nothing():
 def test_telemetry_on_flips_only_observation_switches():
     cluster, telemetry = _run_cluster(with_telemetry=True)
     for w in cluster.workers.values():
-        assert w.metrics.latency_histograms_enabled
-        assert w.metrics.histograms["e2e_seconds"].count == len(
-            [r for r in w.metrics.records]
-        ) - sum(1 for r in w.metrics.records if r.outcome.value in ("dropped", "timeout"))
+        # Telemetry adds nothing to the registry: its distributions and
+        # health come from these records at export.
+        assert set(vars(w.metrics)) == {"clock", "counters", "gauges", "records"}
+        assert w.metrics.records
+        assert w.metrics.count("invocations.completed") == sum(
+            1 for r in w.metrics.records
+            if r.outcome.value not in ("dropped", "timeout")
+        )
         assert w.lifecycle.keep_contexts
     assert cluster.spans is not None
     assert cluster.status_board.publish is not None
