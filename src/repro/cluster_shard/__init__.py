@@ -18,7 +18,6 @@ from .coordinator import ShardedOutcome, run_sharded_replay
 from .merge import MergedTelemetry, ShardTelemetryParts
 from .protocol import (
     EPOCH_CHUNK,
-    LOAD_POLICIES,
     RESULT_CHUNK,
     SHARDS_ENV_VAR,
     ShardSpec,
@@ -31,7 +30,6 @@ from .protocol import (
 
 __all__ = [
     "EPOCH_CHUNK",
-    "LOAD_POLICIES",
     "RESULT_CHUNK",
     "SHARDS_ENV_VAR",
     "MergedTelemetry",

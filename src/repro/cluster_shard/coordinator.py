@@ -1,8 +1,10 @@
 """The shard coordinator: the load balancer, run against remote loads.
 
-The coordinator owns everything a single-process :class:`Cluster` keeps
-at the LB layer — the status board, the balancer, the pick/RPC spans, the
-placement counters — but its workers live in shard processes.  It walks
+The coordinator drives the same push placement core as a single-process
+:class:`Cluster` — one :class:`~repro.loadbalancer.frontend.PushFrontEnd`
+owning the status board, the balancer, the placement counter and the
+pick/RPC spans — but reads the loads its shard processes report, because
+the workers live there.  It walks
 the invocation plan **epoch by epoch**: sync points (the arrivals where a
 single-process balancer would have read worker loads, precomputed by
 :func:`~.protocol.sync_indices`) bound each epoch, every arrival inside
@@ -14,12 +16,9 @@ indices — instead of one tuple per invocation.
 The sync request for the next epoch's boundary rides inside the current
 epoch's message, so shards simulate (and compute the next loads) while
 the coordinator is still slicing the following epoch and accounting this
-one's spans.  Span accounting itself is batched: when telemetry is on,
-``lb_pick``/``lb_rpc`` spans and trace rows are emitted with explicit
-times after the epoch is sent, replacing the per-arrival virtual-clock
-toggle; the clock is written once per epoch (per arrival only when a
-snapshot status board must publish exact per-arrival load-read times
-into the telemetry stream).
+one's spans.  Span accounting itself is batched: the core places every
+arrival of a chunk, and when telemetry is on records the chunk's
+``lb_pick``/``lb_rpc`` spans and trace rows after the chunk is sent.
 
 Conservative-epoch synchronization: between two sync arrivals no load is
 read, so every shard holds all the information it needs to simulate up to
@@ -33,17 +32,14 @@ from __future__ import annotations
 import os
 import pickle
 from dataclasses import dataclass
-from functools import partial
 from time import perf_counter
 from typing import Generator, Optional, Sequence
 
 import numpy as np
 
 from ..core.config import WorkerConfig
-from ..dispatch.registry import is_pull_policy
 from ..loadbalancer.cluster import Cluster
-from ..loadbalancer.policies import StatusBoard, make_balancer
-from ..metrics.spans import Span
+from ..loadbalancer.frontend import PushFrontEnd
 from .protocol import (
     EPOCH_CHUNK,
     ShardSpec,
@@ -100,15 +96,6 @@ class FlightRecorder:
             },
             "epochs": rows,
         }
-
-
-class _Clock:
-    """Mutable virtual clock the coordinator advances epoch by epoch."""
-
-    __slots__ = ("now",)
-
-    def __init__(self):
-        self.now = 0.0
 
 
 @dataclass(frozen=True)
@@ -289,22 +276,15 @@ def run_sharded_replay(
     overlapped work — and they never touch simulated state.
 
     Raises :class:`ShardingUnavailable` when shard processes cannot start
-    (callers fall back to the single-process path), and ``ValueError``
-    when ``rpc_latency`` is not positive — the seam latency is the
-    conservative lookahead, so sharding without it is unsound.
+    or ``lb_policy`` is a pull policy (callers fall back to the
+    single-process path), and ``ValueError`` when ``rpc_latency`` is not
+    positive — the seam latency is the conservative lookahead, so
+    sharding without it is unsound.
     """
     if rpc_latency <= 0:
         raise ValueError(
             "sharded runs need rpc_latency > 0: the LB->worker dispatch "
             "latency is the lookahead that makes the epoch barrier safe"
-        )
-    if is_pull_policy(lb_policy):
-        # Checked again inside sync_indices; guarding here keeps the
-        # refusal independent of call ordering and before any shard setup.
-        raise ShardingUnavailable(
-            f"pull dispatch policy {lb_policy!r} claims from a shared "
-            "logical queue; the epoch seam carries no claim traffic, so "
-            "pull runs are serial-only"
         )
     import multiprocessing as mp
 
@@ -353,37 +333,31 @@ def run_sharded_replay(
         for s, rng in enumerate(parts)
     ]
 
-    # -- LB state, exactly as Cluster wires it (loads come from shards) --
-    clk = _Clock()
+    # The placement core, reading the loads the shards report.
     loads: dict[str, float] = {}
-    status_board = StatusBoard(
-        clock=partial(getattr, clk, "now"),
-        live_load_fn=loads.__getitem__,
-        interval=status_interval,
+    front = PushFrontEnd(
+        lb_policy, loads.__getitem__, worker_names,
+        bound_factor=bound_factor, status_interval=status_interval,
+        rpc_latency=rpc_latency,
     )
-    balancer = make_balancer(lb_policy, status_board.load, bound_factor=bound_factor)
-    for name in worker_names:
-        balancer.add_worker(name)
     lb_spans: Optional[list] = None
     lb_loads = None
+    lb_tracer = None
     if telemetry_config is not None:
         from ..telemetry.sampler import Timeseries
 
         lb_spans = []
         lb_loads = Timeseries(("t", "worker", "load"))
+        if telemetry_config.trace:
+            from ..tracing import TraceCollector
+
+            lb_tracer = TraceCollector()
         # publish(worker, t, value) -> row (t, worker, value), matching
         # TelemetrySampler.record_lb_load on the single-process path.
-        status_board.publish = (
-            lambda worker, t, value: lb_loads.append(t, worker, value)
+        front.observe(
+            lb_spans, lb_tracer,
+            lambda worker, t, value: lb_loads.append(t, worker, value),
         )
-    # A snapshot board publishes the first read of each worker at the
-    # *reading* arrival's time, which can fall mid-epoch — only then does
-    # the clock need per-arrival writes.  Otherwise one write per epoch
-    # suffices: the refresh predicate cannot fire mid-epoch (that is what
-    # makes it an epoch), and live boards never read the clock at all.
-    arrival_clock = (
-        status_interval is not None and lb_loads is not None and bool(sync_set)
-    )
 
     method = start_method or os.environ.get("REPRO_MP_START") or None
     try:
@@ -392,15 +366,8 @@ def run_sharded_replay(
         raise ShardingUnavailable(str(exc)) from exc
     conns, procs = _spawn_shards(ctx, specs)
 
-    placements = 0
     sent = [0] * num_shards
-    pick = balancer.pick
-    rpc = float(rpc_latency)
-    lb_tracer = None
-    if telemetry_config is not None and telemetry_config.trace:
-        from ..tracing import TraceCollector
-
-        lb_tracer = TraceCollector()
+    place = front.place
     fr = FlightRecorder() if flight_recorder else None
     live_writer = None
     next_live_t = 0.0
@@ -439,16 +406,8 @@ def run_sharded_replay(
                 _recv_done = perf_counter()
             m = b - a
             picks = np.empty(m, dtype=np.int32)
-            if arrival_clock:
-                for i in range(m):
-                    clk.now = tlist[i]
-                    picks[i] = worker_ids[pick(fq[i])]
-            else:
-                if m:
-                    clk.now = tlist[0]   # single clock write per epoch
-                for i in range(m):
-                    picks[i] = worker_ids[pick(fq[i])]
-            placements += m
+            for i in range(m):
+                picks[i] = worker_ids[place(fq[i], tlist[i])]
             if fr is not None:
                 _pick_done = perf_counter()
                 pbytes = 0
@@ -484,22 +443,15 @@ def run_sharded_replay(
             # the next chunk and accounting this one's spans/traces.
             nxt = _prep(next(descs, None))
             if lb_spans is not None:
-                # Same spans and trace rows the serial Cluster.async_invoke
-                # records (pick at t, rpc [t, t+rpc]); the trace id is the
-                # sharded invocation id (arrival index + 1).
-                names = worker_names
+                # The trace id is the invocation id (arrival index + 1).
+                record = front.record
                 for i in range(m):
-                    t = tlist[i]
-                    target = names[picks[i]]
-                    lb_spans.append(Span("lb_pick", t, t, fq[i]))
-                    lb_spans.append(Span("lb_rpc", t, t + rpc, target))
-                    if lb_tracer is not None:
-                        lb_tracer.record_lb(a + i + 1, t, t, t, t + rpc, target)
+                    record(fq[i], worker_names[picks[i]], tlist[i], a + i + 1)
             if live_writer is not None and m and tlist[-1] >= next_live_t:
                 live_writer.heartbeat({
                     "t": tlist[-1],
                     "engine": "sharded",
-                    "placements": placements,
+                    "placements": front.placements,
                     "epoch": sum(sent),
                 })
                 next_live_t = (
@@ -598,14 +550,14 @@ def run_sharded_replay(
             flight=flight_log,
             seam_stats=seam_stats,
             shards=num_shards,
-            dispatch_info={"policy": balancer.name, "kind": "push"},
+            dispatch_info=front.info(),
         )
 
     if live_writer is not None:
         final = {
             "t": float(horizon),
             "engine": "sharded",
-            "placements": placements,
+            "placements": front.placements,
             "epoch": sum(sent),
         }
         # Folded from the merged records here; the export reuses it.
@@ -618,8 +570,8 @@ def run_sharded_replay(
 
     return ShardedOutcome(
         summaries=summaries,
-        forwards=getattr(balancer, "forwards", 0),
-        placements=placements,
+        forwards=getattr(front.balancer, "forwards", 0),
+        placements=front.placements,
         per_worker_records=per_worker,
         telemetry=telemetry,
         seam_log=seam_log,

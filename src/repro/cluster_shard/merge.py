@@ -10,9 +10,8 @@ inputs, the result is element-for-element identical to the stable sort of
 the concatenation a single-process :class:`~repro.telemetry.runs.
 Telemetry` performs.  Same sort orders, same worker-order float
 accumulation — the exported run directory is interchangeable with a
-serial run's (invocation ids aside: sharded runs number arrivals 0..N-1
-plus one, serial runs continue the process-global counter; all *relative*
-ids match).
+serial run's, invocation ids included (both engines number invocations
+by placement ordinal).
 
 Shards ship no histograms and no health collectors: like the serial
 engine, the export derives every latency distribution and the health

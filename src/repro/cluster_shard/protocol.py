@@ -66,12 +66,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..dispatch.registry import PULL_POLICIES
-from ..loadbalancer.policies import snap_to_grid
+from ..dispatch.registry import is_pull_policy
+from ..loadbalancer.policies import balancer_class, snap_to_grid
 
 __all__ = [
     "SHARDS_ENV_VAR",
-    "LOAD_POLICIES",
     "EPOCH_CHUNK",
     "RESULT_CHUNK",
     "ShardingUnavailable",
@@ -84,10 +83,6 @@ __all__ = [
 
 # Environment-variable fallback for the --shards CLI flag.
 SHARDS_ENV_VAR = "REPRO_SHARDS"
-
-# Balancer policies whose pick() reads worker loads (everything except
-# round robin); only these ever need load synchronization at the seam.
-LOAD_POLICIES = frozenset({"ch_bl", "chbl", "least_loaded"})
 
 # Arrivals per seam message when an epoch (or a no-sync stream) is larger
 # than this: bounds the coordinator's working set and each pickle's size
@@ -167,8 +162,8 @@ def sync_indices(
     rolls the board into a new interval epoch (mirroring
     :meth:`repro.loadbalancer.policies.StatusBoard.load`, including its
     ``snap_to_grid`` epoch floor — the two share the helper, bit for
-    bit); round robin never reads loads, so those runs stream dispatches
-    with no synchronization at all.
+    bit); a balancer that never reads loads (``reads_load`` false, i.e.
+    round robin) streams dispatches with no synchronization at all.
 
     The walk is epoch-jumping rather than per-arrival: each refresh
     binary-searches for the next arrival past ``snapped + interval`` and
@@ -179,8 +174,7 @@ def sync_indices(
     inside one epoch are handled (duplicates never re-sync: their delta
     to the epoch floor is unchanged).
     """
-    key = lb_policy.lower()
-    if key in PULL_POLICIES:
+    if is_pull_policy(lb_policy):
         # Pull dispatch claims from one shared logical queue: every claim
         # is a cross-shard interaction, so the conservative-epoch seam
         # (which only carries dispatch and load-read traffic) cannot
@@ -191,7 +185,7 @@ def sync_indices(
             "logical queue; the epoch seam carries no claim traffic, so "
             "pull runs are serial-only"
         )
-    if key not in LOAD_POLICIES:
+    if not balancer_class(lb_policy).reads_load:
         return frozenset()
     ts = np.asarray(timestamps, dtype=np.float64)
     n = int(ts.size)

@@ -9,6 +9,9 @@ event-processing slots.  Because workers share nothing and the DES kernel
 breaks ties by ``(time, priority, seq)``, preserving the *relative*
 scheduling order of the shard's own events is sufficient for bit-identical
 records — the determinism argument is spelled out in ``docs/SHARDING.md``.
+The forward process is the serial cluster's own
+:func:`~repro.loadbalancer.frontend.forward_hop`, with the seam log
+attached; the pick side (spans, trace rows) lives in the coordinator.
 
 Epoch messages arrive columnar (parallel arrays of arrival index,
 timestamp, fqdn code, local worker index — schema in ``protocol.py``);
@@ -34,21 +37,11 @@ import traceback
 from typing import Generator
 
 from ..core.worker import Worker
+from ..loadbalancer.frontend import forward_hop, load_signal
 from ..sim.core import Environment
 from .protocol import RESULT_CHUNK, ShardSpec
 
 __all__ = ["shard_main"]
-
-
-def _forward(env, latency, worker, fqdn, invocation_id, done, seam, k):
-    """The LB→worker RPC hop, mirroring ``Cluster.async_invoke``'s
-    forward process (the pick-side spans live in the coordinator)."""
-    yield env.timeout(latency)
-    if seam is not None:
-        seam.append((k, env.now))
-    inner = worker.async_invoke(fqdn, invocation_id=invocation_id)
-    inv = yield inner
-    done.succeed(inv)
 
 
 def _stream_parts(conn, kind: str, items: list) -> None:
@@ -93,10 +86,10 @@ def _run_shard(conn, spec: ShardSpec) -> None:
     pending: list = []                       # (k, done event)
     seam: list = [] if spec.collect_seam else None
     latency = spec.rpc_latency
+    load = load_signal(workers)
 
     def loads() -> dict:
-        # The balancer's load signal: queue length + running (chbl.py).
-        return {name: len(w.queue) + w.load.running for name, w in workers.items()}
+        return {name: load(name) for name in workers}
 
     def injector() -> Generator:
         timeout = env.timeout
@@ -121,8 +114,8 @@ def _run_shard(conn, spec: ShardSpec) -> None:
                 fqdn = vocab[code]
                 done = event()
                 process(
-                    _forward(env, latency, by_local[loc], fqdn,
-                             k + 1, done, seam, k),
+                    forward_hop(env, latency, by_local[loc], fqdn, None,
+                                k + 1, done, seam),
                     name=f"lb-forward-{fqdn}",
                 )
                 append((k, done))

@@ -190,9 +190,10 @@ class Worker:
         with ``dropped=True``).
 
         ``invocation_id`` presets the id instead of drawing from the
-        process-global counter — the cluster-shard coordinator assigns
-        arrival-ordered ids so sharded runs reproduce single-process
-        records; normal callers leave it unset.
+        process-global counter — push clusters (serial and sharded) pass
+        the placement ordinal, so both engines number invocations alike
+        and a repeated run reproduces its ids; standalone callers leave
+        it unset.
 
         ``offered_at`` marks a pull-dispatch claim: the invocation was
         offered to the cluster queue at that (earlier) time, so it becomes

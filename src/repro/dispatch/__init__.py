@@ -1,34 +1,22 @@
-"""Pluggable dispatch layer: how invocations find workers (push or pull).
+"""Pull dispatch: idle workers claim invocations from a shared queue.
 
-See :mod:`repro.dispatch.base` for the contract,
-:mod:`repro.dispatch.pull` for the shared-queue policies, and
-:mod:`repro.dispatch.engine` for the claim loops that drive them.
+Push placement (CH-BL and the baseline balancers) lives in
+:mod:`repro.loadbalancer`; this package holds the pull family.  See
+:mod:`repro.dispatch.pull` for the offer/claim contract and the
+shared-queue policies, and :mod:`repro.dispatch.engine` for the claim
+loops that drive them.
 """
 
-from .base import PULL, PUSH, DispatchPolicy, Offer
 from .engine import PullEngine
-from .pull import LocalityPullDispatch, PullDispatch
-from .push import PushDispatch
-from .registry import (
-    PULL_POLICIES,
-    PUSH_POLICIES,
-    dispatch_policy_names,
-    is_pull_policy,
-    make_dispatch,
-)
+from .pull import LocalityPullDispatch, Offer, PullDispatch
+from .registry import PULL_POLICIES, is_pull_policy, make_dispatch
 
 __all__ = [
-    "PULL",
-    "PUSH",
-    "DispatchPolicy",
     "Offer",
     "PullEngine",
     "PullDispatch",
     "LocalityPullDispatch",
-    "PushDispatch",
     "PULL_POLICIES",
-    "PUSH_POLICIES",
-    "dispatch_policy_names",
     "is_pull_policy",
     "make_dispatch",
 ]

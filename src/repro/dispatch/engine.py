@@ -16,18 +16,14 @@ start immediately — the defining property of pull scheduling.  The loop:
 Slots are released through the lifecycle's ``dispatch_seam`` — the
 engine registers itself on each worker's stage tracker and is called
 from the terminal ``close()`` for *every* outcome (complete, drop,
-timeout), so capacity can never leak on error paths and the policy's
-``on_complete`` always fires exactly once per claimed offer.
+timeout), so capacity can never leak on error paths.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
 from ..sim.core import Environment, Event
 from ..sim.resources import Resource
-from .base import Offer
-from .pull import PullDispatch
+from .pull import Offer, PullDispatch
 
 __all__ = ["PullEngine"]
 
@@ -37,20 +33,17 @@ class PullEngine:
 
     ``workers`` maps worker name -> worker object (duck-typed: needs
     ``config.effective_concurrency``, ``lifecycle`` and
-    ``async_invoke``); ``on_claim`` is an optional hook the cluster uses
-    for placement accounting.
+    ``async_invoke``); ``placements`` counts claims handed to workers.
     """
 
     def __init__(self, env: Environment, workers: dict, policy: PullDispatch,
-                 claim_latency: float,
-                 on_claim: Optional[Callable[[Offer], None]] = None):
+                 claim_latency: float):
         if claim_latency < 0:
             raise ValueError(f"claim latency must be >= 0, got {claim_latency}")
         self.env = env
         self.workers = workers
         self.policy = policy
         self.claim_latency = float(claim_latency)
-        self.on_claim = on_claim
         self.placements = 0
         self._slots: dict[str, Resource] = {}
         # in-flight claims keyed by the worker-level done event, which is
@@ -98,8 +91,6 @@ class PullEngine:
             offer.claimed_at = env.now
             offer.claimed_by = name
             self.placements += 1
-            if self.on_claim is not None:
-                self.on_claim(offer)
             inner = worker.async_invoke(
                 offer.fqdn, offer.args, offered_at=offer.offered_at
             )
@@ -112,9 +103,8 @@ class PullEngine:
         entry = self._claims.get(ctx.done)
         if entry is None:
             return
-        name, request, offer = entry
+        name, request, _offer = entry
         self._slots[name].release(request)
-        self.policy.on_complete(name, offer)
 
     def _finish(self, event: Event) -> None:
         entry = self._claims.pop(event, None)

@@ -1,5 +1,19 @@
 """Pull dispatch: idle workers claim from a shared logical queue.
 
+Push balancers place an invocation the moment it arrives; pull-based
+schedulers (Hiku and friends) invert that flow — idle workers *claim*
+work.  A pull policy answers two questions:
+
+* ``offer(offer)``  — the front door: an invocation has arrived; enqueue
+  it (waking one parked worker) for placement.
+* ``claim(worker)`` — a worker with free capacity asks for work; hand
+  back the next :class:`Offer`, or ``None`` when the queue has nothing
+  for that worker.
+
+Workers are identified by name throughout; the cluster owns the actual
+:class:`~repro.core.worker.Worker` objects.  Policies are pure control
+logic over those names — they never import the worker/cluster layers.
+
 The queue is *logical* — it lives at the dispatch layer, not on any
 worker.  Workers run claim loops (see :mod:`repro.dispatch.engine`):
 whenever a worker has free capacity it asks ``claim(name)``; if the
@@ -24,18 +38,35 @@ cold starts, but never for idleness.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 from ..sim.core import Environment, Event
-from .base import PULL, DispatchPolicy, Offer
 
-__all__ = ["PullDispatch", "LocalityPullDispatch"]
+__all__ = ["Offer", "PullDispatch", "LocalityPullDispatch"]
 
 
-class PullDispatch(DispatchPolicy):
+@dataclass(slots=True)
+class Offer:
+    """One invocation offered to the pull queue.
+
+    ``done`` is the cluster-level completion event handed back to the
+    submitter; the engine driving the policy succeeds it with the final
+    :class:`~repro.core.function.Invocation`.  ``claimed_at``/``claimed_by``
+    are stamped by the engine when a worker receives the offer (after any
+    claim latency), so claim-wait is always ``claimed_at - offered_at``.
+    """
+
+    fqdn: str
+    args: Any
+    offered_at: float
+    done: Any
+    claimed_at: Optional[float] = None
+    claimed_by: Optional[str] = None
+
+
+class PullDispatch:
     """Shared FIFO queue that idle workers claim from."""
-
-    kind = PULL
 
     def __init__(self, env: Environment, name: str = "pull"):
         self.env = env
@@ -64,13 +95,12 @@ class PullDispatch(DispatchPolicy):
     def __len__(self) -> int:
         return len(self._queue)
 
-    def offer(self, offer: Offer) -> Optional[str]:
+    def offer(self, offer: Offer) -> None:
         self._queue.append(offer)
         self.offered += 1
         if self._waiters:
             name = next(iter(self._waiters))
             self._waiters.pop(name).succeed()
-        return None
 
     def claim(self, worker: str) -> Optional[Offer]:
         if worker not in self._workers or not self._queue:
@@ -90,9 +120,6 @@ class PullDispatch(DispatchPolicy):
         event = Event(self.env)
         self._waiters[worker] = event
         return event
-
-    def on_complete(self, worker: str, offer: Optional[Offer]) -> None:
-        return None
 
 
 class LocalityPullDispatch(PullDispatch):

@@ -1,11 +1,9 @@
-"""Name -> dispatch policy factory: the single registry for the zoo.
+"""Name -> pull dispatch policy factory.
 
-``make_dispatch`` accepts every balancer name ``make_balancer`` knows
-(wrapping it in a :class:`PushDispatch`) plus the pull policies.  The
-load-balancer import is deferred into the factory body: the dispatch
-package sits at the same layer as ``loadbalancer`` and the cluster
-imports us at module level, so a module-level import here would create
-a cycle.
+Push names (CH-BL, round-robin, least-loaded) are balancers built by
+:func:`repro.loadbalancer.policies.make_balancer`; this registry knows
+only the pull policies, and :func:`is_pull_policy` is how the cluster
+picks its engine.
 """
 
 from __future__ import annotations
@@ -13,20 +11,11 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..sim.core import Environment
-from .base import DispatchPolicy
 from .pull import LocalityPullDispatch, PullDispatch
-from .push import PushDispatch
 
-__all__ = [
-    "PULL_POLICIES",
-    "PUSH_POLICIES",
-    "dispatch_policy_names",
-    "is_pull_policy",
-    "make_dispatch",
-]
+__all__ = ["PULL_POLICIES", "is_pull_policy", "make_dispatch"]
 
 # Canonical names; make_dispatch lowercases its input before lookup.
-PUSH_POLICIES = frozenset({"ch_bl", "chbl", "round_robin", "least_loaded"})
 PULL_POLICIES = frozenset({"pull", "pull_local"})
 
 
@@ -34,36 +23,23 @@ def is_pull_policy(name: str) -> bool:
     return str(name).lower() in PULL_POLICIES
 
 
-def dispatch_policy_names() -> tuple[str, ...]:
-    """Every name ``make_dispatch`` accepts, sorted (for tables/tests)."""
-    return tuple(sorted(PUSH_POLICIES | PULL_POLICIES))
-
-
 def make_dispatch(name: str, *,
                   env: Optional[Environment] = None,
-                  load_fn: Optional[Callable[[str], float]] = None,
-                  bound_factor: float = 1.2,
                   warm_fn: Optional[Callable[[str, str], bool]] = None,
-                  ) -> DispatchPolicy:
-    """Build a dispatch policy by name.
-
-    Push names take ``load_fn``/``bound_factor`` (forwarded to
-    ``make_balancer``); pull names need ``env`` (the queue parks workers
-    on kernel events) and ``pull_local`` additionally needs ``warm_fn``.
-    """
+                  ) -> PullDispatch:
+    """Build a pull policy by name: both need ``env`` (the queue parks
+    workers on kernel events) and ``pull_local`` additionally needs
+    ``warm_fn``."""
     key = str(name).lower()
-    if key in PUSH_POLICIES:
-        from ..loadbalancer.policies import make_balancer  # deferred: cycle
-
-        return PushDispatch(make_balancer(key, load_fn, bound_factor=bound_factor))
-    if key in PULL_POLICIES:
-        if env is None:
-            raise ValueError(f"pull policy {name!r} requires env=")
-        if key == "pull":
-            return PullDispatch(env)
-        if warm_fn is None:
-            raise ValueError("pull_local requires warm_fn=(worker, fqdn) -> bool")
-        return LocalityPullDispatch(env, warm_fn)
-    raise ValueError(
-        f"unknown dispatch policy {name!r}; choose from {sorted(dispatch_policy_names())}"
-    )
+    if key not in PULL_POLICIES:
+        raise ValueError(
+            f"unknown pull dispatch policy {name!r}; choose from "
+            f"{sorted(PULL_POLICIES)}"
+        )
+    if env is None:
+        raise ValueError(f"pull policy {name!r} requires env=")
+    if key == "pull":
+        return PullDispatch(env)
+    if warm_fn is None:
+        raise ValueError("pull_local requires warm_fn=(worker, fqdn) -> bool")
+    return LocalityPullDispatch(env, warm_fn)

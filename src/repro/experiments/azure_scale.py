@@ -31,14 +31,13 @@ from typing import Optional, Sequence, Union
 
 from ..cluster_shard import ShardingUnavailable, run_sharded_replay
 from ..core.config import WorkerConfig
-from ..core.function import FunctionRegistration
 from ..loadbalancer.cluster import Cluster
 from ..loadgen.openloop import plan_from_trace, replay_plan
-from ..metrics.stats import percentile
 from ..sim.core import Environment
 from ..trace.azure import AzureTraceConfig, generate_dataset
 from ..trace.azure_io import load_azure_csvs
 from ..trace.replay import expand_dataset
+from .cluster_study import reduce_summaries, summary_rows, trace_registrations
 
 __all__ = ["AzureScaleRow", "AzureScaleReport", "run_azure_scale"]
 
@@ -114,23 +113,6 @@ def _peak_rss_mb() -> float:
     return peak / scale
 
 
-def _reduce(rows: list) -> dict:
-    """The shared reduced outcome from (k, dropped, completed, cold, e2e,
-    overhead) tuples — the equality surface across engines."""
-    done = [r for r in rows if not r[1] and r[2]]
-    e2e = [r[4] for r in done]
-    overheads = [r[5] for r in done]
-    return {
-        "invocations": len(rows),
-        "completed": len(done),
-        "dropped": sum(1 for r in rows if r[1]),
-        "cold": sum(1 for r in done if r[3]),
-        "e2e_p50_ms": percentile(e2e, 50) * 1000.0,
-        "e2e_p99_ms": percentile(e2e, 99) * 1000.0,
-        "overhead_p50_ms": percentile(overheads, 50) * 1000.0,
-    }
-
-
 def _run_serial(plan, registrations, num_workers, config, lb_policy,
                 status_interval, grace):
     env = Environment()
@@ -146,14 +128,7 @@ def _run_serial(plan, registrations, num_workers, config, lb_policy,
         cluster.register_sync(reg)
     invocations = replay_plan(env, cluster, plan, grace=grace)
     cluster.stop()
-    # replay_plan returns triggered invocations in plan order, so the
-    # enumeration index is the plan index k whenever nothing was left
-    # untriggered (an untriggered event would fail summaries_match too).
-    return [
-        (k, bool(i.dropped), i.completed_at is not None, bool(i.cold),
-         i.e2e_time, i.overhead)
-        for k, i in enumerate(invocations)
-    ], None, None
+    return summary_rows(invocations), None, None
 
 
 def _run_sharded(plan, registrations, num_workers, config, lb_policy,
@@ -226,15 +201,7 @@ def run_azure_scale(
         source = "synthetic"
     trace = expand_dataset(dataset, name="azure-scale")
     plan = plan_from_trace(trace)
-    registrations = [
-        FunctionRegistration(
-            name=f.name,
-            memory_mb=f.memory_mb,
-            warm_time=f.warm_time,
-            cold_time=f.cold_time,
-        )
-        for f in trace.functions
-    ]
+    registrations = trace_registrations(trace)
     config = WorkerConfig(
         cores=cores_per_worker,
         memory_mb=memory_per_worker_mb,
@@ -271,7 +238,7 @@ def run_azure_scale(
                     status_interval, grace,
                 )
         wall = time.perf_counter() - t0
-        summary = _reduce(raw)
+        summary = reduce_summaries(raw)
         row_health = None
         if health_cfg is not None:
             # Graded after the clock stops: SLO accounting is reporting,

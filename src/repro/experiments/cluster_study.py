@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ..cache import CacheLike
 from ..cluster_shard import ShardingUnavailable, resolve_shards, run_sharded_replay
 from ..core.config import WorkerConfig
@@ -33,7 +31,14 @@ from ..workloads.mapping import map_trace_to_catalog
 from .defaults import MEDIUM, Scale
 from .keepalive_sweep import make_traces
 
-__all__ = ["ClusterStudyResult", "run_cluster_study", "run_cluster_lb_sweep"]
+__all__ = [
+    "ClusterStudyResult",
+    "reduce_summaries",
+    "run_cluster_study",
+    "run_cluster_lb_sweep",
+    "summary_rows",
+    "trace_registrations",
+]
 
 
 @dataclass(frozen=True)
@@ -75,6 +80,48 @@ class ClusterStudyResult:
         }
 
 
+def trace_registrations(trace: Trace) -> list[FunctionRegistration]:
+    """One registration per function of ``trace``, in trace order."""
+    return [
+        FunctionRegistration(
+            name=f.name,
+            memory_mb=f.memory_mb,
+            warm_time=f.warm_time,
+            cold_time=f.cold_time,
+        )
+        for f in trace.functions
+    ]
+
+
+def summary_rows(invocations) -> list[tuple]:
+    """A serial replay's invocations as the sharded engine's summary rows,
+    ``(k, dropped, completed, cold, e2e, overhead)``.  ``replay_plan``
+    returns triggered invocations in plan order, so the enumeration index
+    is the plan index whenever nothing was left untriggered."""
+    return [
+        (k, bool(i.dropped), i.completed_at is not None, bool(i.cold),
+         i.e2e_time, i.overhead)
+        for k, i in enumerate(invocations)
+    ]
+
+
+def reduce_summaries(rows) -> dict:
+    """The reduced outcome of summary rows — the equality surface across
+    engines (keys are :class:`ClusterStudyResult` fields)."""
+    done = [r for r in rows if not r[1] and r[2]]
+    e2e = [r[4] for r in done]
+    overheads = [r[5] for r in done]
+    return {
+        "invocations": len(rows),
+        "completed": len(done),
+        "dropped": sum(1 for r in rows if r[1]),
+        "cold": sum(1 for r in done if r[3]),
+        "e2e_p50_ms": percentile(e2e, 50) * 1000.0,
+        "e2e_p99_ms": percentile(e2e, 99) * 1000.0,
+        "overhead_p50_ms": percentile(overheads, 50) * 1000.0,
+    }
+
+
 def _run_study_sharded(
     trace: Trace,
     plan,
@@ -86,8 +133,9 @@ def _run_study_sharded(
     telemetry_dir: Optional[str],
     trace_on: bool = False,
     health=None,
-) -> ClusterStudyResult:
-    """The sharded engine's outcome, adapted to :class:`ClusterStudyResult`."""
+):
+    """The sharded engine's outcome: ``(rows, forwards, placements,
+    per_worker_invocations)``."""
     telemetry_config = None
     live_path = None
     if telemetry_dir is not None:
@@ -100,15 +148,6 @@ def _run_study_sharded(
             from ..telemetry import RUN_FILES
 
             live_path = Path(telemetry_dir) / RUN_FILES["live"]
-    registrations = [
-        FunctionRegistration(
-            name=f.name,
-            memory_mb=f.memory_mb,
-            warm_time=f.warm_time,
-            cold_time=f.cold_time,
-        )
-        for f in trace.functions
-    ]
     spool = None
     if telemetry_config is not None:
         # Stream the shards' record/span/breakdown chunks through an
@@ -120,7 +159,7 @@ def _run_study_sharded(
             plan,
             num_workers=num_workers,
             shards=shards,
-            registrations=registrations,
+            registrations=trace_registrations(trace),
             config=config,
             lb_policy=lb_policy,
             status_interval=status_interval,
@@ -137,22 +176,56 @@ def _run_study_sharded(
         if spool is not None:
             spool.cleanup()
     # Summaries arrive in arrival order, mirroring replay_plan's return.
-    done = [s for s in outcome.summaries if not s[1] and s[2]]
-    e2e = [s[4] for s in done]
-    overheads = [s[5] for s in done]
-    return ClusterStudyResult(
-        invocations=len(outcome.summaries),
-        completed=len(done),
-        dropped=sum(1 for s in outcome.summaries if s[1]),
-        cold=sum(1 for s in done if s[3]),
-        e2e_p50_ms=percentile(e2e, 50) * 1000.0,
-        e2e_p99_ms=percentile(e2e, 99) * 1000.0,
-        overhead_p50_ms=percentile(overheads, 50) * 1000.0,
-        forwards=outcome.forwards,
-        placements=outcome.placements,
-        per_worker_invocations=dict(outcome.per_worker_records),
-        total_load=little_load(trace),
+    return (outcome.summaries, outcome.forwards, outcome.placements,
+            dict(outcome.per_worker_records))
+
+
+def _run_study_serial(
+    trace: Trace,
+    plan,
+    num_workers: int,
+    config: WorkerConfig,
+    lb_policy: str,
+    status_interval: Optional[float],
+    telemetry_dir: Optional[str],
+    trace_on: bool = False,
+    health=None,
+):
+    """The single-process engine's outcome, shaped like
+    :func:`_run_study_sharded`'s."""
+    env = Environment()
+    cluster = Cluster(
+        env,
+        num_workers=num_workers,
+        config=config,
+        lb_policy=lb_policy,
+        status_interval=status_interval,
     )
+    telemetry = None
+    if telemetry_dir is not None:
+        # Deferred import: the pipeline only loads when somebody opts in.
+        from ..telemetry import RUN_FILES, Telemetry, TelemetryConfig
+
+        telemetry = Telemetry(env, TelemetryConfig(trace=trace_on, health=health))
+        cluster.attach_telemetry(telemetry)
+        telemetry.start()
+        if telemetry.config.health is not None:
+            from pathlib import Path
+
+            telemetry.enable_live(Path(telemetry_dir) / RUN_FILES["live"])
+    cluster.start()
+    for registration in trace_registrations(trace):
+        cluster.register_sync(registration)
+    invocations = replay_plan(env, cluster, plan, grace=300.0)
+    cluster.stop()
+    if telemetry is not None:
+        telemetry.stop()
+        telemetry.export(telemetry_dir)
+    per_worker = {
+        name: len(w.metrics.records) for name, w in cluster.workers.items()
+    }
+    return (summary_rows(invocations), cluster.status()["forwards"],
+            cluster.placements, per_worker)
 
 
 def run_cluster_study(
@@ -213,9 +286,10 @@ def run_cluster_study(
     )
     plan = plan_from_trace(trace)
     shards = min(resolve_shards(shards), num_workers)
+    outcome = None
     if shards > 1:
         try:
-            return _run_study_sharded(
+            outcome = _run_study_sharded(
                 trace, plan, num_workers, config, lb_policy,
                 status_interval, shards, telemetry_dir,
                 trace_on=trace_invocations,
@@ -228,61 +302,16 @@ def run_cluster_study(
                 RuntimeWarning,
                 stacklevel=2,
             )
-
-    env = Environment()
-    cluster = Cluster(
-        env,
-        num_workers=num_workers,
-        config=config,
-        lb_policy=lb_policy,
-        status_interval=status_interval,
-    )
-    telemetry = None
-    if telemetry_dir is not None:
-        # Deferred import: the pipeline only loads when somebody opts in.
-        from ..telemetry import RUN_FILES, Telemetry, TelemetryConfig
-
-        telemetry = Telemetry(
-            env, TelemetryConfig(trace=trace_invocations, health=health or None)
+    if outcome is None:
+        outcome = _run_study_serial(
+            trace, plan, num_workers, config, lb_policy, status_interval,
+            telemetry_dir, trace_on=trace_invocations, health=health or None,
         )
-        cluster.attach_telemetry(telemetry)
-        telemetry.start()
-        if telemetry.config.health is not None:
-            from pathlib import Path
-
-            telemetry.enable_live(Path(telemetry_dir) / RUN_FILES["live"])
-    cluster.start()
-    for f in trace.functions:
-        cluster.register_sync(
-            FunctionRegistration(
-                name=f.name,
-                memory_mb=f.memory_mb,
-                warm_time=f.warm_time,
-                cold_time=f.cold_time,
-            )
-        )
-    invocations = replay_plan(env, cluster, plan, grace=300.0)
-    cluster.stop()
-    if telemetry is not None:
-        telemetry.stop()
-        telemetry.export(telemetry_dir)
-
-    done = [i for i in invocations if not i.dropped and i.completed_at]
-    e2e = [i.e2e_time for i in done]
-    overheads = [i.overhead for i in done]
-    per_worker = {
-        name: len(w.metrics.records) for name, w in cluster.workers.items()
-    }
+    rows, forwards, placements, per_worker = outcome
     return ClusterStudyResult(
-        invocations=len(invocations),
-        completed=len(done),
-        dropped=sum(1 for i in invocations if i.dropped),
-        cold=sum(1 for i in done if i.cold),
-        e2e_p50_ms=percentile(e2e, 50) * 1000.0,
-        e2e_p99_ms=percentile(e2e, 99) * 1000.0,
-        overhead_p50_ms=percentile(overheads, 50) * 1000.0,
-        forwards=cluster.status()["forwards"],
-        placements=cluster.placements,
+        **reduce_summaries(rows),
+        forwards=forwards,
+        placements=placements,
         per_worker_invocations=per_worker,
         total_load=little_load(trace),
     )

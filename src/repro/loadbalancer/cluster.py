@@ -5,12 +5,14 @@ worker (the worker API is deliberately a subset of the overall API, per
 the paper), so experiments and load generators can target either.
 Registrations are broadcast to every worker; placement is per-invocation.
 
-Placement itself is delegated to :mod:`repro.dispatch`.  Push policies
-(CH-BL, round-robin, least-loaded) keep the historical pick-then-forward
-invoke path — statement for statement, so pre-refactor runs stay
-bit-for-bit identical — while pull policies route through a
-:class:`~repro.dispatch.engine.PullEngine` whose per-worker claim loops
-drain a shared logical queue.
+The engine is chosen once, from the policy name.  Push policies (CH-BL,
+round-robin, least-loaded) place through the
+:class:`~repro.loadbalancer.frontend.PushFrontEnd` — the same placement
+core the cluster-shard coordinator drives, so a serial run is the
+in-process case of a sharded one: invocations are numbered by placement
+ordinal and the LB's spans and trace rows are recorded at pick time.
+Pull policies route through a :class:`~repro.dispatch.engine.PullEngine`
+whose per-worker claim loops drain a shared logical queue.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from typing import Optional, Sequence
 from ..core.config import WorkerConfig
 from ..core.function import FunctionRegistration
 from ..core.worker import Worker
-from ..dispatch import PullEngine, make_dispatch
+from ..dispatch import PullEngine, is_pull_policy, make_dispatch
 from ..errors import FunctionNotRegistered
-from ..metrics.spans import Span
 from ..sim.core import Environment, Event
-from .chbl import BoundedLoadBalancer
-from .policies import StatusBoard, make_balancer
+from .frontend import PushFrontEnd, forward_hop, load_signal
 
 __all__ = ["Cluster"]
 
@@ -65,45 +65,36 @@ class Cluster:
                 else self.worker_configs(base, num_workers))
         for cfg in cfgs:
             self.workers[cfg.name] = Worker(env, cfg)
-        self.status_board = StatusBoard(
-            clock=lambda: env.now,
-            live_load_fn=self._worker_load,
-            interval=status_interval,
-        )
-        self.dispatch = make_dispatch(
-            lb_policy,
-            env=env,
-            load_fn=self.status_board.load,
-            bound_factor=bound_factor,
-            warm_fn=self._worker_warm,
-        )
-        for name in self.workers:
-            self.dispatch.add_worker(name)
         self.rpc_latency = float(rpc_latency)
-        if self.dispatch.kind == "pull":
-            self.balancer = None
+        # Exactly one of front (push) and _pull (pull) is set.
+        self.front: Optional[PushFrontEnd] = None
+        self._pull: Optional[PullEngine] = None
+        if is_pull_policy(lb_policy):
+            self.dispatch = make_dispatch(lb_policy, env=env,
+                                          warm_fn=self._worker_warm)
+            for name in self.workers:
+                self.dispatch.add_worker(name)
             self._pull = PullEngine(
                 env,
                 self.workers,
                 self.dispatch,
                 claim_latency=(self.rpc_latency if claim_latency is None
                                else float(claim_latency)),
-                on_claim=self._count_claim,
             )
+            self.balancer = self.status_board = None
         else:
-            # The adapter's wrapped balancer keeps the historical pick
-            # call sequence on the invoke path (golden-fixture pinned).
-            self.balancer = self.dispatch.balancer
-            self._pull = None
+            self.front = PushFrontEnd(
+                lb_policy,
+                load_signal(self.workers),
+                self.workers,
+                bound_factor=bound_factor,
+                status_interval=status_interval,
+                rpc_latency=self.rpc_latency,
+            )
+            self.dispatch = None
+            self.balancer = self.front.balancer
+            self.status_board = self.front.status_board
         self.registrations: dict[str, FunctionRegistration] = {}
-        self.placements = 0
-        # LB-level spans (placement decisions, RPC hops): a list once
-        # Telemetry.attach_cluster opts the run in, None (no recording on
-        # the pick path) otherwise.
-        self.spans: Optional[list[Span]] = None
-        # Causal-trace collector; set by Telemetry.attach_cluster when
-        # TelemetryConfig(trace=True) opts a run in, None otherwise.
-        self.tracer = None
 
     @staticmethod
     def worker_configs(base: WorkerConfig, num_workers: int) -> list[WorkerConfig]:
@@ -116,15 +107,13 @@ class Cluster:
             for i in range(num_workers)
         ]
 
-    def _worker_load(self, name: str) -> float:
-        w = self.workers[name]
-        return len(w.queue) + w.load.running
-
     def _worker_warm(self, name: str, fqdn: str) -> bool:
         return self.workers[name].pool.has_available(fqdn)
 
-    def _count_claim(self, offer) -> None:
-        self.placements += 1
+    @property
+    def placements(self) -> int:
+        """Invocations placed so far (picks on push, claims on pull)."""
+        return (self.front or self._pull).placements
 
     # ---------------------------------------------------------------- API
     def start(self) -> None:
@@ -148,40 +137,23 @@ class Cluster:
     def async_invoke(self, fqdn: str, args=None) -> Event:
         if fqdn not in self.registrations:
             raise FunctionNotRegistered(fqdn)
-        if self._pull is not None:
+        front = self.front
+        if front is None:
             return self._pull.submit(fqdn, args)
-        spans = self.spans
-        tracer = self.tracer
-        pick_t = self.env.now
-        target = self.balancer.pick(fqdn)
-        if spans is not None:
-            spans.append(Span("lb_pick", pick_t, pick_t, fqdn))
-        self.placements += 1
+        env = self.env
+        t = env.now
+        target = front.place(fqdn, t)
+        k = front.placements
+        front.record(fqdn, target, t, k)
         worker = self.workers[target]
         if self.rpc_latency <= 0:
-            inner = worker.async_invoke(fqdn, args)
-            if tracer is not None:
-                # The trace id is the invocation id, known at completion.
-                inner.callbacks.append(
-                    lambda ev: tracer.record_lb(ev.value.id, pick_t, pick_t)
-                )
-            return inner
+            return worker.async_invoke(fqdn, args, invocation_id=k)
         # Model the LB->worker RPC hop without blocking the caller.
-        done = self.env.event()
-
-        def forward():
-            yield self.env.timeout(self.rpc_latency)
-            rpc_end = self.env.now
-            if spans is not None:
-                spans.append(Span("lb_rpc", pick_t, rpc_end, target))
-            inner = worker.async_invoke(fqdn, args)
-            inv = yield inner
-            if tracer is not None:
-                tracer.record_lb(inv.id, pick_t, pick_t,
-                                 pick_t, rpc_end, target)
-            done.succeed(inv)
-
-        self.env.process(forward(), name=f"lb-forward-{fqdn}")
+        done = env.event()
+        env.process(
+            forward_hop(env, self.rpc_latency, worker, fqdn, args, k, done),
+            name=f"lb-forward-{fqdn}",
+        )
         return done
 
     def invoke(self, fqdn: str, args=None):
@@ -200,16 +172,16 @@ class Cluster:
 
     def dispatch_info(self) -> dict:
         """Summary-stable description of the active dispatch policy."""
-        info = {"policy": self.dispatch.name, "kind": self.dispatch.kind}
-        if self._pull is not None:
-            info["claim_latency"] = self._pull.claim_latency
-        return info
+        if self.front is not None:
+            return self.front.info()
+        return {"policy": self.dispatch.name, "kind": "pull",
+                "claim_latency": self._pull.claim_latency}
 
     # -------------------------------------------------------------- status
     def status(self) -> dict:
         return {
             "workers": {name: w.status() for name, w in self.workers.items()},
-            "policy": self.dispatch.name,
+            "policy": self.dispatch_info()["policy"],
             "forwards": getattr(self.balancer, "forwards", 0),
             "placements": self.placements,
         }

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
+from ..dispatch.registry import PULL_POLICIES
 from .chbl import BoundedLoadBalancer
 
 __all__ = [
@@ -23,6 +24,8 @@ __all__ = [
     "LeastLoadedBalancer",
     "CHBLPolicy",
     "StatusBoard",
+    "BALANCERS",
+    "balancer_class",
     "make_balancer",
     "snap_to_grid",
 ]
@@ -51,9 +54,14 @@ def snap_to_grid(t: float, interval: float) -> float:
 
 
 class LoadBalancingPolicy:
-    """Maps an invocation's function to a worker name."""
+    """Maps an invocation's function to a worker name.
+
+    ``reads_load`` says whether ``pick`` consults worker loads; the shard
+    seam synchronizes loads only for policies that do.
+    """
 
     name = "base"
+    reads_load = True
 
     def add_worker(self, name: str) -> None:
         raise NotImplementedError
@@ -69,6 +77,7 @@ class RoundRobinBalancer(LoadBalancingPolicy):
     """Locality-blind rotation — the classic strawman."""
 
     name = "round_robin"
+    reads_load = False
 
     def __init__(self):
         self._workers: list[str] = []
@@ -204,26 +213,40 @@ class StatusBoard:
         return value
 
 
+# The one push-policy name table: name -> balancer class.
+BALANCERS = {
+    "ch_bl": CHBLPolicy,
+    "chbl": CHBLPolicy,
+    "round_robin": RoundRobinBalancer,
+    "least_loaded": LeastLoadedBalancer,
+}
+
+
+def balancer_class(name: str) -> type:
+    """The class :func:`make_balancer` builds for ``name``."""
+    key = str(name).lower()
+    cls = BALANCERS.get(key)
+    if cls is not None:
+        return cls
+    if key in PULL_POLICIES:
+        raise ValueError(
+            f"{name!r} is a pull dispatch policy, not a push balancer; "
+            f"build it via repro.dispatch.make_dispatch (push balancers: "
+            f"{sorted(BALANCERS)})"
+        )
+    raise ValueError(
+        f"unknown dispatch policy {name!r}; choose from "
+        f"{sorted(BALANCERS.keys() | PULL_POLICIES)}"
+    )
+
+
 def make_balancer(
     name: str,
     load_fn: Callable[[str], float],
     bound_factor: float = 1.2,
 ) -> LoadBalancingPolicy:
     """Factory by policy name."""
-    table = {
-        "ch_bl": lambda: CHBLPolicy(load_fn, bound_factor=bound_factor),
-        "chbl": lambda: CHBLPolicy(load_fn, bound_factor=bound_factor),
-        "round_robin": RoundRobinBalancer,
-        "least_loaded": lambda: LeastLoadedBalancer(load_fn),
-    }
-    key = str(name).lower()
-    ctor = table.get(key)
-    if ctor is None:
-        if key in ("pull", "pull_local"):
-            raise ValueError(
-                f"{name!r} is a pull dispatch policy, not a push balancer; "
-                f"build it via repro.dispatch.make_dispatch (push balancers: "
-                f"{sorted(table)})"
-            )
-        raise ValueError(f"unknown balancer {name!r}; choose from {sorted(table)}")
-    return ctor()
+    cls = balancer_class(name)
+    if cls is CHBLPolicy:
+        return cls(load_fn, bound_factor=bound_factor)
+    return cls(load_fn) if cls.reads_load else cls()

@@ -308,20 +308,19 @@ class Telemetry:
     def attach_cluster(self, cluster) -> None:
         for worker in cluster.workers.values():
             self.attach_worker(worker)
-        cluster.spans = []
-        self._lb_spans.append(cluster.spans)
         if self.tracer is not None:
-            # The cluster reports its pick/rpc spans into the collector;
-            # worker stage chains hang under whichever LB span is last.
-            cluster.tracer = self.tracer
+            # Worker stage chains hang under whichever LB span is last.
             self.tracer.root = (
                 "lb_rpc" if cluster.rpc_latency > 0 else "lb_pick"
             )
-        # Record the load values the balancer actually acted on.
-        cluster.status_board.publish = self.sampler.record_lb_load
-        info = getattr(cluster, "dispatch_info", None)
-        if info is not None:
-            self.dispatch_info = info()
+        if cluster.front is not None:
+            # The push front end reports its pick/rpc spans and trace
+            # rows, and the load values the balancer actually acted on.
+            spans: list = []
+            self._lb_spans.append(spans)
+            cluster.front.observe(spans, self.tracer,
+                                  self.sampler.record_lb_load)
+        self.dispatch_info = cluster.dispatch_info()
 
     def start(self) -> None:
         self.sampler.start()

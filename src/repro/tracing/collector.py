@@ -10,11 +10,11 @@ Hooks observe simulated state without yielding, so a traced run produces
 bit-identical records, spans, and breakdowns to an untraced one (pinned
 by ``tests/test_tracing.py`` against the golden fixture).
 
-LB spans enter through :meth:`TraceCollector.record_lb`, the one
-function both engines emit LB trace rows through: the serial
-:class:`~repro.loadbalancer.cluster.Cluster` calls it at forward
-completion (the invocation id is only known then), the cluster-shard
-coordinator from its batched epoch walk.
+LB spans enter through :meth:`TraceCollector.record_lb`, called at pick
+time by the push front end both engines share
+(:class:`~repro.loadbalancer.frontend.PushFrontEnd`): per invocation on
+the serial cluster, from the batched epoch walk on the cluster-shard
+coordinator.
 ``root`` names the LB span worker-side stage chains hang under —
 ``"lb_rpc"`` behind an RPC-forwarding balancer, ``"lb_pick"`` when the
 RPC hop is disabled, ``None`` for a standalone worker.

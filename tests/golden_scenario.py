@@ -15,9 +15,10 @@ pre-refactor invocation path (commit 8f4f807); ``tests/test_golden_ab.py``
 replays the scenario on the current code and diffs bit-for-bit, pinning
 the lifecycle refactor to be behaviour-preserving.
 
-Invocation ids come from a process-global counter, so the scenario
-normalizes them to be relative to the smallest id it observes; everything
-else is deterministic from the fixed seed and arrival list.
+The fixture was captured when serial ids came from a process-global
+counter, so the scenario normalizes ids to be relative to the smallest id
+it observes (push clusters now number invocations by placement ordinal);
+everything else is deterministic from the fixed seed and arrival list.
 """
 
 from __future__ import annotations

@@ -13,6 +13,10 @@ Three layers of evidence:
 * **Lookahead contract** — the epoch barrier never delivers a cross-seam
   dispatch earlier than ``pick_time + rpc_latency``; with the golden
   fixture the delivery time is *exactly* that, for every arrival.
+* **One front end** — both engines drive the same push placement core,
+  so the serial run's LB spans, LB load reads and trace events (ids
+  included) equal the sharded run's, and a repeated serial study exports
+  the same bytes.
 
 Shard processes genuinely fork/spawn here; in sandboxes where they
 cannot start the engine raises :class:`ShardingUnavailable` and the
@@ -42,8 +46,10 @@ from repro.cluster_shard import (
 from repro.core.config import WorkerConfig
 from repro.experiments import SMALL
 from repro.experiments.cluster_study import run_cluster_study
-from repro.loadgen.openloop import InvocationPlan
-from repro.telemetry import TelemetryConfig
+from repro.loadbalancer.cluster import Cluster
+from repro.loadgen.openloop import InvocationPlan, replay_plan
+from repro.sim.core import Environment
+from repro.telemetry import Telemetry, TelemetryConfig
 
 TINY = dataclasses.replace(SMALL, dataset_functions=400, dataset_minutes=120,
                            representative_n=50)
@@ -260,3 +266,59 @@ def test_cluster_study_shards_fall_back_serially(monkeypatch):
         result = run_cluster_study(TINY, duration_cap=300.0, num_workers=2,
                                    cores_per_worker=4, shards=2)
     assert result.invocations > 0
+
+
+# ---------------------------------------------------------------- front end
+def _lb_spans(spans):
+    return [(s.name, s.start, s.end, s.tag, s.shard)
+            for s in spans if s.name in ("lb_pick", "lb_rpc")]
+
+
+def _unsharded(events):
+    return [dataclasses.replace(e, shard=None) for e in events]
+
+
+def test_serial_and_sharded_front_ends_emit_the_same_streams():
+    """The same plan, serial in-process and on 2 shards: equal LB spans,
+    LB load reads and trace events, floats and invocation ids exact."""
+    config = TelemetryConfig(interval=1.0, trace=True)
+    sharded = sharded_golden(2, telemetry_config=config).telemetry
+
+    plan = golden_plan()
+    env = Environment()
+    cluster = Cluster(env, num_workers=3, config=GOLDEN_CONFIG,
+                      status_interval=2.0)
+    serial = Telemetry(env, config)
+    cluster.attach_telemetry(serial)
+    serial.start()
+    cluster.start()
+    for reg in FUNCTIONS:
+        cluster.register_sync(reg)
+    replay_plan(env, cluster, plan, grace=120.0 - plan.duration)
+    cluster.stop()
+    serial.stop()
+
+    lb = _lb_spans(serial.spans())
+    assert len(lb) == 2 * len(ARRIVALS)
+    assert lb == _lb_spans(sharded.spans())
+    assert sorted(r.invocation_id for r in serial.records()) == \
+        list(range(1, len(ARRIVALS) + 1))
+    loads = list(serial.sampler.lb_loads.rows())
+    assert loads and loads == list(sharded.lb_loads.rows())
+    events = serial.trace_events()
+    assert events and events == _unsharded(sharded.traces())
+
+
+def test_repeated_serial_study_exports_identical_bytes(tmp_path):
+    """Serial invocation ids are placement ordinals, not draws from a
+    process-global counter: a second run in the same process exports the
+    same records, spans and traces, byte for byte."""
+    runs = []
+    for name in ("first", "second"):
+        run_dir = tmp_path / name
+        run_cluster_study(TINY, duration_cap=300.0, num_workers=3,
+                          cores_per_worker=4, shards=1,
+                          telemetry_dir=str(run_dir), trace_invocations=True)
+        runs.append(run_dir)
+    for name in ("records.jsonl", "spans.jsonl", "traces.jsonl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()

@@ -1,6 +1,6 @@
-"""Dispatch-layer tests: the policy contract, the pull queue under
-adversarial shapes, factory errors, shard-seam refusal, and the inspect
-section's fallbacks."""
+"""Dispatch-layer tests: engine choice by policy name, membership churn
+across every policy, the pull queue under adversarial shapes, factory
+errors, shard-seam refusal, and the inspect section's fallbacks."""
 
 import json
 
@@ -11,47 +11,44 @@ from hypothesis import strategies as st
 from repro.core.config import WorkerConfig
 from repro.core.function import FunctionRegistration
 from repro.dispatch import (
+    PULL_POLICIES,
     LocalityPullDispatch,
     Offer,
     PullDispatch,
-    PushDispatch,
-    dispatch_policy_names,
     is_pull_policy,
     make_dispatch,
 )
 from repro.loadbalancer.cluster import Cluster
-from repro.loadbalancer.policies import make_balancer
+from repro.loadbalancer.policies import BALANCERS, make_balancer
 from repro.sim.core import Environment
 from repro.telemetry import Telemetry, TelemetryConfig
+
+ALL_POLICIES = sorted(BALANCERS) + sorted(PULL_POLICIES)
 
 
 def _load(_name):
     return 0.0
 
 
-def _policy(name, env):
-    return make_dispatch(name, env=env, load_fn=_load,
-                         warm_fn=lambda _w, _f: False)
-
-
 # ------------------------------------------------------------ registry
 
 def test_registry_covers_push_and_pull():
-    names = dispatch_policy_names()
-    assert "ch_bl" in names and "pull" in names and "pull_local" in names
-    env = Environment()
-    for name in names:
-        policy = _policy(name, env)
-        assert policy.kind in ("push", "pull")
-        assert is_pull_policy(name) == (policy.kind == "pull")
+    assert {"ch_bl", "pull", "pull_local"} <= set(ALL_POLICIES)
+    for name in ALL_POLICIES:
+        cluster = Cluster(Environment(), lb_policy=name)
+        kind = cluster.dispatch_info()["kind"]
+        assert kind == ("pull" if is_pull_policy(name) else "push")
+        # Exactly one engine is built.
+        assert (cluster.front is None) == (kind == "pull")
+        assert (cluster.balancer is None) == (kind == "pull")
 
 
-def test_make_dispatch_unknown_name_lists_choices():
+def test_cluster_unknown_policy_lists_every_name():
     with pytest.raises(ValueError) as err:
-        make_dispatch("random", env=Environment())
+        Cluster(Environment(), lb_policy="random")
     message = str(err.value)
     assert "random" in message
-    for name in dispatch_policy_names():
+    for name in ALL_POLICIES:
         assert name in message
 
 
@@ -76,23 +73,26 @@ def test_make_balancer_points_pull_names_at_dispatch():
 
 # ------------------------------------- add/remove across every policy
 
-@pytest.mark.parametrize("name", dispatch_policy_names())
+@pytest.mark.parametrize("name", ALL_POLICIES)
 def test_add_remove_workers_mid_run(name):
     """Every registered policy survives membership churn mid-run."""
     env = Environment()
-    policy = _policy(name, env)
+    if is_pull_policy(name):
+        policy = make_dispatch(name, env=env, warm_fn=lambda _w, _f: False)
+    else:
+        policy = make_balancer(name, _load)
     for w in ("w-0", "w-1", "w-2"):
         policy.add_worker(w)
 
-    if policy.kind == "push":
+    if not is_pull_policy(name):
         # Exercise the policy, then shrink and grow it mid-stream.
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(6)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(6)]
         assert set(picks) <= {"w-0", "w-1", "w-2"}
         policy.remove_worker("w-1")
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(6)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(6)]
         assert set(picks) <= {"w-0", "w-2"}
         policy.add_worker("w-3")
-        picks = [policy.balancer.pick(f"fn-{i}.1") for i in range(12)]
+        picks = [policy.pick(f"fn-{i}.1") for i in range(12)]
         assert set(picks) <= {"w-0", "w-2", "w-3"}
     else:
         done = object()
@@ -112,20 +112,6 @@ def test_add_remove_workers_mid_run(name):
         policy.remove_worker("w-1")
     with pytest.raises(ValueError, match="not registered"):
         policy.remove_worker("never-added")
-
-
-def test_push_adapter_offer_is_the_pick():
-    env = Environment()
-    policy = _policy("round_robin", env)
-    policy.add_worker("a")
-    policy.add_worker("b")
-    offer = Offer("fn.1", None, 0.0, object())
-    target = policy.offer(offer)
-    assert target in ("a", "b")
-    assert offer.claimed_by == target
-    assert offer.claimed_at == offer.offered_at
-    # Push workers never claim.
-    assert policy.claim("a") is None
 
 
 # ------------------------------------------- pull queue, adversarially

@@ -346,7 +346,7 @@ def test_untelemetered_replay_keeps_no_per_invocation_timing():
     for w in cluster.workers.values():
         assert not hasattr(w, "spans")
         assert w.lifecycle.contexts == []
-    assert cluster.spans is None
+    assert cluster.front.spans is None
 
 
 def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
@@ -360,7 +360,7 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
     assert len(contexts) == len(invocations)
     derived = [(name, start, end, str(ctx.inv.id))
                for ctx in contexts for name, start, end in ctx.intervals]
-    lb = [(s.name, s.start, s.end, s.tag) for s in cluster.spans]
+    lb = [(s.name, s.start, s.end, s.tag) for s in cluster.front.spans]
     assert len(lb) == 2 * len(invocations)        # one lb_pick + one lb_rpc each
     assert len(exported) == len(derived) + len(lb)
     assert sorted((s.name, s.start, s.end, s.tag) for s in exported) == \

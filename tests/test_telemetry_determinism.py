@@ -97,8 +97,8 @@ def test_telemetry_off_allocates_nothing():
         # Records and counters only: no distribution and no record hook.
         assert set(vars(w.metrics)) == {"clock", "counters", "gauges", "records"}
         assert w.lifecycle.contexts == []          # no per-invocation timing
-    assert cluster.spans is None                   # LB records nothing
-    assert cluster.status_board.publish is None    # no publish hook installed
+    assert cluster.front.spans is None             # LB records nothing
+    assert cluster.front.status_board.publish is None  # no publish hook
 
 
 def test_telemetry_on_flips_only_observation_switches():
@@ -113,5 +113,5 @@ def test_telemetry_on_flips_only_observation_switches():
             if r.outcome.value not in ("dropped", "timeout")
         )
         assert w.lifecycle.keep_contexts
-    assert cluster.spans is not None
-    assert cluster.status_board.publish is not None
+    assert cluster.front.spans is not None
+    assert cluster.front.status_board.publish is not None

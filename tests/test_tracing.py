@@ -90,6 +90,44 @@ def test_every_invocation_yields_a_rooted_tree(traced):
         assert chain[2].parent == "lb_rpc"
 
 
+def test_no_rpc_hop_roots_trees_at_the_pick():
+    """With ``rpc_latency=0`` the front end records the pick alone: no
+    ``lb_rpc`` span or event, and the stage chain hangs off ``lb_pick``."""
+    from repro.core.config import WorkerConfig
+    from repro.loadbalancer.cluster import Cluster
+    from repro.sim.core import Environment
+    from repro.telemetry import Telemetry
+    from tests.golden_scenario import ARRIVALS, FUNCTIONS
+
+    env = Environment()
+    cluster = Cluster(env, num_workers=3, rpc_latency=0.0,
+                      config=WorkerConfig(cores=2, memory_mb=4096, seed=13))
+    telemetry = Telemetry(env, TRACED)
+    cluster.attach_telemetry(telemetry)
+    telemetry.start()
+    cluster.start()
+    for reg in FUNCTIONS:
+        cluster.register_sync(reg)
+
+    def submit(at, fqdn):
+        yield env.timeout(at)
+        yield from cluster.invoke(fqdn)
+
+    for at, idx in ARRIVALS:
+        env.process(submit(at, FUNCTIONS[idx].fqdn()), name=f"sub-{at}")
+    env.run(until=120.0)
+    telemetry.stop()
+
+    assert not any(s.name == "lb_rpc" for s in telemetry.spans())
+    trees = build_traces(telemetry.trace_events())
+    assert sorted(t.trace_id for t in trees) == \
+        list(range(1, len(ARRIVALS) + 1))
+    for t in trees:
+        chain = t.chain()
+        assert chain[0].name == "lb_pick" and chain[0].parent is None
+        assert chain[1].parent == "lb_pick"
+
+
 def test_completed_traces_terminate_in_complete(traced):
     _, telemetry = traced
     paths = _paths(telemetry)
