@@ -265,7 +265,9 @@ def run_sharded_replay(
     overlap timings and payload bytes, reduced to totals on the returned
     outcome's ``flight_log`` and exported as ``flight.json`` by the
     merged telemetry — purely observational, simulated results are
-    unchanged.
+    unchanged.  ``start_method`` is the shards' multiprocessing start
+    method (``REPRO_MP_START`` is the ambient override; default
+    ``spawn``).
 
     ``live_path``, when set, appends coordinator heartbeats (JSON lines:
     sim time reached, epoch count, placements so far) for ``repro watch``
@@ -359,7 +361,10 @@ def run_sharded_replay(
             lambda worker, t, value: lb_loads.append(t, worker, value),
         )
 
-    method = start_method or os.environ.get("REPRO_MP_START") or None
+    # Shards start with ``spawn`` unless told otherwise: a forked shard
+    # would inherit (and count as resident) whatever the caller's heap
+    # holds, such as a previous run's outcome.
+    method = start_method or os.environ.get("REPRO_MP_START") or "spawn"
     try:
         ctx = mp.get_context(method)
     except ValueError as exc:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = ["hash_point", "ConsistentHashRing", "BoundedLoadBalancer"]
 
@@ -31,7 +31,13 @@ def hash_point(key: str, salt: int = 0) -> int:
 
 
 class ConsistentHashRing:
-    """A ring of (point, member) pairs with virtual nodes."""
+    """A ring of (point, member) pairs with virtual nodes.
+
+    The ring keeps its sorted distinct members and memoises each key's
+    successor order; both change only in :meth:`add`/:meth:`remove`, which
+    rebuild the one and clear the other.  Orders are shared per ring start
+    position, so their memory is bounded by the ring size.
+    """
 
     def __init__(self, vnodes: int = 64):
         if vnodes < 1:
@@ -39,43 +45,68 @@ class ConsistentHashRing:
         self.vnodes = vnodes
         self._points: list[int] = []
         self._members: list[str] = []
+        self._sorted: tuple[str, ...] = ()
+        self._by_key: dict[str, tuple[str, ...]] = {}
+        self._by_start: dict[int, tuple[str, ...]] = {}
 
     def add(self, member: str) -> None:
-        if member in set(self._members):
+        if member in self._sorted:
             raise ValueError(f"member {member!r} already on the ring")
         for v in range(self.vnodes):
             point = hash_point(f"{member}#{v}")
             idx = bisect.bisect(self._points, point)
             self._points.insert(idx, point)
             self._members.insert(idx, member)
+        self._changed(tuple(sorted((*self._sorted, member))))
 
     def remove(self, member: str) -> None:
-        if member not in set(self._members):
+        if member not in self._sorted:
             raise ValueError(f"member {member!r} not on the ring")
         keep = [(p, m) for p, m in zip(self._points, self._members) if m != member]
         self._points = [p for p, _ in keep]
         self._members = [m for _, m in keep]
+        self._changed(tuple(m for m in self._sorted if m != member))
 
-    def members(self) -> list[str]:
-        return sorted(set(self._members))
+    def _changed(self, members: tuple[str, ...]) -> None:
+        self._sorted = members
+        self._by_key.clear()
+        self._by_start.clear()
+
+    def members(self) -> tuple[str, ...]:
+        """Distinct members, sorted.  The same tuple until membership
+        changes."""
+        return self._sorted
 
     def __len__(self) -> int:
-        return len(set(self._members))
+        return len(self._sorted)
 
     def successors(self, key: str) -> list[str]:
         """Distinct members in clockwise order from the key's point."""
-        if not self._points:
-            return []
-        start = bisect.bisect(self._points, hash_point(key)) % len(self._points)
-        seen: list[str] = []
-        seen_set = set()
+        return list(self.order(key))
+
+    def order(self, key: str) -> tuple[str, ...]:
+        """:meth:`successors` as the ring's memoised tuple."""
+        order = self._by_key.get(key)
+        if order is not None:
+            return order
         n = len(self._points)
-        for off in range(n):
-            m = self._members[(start + off) % n]
-            if m not in seen_set:
-                seen.append(m)
-                seen_set.add(m)
-        return seen
+        if not n:
+            return ()
+        start = bisect.bisect(self._points, hash_point(key)) % n
+        order = self._by_start.get(start)
+        if order is None:
+            seen: list[str] = []
+            seen_set = set()
+            for off in range(n):
+                m = self._members[(start + off) % n]
+                if m not in seen_set:
+                    seen.append(m)
+                    seen_set.add(m)
+                    if len(seen) == len(self._sorted):
+                        break
+            order = self._by_start[start] = tuple(seen)
+        self._by_key[key] = order
+        return order
 
 
 class BoundedLoadBalancer:
@@ -99,6 +130,13 @@ class BoundedLoadBalancer:
         self.bound_factor = bound_factor
         self.forwards = 0
         self.placements = 0
+        # ``load_epoch()``, when set, returns a token that stays equal while
+        # ``load_fn``'s answers are frozen (a status board's snapshot
+        # epoch); None means loads are live and the bound is recomputed on
+        # every pick.
+        self.load_epoch: Optional[Callable[[], object]] = None
+        self._bound_key: tuple = (None, None)   # (epoch, members) of _bound
+        self._bound = 1.0
 
     def add_worker(self, name: str) -> None:
         self.ring.add(name)
@@ -110,20 +148,32 @@ class BoundedLoadBalancer:
         members = self.ring.members()
         if not members:
             raise RuntimeError("no workers registered")
+        epoch = None if self.load_epoch is None else self.load_epoch()
+        # Same epoch and the same members tuple (the ring replaces it on
+        # every membership change): every load below would read the same
+        # frozen value, so the sum is the one computed last time.
+        key = self._bound_key
+        if epoch is not None and key[0] == epoch and key[1] is members:
+            return self._bound
         mean_load = sum(self.load_fn(m) for m in members) / len(members)
-        return max(math.ceil(self.bound_factor * mean_load), 1.0)
+        limit = max(math.ceil(self.bound_factor * mean_load), 1.0)
+        if epoch is not None:
+            self._bound_key = (epoch, members)
+            self._bound = limit
+        return limit
 
     def pick(self, fqdn: str) -> str:
         """Worker for this invocation: home node unless over the bound."""
-        order = self.ring.successors(fqdn)
+        order = self.ring.order(fqdn)
         if not order:
             raise RuntimeError("no workers registered")
         limit = self.bound()
         self.placements += 1
+        load = self.load_fn
         for i, member in enumerate(order):
-            if self.load_fn(member) <= limit:
+            if load(member) <= limit:
                 self.forwards += i and 1
                 return member
         # Everyone over the bound: fall back to the least-loaded worker.
         self.forwards += 1
-        return min(order, key=self.load_fn)
+        return min(order, key=load)

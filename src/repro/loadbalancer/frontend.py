@@ -76,6 +76,7 @@ class PushFrontEnd:
         self.balancer = make_balancer(
             lb_policy, self.status_board.load, bound_factor=bound_factor,
         )
+        self.balancer.follow_epochs(self.status_board.epoch)
         for name in workers:
             self.balancer.add_worker(name)
         self.rpc_latency = float(rpc_latency)

@@ -72,6 +72,11 @@ class LoadBalancingPolicy:
     def pick(self, fqdn: str) -> str:
         raise NotImplementedError
 
+    def follow_epochs(self, epoch: Callable[[], Optional[int]]) -> None:
+        """Learn when the load signal changes: ``epoch()`` returns a token
+        that stays equal while loads are frozen (None when live).  Policies
+        with nothing to reuse across picks ignore it."""
+
 
 class RoundRobinBalancer(LoadBalancingPolicy):
     """Locality-blind rotation — the classic strawman."""
@@ -152,6 +157,9 @@ class CHBLPolicy(LoadBalancingPolicy):
             raise ValueError(f"worker {name!r} not registered")
         self._inner.remove_worker(name)
 
+    def follow_epochs(self, epoch: Callable[[], Optional[int]]) -> None:
+        self._inner.load_epoch = epoch
+
     def pick(self, fqdn: str) -> str:
         return self._inner.pick(fqdn)
 
@@ -195,16 +203,29 @@ class StatusBoard:
         """Grid epoch of the current snapshot (None before the first)."""
         return self._snapped_at
 
-    def load(self, worker: str) -> float:
+    def epoch(self) -> Optional[int]:
+        """Token of the snapshot a load read now comes from (rolling the
+        board into a new epoch when one is due), or None when live.  While
+        the token stays equal, a worker's load, once read, keeps its
+        value."""
         if self.interval is None:
-            return self._live(worker)
-        now = self._clock()
+            return None
+        self._roll(self._clock())
+        return self.refreshes
+
+    def _roll(self, now: float) -> None:
         if self._snapped_at is None or now - self._snapped_at >= self.interval:
             # A fresh round of status reports arrived; the epoch is the
             # grid slot the reports belong to, not the query time.
             self._snapshot = {}
             self._snapped_at = snap_to_grid(now, self.interval)
             self.refreshes += 1
+
+    def load(self, worker: str) -> float:
+        if self.interval is None:
+            return self._live(worker)
+        now = self._clock()
+        self._roll(now)
         value = self._snapshot.get(worker)
         if value is None:
             value = self._snapshot[worker] = self._live(worker)

@@ -18,7 +18,7 @@ def test_ring_members():
     ring = ConsistentHashRing(vnodes=8)
     ring.add("a")
     ring.add("b")
-    assert ring.members() == ["a", "b"]
+    assert ring.members() == ("a", "b")
     assert len(ring) == 2
 
 
@@ -34,7 +34,7 @@ def test_ring_remove():
     ring.add("a")
     ring.add("b")
     ring.remove("a")
-    assert ring.members() == ["b"]
+    assert ring.members() == ("b",)
     with pytest.raises(ValueError):
         ring.remove("a")
 

@@ -1,5 +1,8 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import bisect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +11,12 @@ from hypothesis import strategies as st
 from repro.keepalive.cache import KeepAliveCache
 from repro.keepalive.policies import make_policy
 from repro.keepalive.simulator import simulate
-from repro.loadbalancer.chbl import ConsistentHashRing
+from repro.loadbalancer.chbl import (
+    BoundedLoadBalancer,
+    ConsistentHashRing,
+    hash_point,
+)
+from repro.loadbalancer.policies import StatusBoard
 from repro.metrics.stats import OnlineStats, bin_timeseries
 from repro.sim import Environment, Gauge
 from repro.trace.model import Trace, TraceFunction
@@ -113,6 +121,121 @@ def test_ring_removal_only_moves_victims_keys(members):
     for k in keys:
         if before[k] != victim:
             assert ring.successors(k)[0] == before[k]
+
+
+class _ReferenceCHBL:
+    """CH-BL with nothing memoised: every pick walks the whole ring and
+    re-reads every member's load for the bound."""
+
+    def __init__(self, load_fn, bound_factor, vnodes):
+        self.load_fn = load_fn
+        self.bound_factor = bound_factor
+        self.vnodes = vnodes
+        self.ring: list = []        # sorted (point, member)
+        self.forwards = 0
+
+    def add_worker(self, name):
+        for v in range(self.vnodes):
+            bisect.insort(self.ring, (hash_point(f"{name}#{v}"), name))
+
+    def remove_worker(self, name):
+        self.ring = [(p, m) for p, m in self.ring if m != name]
+
+    def successors(self, key):
+        points = [p for p, _ in self.ring]
+        start = bisect.bisect(points, hash_point(key)) % len(points)
+        seen = []
+        for off in range(len(points)):
+            m = self.ring[(start + off) % len(points)][1]
+            if m not in seen:
+                seen.append(m)
+        return seen
+
+    def bound(self):
+        members = sorted({m for _, m in self.ring})
+        mean_load = sum(self.load_fn(m) for m in members) / len(members)
+        return max(math.ceil(self.bound_factor * mean_load), 1.0)
+
+    def pick(self, key):
+        order = self.successors(key)
+        limit = self.bound()
+        for i, member in enumerate(order):
+            if self.load_fn(member) <= limit:
+                self.forwards += i and 1
+                return member
+        self.forwards += 1
+        return min(order, key=self.load_fn)
+
+
+_POOL = [f"w{i}" for i in range(8)]
+chbl_op = st.one_of(
+    st.tuples(st.just("pick"), st.integers(0, 11)),
+    st.tuples(st.just("advance"), st.sampled_from([0.0, 0.3, 1.0, 2.5])),
+    st.tuples(st.just("load"), st.integers(0, 7), st.integers(0, 6)),
+    st.tuples(st.just("add"), st.integers(0, 7)),
+    st.tuples(st.just("remove"), st.integers(0, 7)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    initial=st.lists(st.integers(0, 7), min_size=1, max_size=5, unique=True),
+    ops=st.lists(chbl_op, min_size=1, max_size=80),
+    interval=st.sampled_from([None, 1.0, 2.5]),
+    vnodes=st.integers(1, 12),
+    bound_factor=st.sampled_from([1.0, 1.25, 2.0]),
+)
+def test_memoised_chbl_matches_uncached_reference(
+    initial, ops, interval, vnodes, bound_factor
+):
+    """The memoised ring walk and per-epoch bound place exactly like a
+    full walk with a recomputed bound: same successor orders, picks,
+    forwards and status-board publish sequence, across epoch crossings
+    and membership changes."""
+    clock = {"t": 0.0}
+    live = {w: 0 for w in _POOL}
+
+    def board(published):
+        return StatusBoard(
+            clock=lambda: clock["t"], live_load_fn=live.__getitem__,
+            interval=interval,
+            publish=lambda w, t, v: published.append((w, t, v)),
+        )
+
+    got_pub, want_pub = [], []
+    got_board, want_board = board(got_pub), board(want_pub)
+    lb = BoundedLoadBalancer(got_board.load, bound_factor=bound_factor,
+                             vnodes=vnodes)
+    lb.load_epoch = got_board.epoch
+    ref = _ReferenceCHBL(want_board.load, bound_factor, vnodes)
+    members = []
+    for i in initial:
+        lb.add_worker(_POOL[i])
+        ref.add_worker(_POOL[i])
+        members.append(_POOL[i])
+
+    for op in ops:
+        kind = op[0]
+        if kind == "pick":
+            key = f"fn-{op[1]}"
+            assert lb.pick(key) == ref.pick(key)
+            assert lb.ring.successors(key) == ref.successors(key)
+            assert lb.forwards == ref.forwards
+        elif kind == "advance":
+            clock["t"] += op[1]
+        elif kind == "load":
+            live[_POOL[op[1]]] = op[2]
+        elif kind == "add" and _POOL[op[1]] not in members:
+            lb.add_worker(_POOL[op[1]])
+            ref.add_worker(_POOL[op[1]])
+            members.append(_POOL[op[1]])
+        elif kind == "remove" and _POOL[op[1]] in members and len(members) > 1:
+            lb.remove_worker(_POOL[op[1]])
+            ref.remove_worker(_POOL[op[1]])
+            members.remove(_POOL[op[1]])
+        assert got_pub == want_pub
+    assert lb.ring.members() == tuple(sorted(members))
+    assert got_board.refreshes == want_board.refreshes
 
 
 # ------------------------------------------------------------------- gauge
