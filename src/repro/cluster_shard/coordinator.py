@@ -58,8 +58,8 @@ class FlightRecorder:
     One row per seam chunk: how long the coordinator *stalled* blocked on
     shard load reports, how long it spent picking and sending, how much
     coordinator-side work it *overlapped* with shard simulation (slicing
-    the next chunk, accounting spans/traces), and how many payload bytes
-    crossed the seam.  ``finish`` reduces the rows to totals, including
+    the next chunk), and how many payload bytes crossed the seam.
+    ``finish`` reduces the rows to totals, including
     ``overlap_efficiency`` — the fraction of coordinator wait-or-work time
     spent working (1.0 = the prefetch pipeline fully hides the seam, 0.0 =
     the coordinator is purely stall-bound).  Opt-in wall-clock telemetry:
@@ -342,23 +342,15 @@ def run_sharded_replay(
         bound_factor=bound_factor, status_interval=status_interval,
         rpc_latency=rpc_latency,
     )
-    lb_spans: Optional[list] = None
     lb_loads = None
-    lb_tracer = None
     if telemetry_config is not None:
         from ..telemetry.sampler import Timeseries
 
-        lb_spans = []
         lb_loads = Timeseries(("t", "worker", "load"))
-        if telemetry_config.trace:
-            from ..tracing import TraceCollector
-
-            lb_tracer = TraceCollector()
         # publish(worker, t, value) -> row (t, worker, value), matching
         # TelemetrySampler.record_lb_load on the single-process path.
         front.observe(
-            lb_spans, lb_tracer,
-            lambda worker, t, value: lb_loads.append(t, worker, value),
+            [], lambda worker, t, value: lb_loads.append(t, worker, value),
         )
 
     # Shards start with ``spawn`` unless told otherwise: a forked shard
@@ -445,13 +437,8 @@ def run_sharded_replay(
                 _send_done = perf_counter()
             # Shards are now simulating this epoch (and computing the
             # next loads): overlap the coordinator-side work — slicing
-            # the next chunk and accounting this one's spans/traces.
+            # the next chunk.
             nxt = _prep(next(descs, None))
-            if lb_spans is not None:
-                # The trace id is the invocation id (arrival index + 1).
-                record = front.record
-                for i in range(m):
-                    record(fq[i], worker_names[picks[i]], tlist[i], a + i + 1)
             if live_writer is not None and m and tlist[-1] >= next_live_t:
                 live_writer.heartbeat({
                     "t": tlist[-1],
@@ -549,9 +536,9 @@ def run_sharded_replay(
             config=telemetry_config,
             worker_names=worker_names,
             shard_parts=tele_parts,
-            lb_spans=lb_spans,
+            placement_log=front.placement_log,
+            rpc_latency=front.rpc_latency,
             lb_loads=lb_loads,
-            lb_traces=lb_tracer.events if lb_tracer is not None else None,
             flight=flight_log,
             seam_stats=seam_stats,
             shards=num_shards,

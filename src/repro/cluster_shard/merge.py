@@ -1,10 +1,11 @@
 """Merging per-shard telemetry into one ``repro inspect``-readable run.
 
 Each shard streams its telemetry in bounded, pre-sorted chunks (records,
-retained spans, phase breakdowns — see ``protocol.py``); the coordinator
-adds its own LB spans and the balancer-visible load signal.  The merge
-never concatenates-and-resorts: per-shard streams arrive sorted by the
-canonical keys, so every view is a k-way ``heapq.merge`` — and because
+retained spans, phase breakdowns, trace events — see ``protocol.py``);
+the coordinator adds its placement log (the LB spans and trace events
+are derived from it here) and the balancer-visible load signal.  The
+merge never concatenates-and-resorts: per-shard streams arrive sorted by
+the canonical keys, so every view is a k-way ``heapq.merge`` — and because
 ``heapq.merge`` is stable (earlier stream wins ties) over stably-sorted
 inputs, the result is element-for-element identical to the stable sort of
 the concatenation a single-process :class:`~repro.telemetry.runs.
@@ -37,6 +38,7 @@ import pickle
 from pathlib import Path
 from typing import Iterator, Optional, Union
 
+from ..loadbalancer.frontend import placement_spans
 from ..metrics.registry import MetricsRegistry
 
 __all__ = ["MergedTelemetry", "ShardTelemetryParts"]
@@ -134,25 +136,19 @@ class MergedTelemetry:
     ``iter_*`` variants that never materialize the merged sequence.
     """
 
-    def __init__(self, config, worker_names, shard_parts, lb_spans, lb_loads,
-                 lb_traces=None, flight=None, seam_stats=None, shards=None,
-                 dispatch_info=None):
+    def __init__(self, config, worker_names, shard_parts, placement_log,
+                 rpc_latency, lb_loads, flight=None, seam_stats=None,
+                 shards=None, dispatch_info=None):
         self.config = config
         # Same dict the serial Telemetry captures from the cluster, so
         # serial and sharded summary.json stay byte-identical.
         self.dispatch_info = dispatch_info
         self.worker_names = list(worker_names)
         self._parts: list[ShardTelemetryParts] = list(shard_parts or [])
-        # The LB emits pick/rpc spans in arrival order, which is *not*
-        # start-sorted when arrivals share a timestamp (a pick span (t, t)
-        # sorts before the previous arrival's rpc span (t, t+latency)); a
-        # stable sort here keeps the overall merge equal to the serial
-        # path's stable sort of the full concatenation.
-        self._lb_spans = sorted(lb_spans, key=_SPAN_KEY)
+        # The coordinator's (t, fqdn, target) log, in placement order.
+        self.placement_log = placement_log
+        self.rpc_latency = rpc_latency
         self.lb_loads = lb_loads
-        self._lb_traces = (
-            None if lb_traces is None else sorted(lb_traces, key=_TRACE_KEY)
-        )
         self.flight = flight
         self.seam_stats = seam_stats
         self.shards = len(self._parts) if shards is None else int(shards)
@@ -185,9 +181,18 @@ class MergedTelemetry:
         )
 
     def iter_spans(self) -> Iterator:
+        # The LB spans come in placement order, which is *not*
+        # start-sorted when arrivals share a timestamp (a pick span (t, t)
+        # sorts before the previous arrival's rpc span (t, t+latency)); a
+        # stable sort here keeps the overall merge equal to the serial
+        # path's stable sort of the full concatenation.
+        lb_spans = sorted(
+            placement_spans(self.placement_log, self.rpc_latency),
+            key=_SPAN_KEY,
+        )
         return heapq.merge(
             *(p.stream("spans") for p in self._parts),
-            iter(self._lb_spans),
+            iter(lb_spans),
             key=_SPAN_KEY,
         )
 
@@ -196,13 +201,19 @@ class MergedTelemetry:
             *(p.stream("breakdowns") for p in self._parts), key=_BREAKDOWN_KEY
         )
 
-    def iter_traces(self) -> Iterator:
-        """Shard trace streams + the coordinator's LB events, merged in
-        canonical ``(trace_id, seq)`` order (LB seqs 0/1 lead each tree)."""
-        streams = [p.stream("traces") for p in self._parts]
-        if self._lb_traces is not None:
-            streams.append(iter(self._lb_traces))
-        return heapq.merge(*streams, key=_TRACE_KEY)
+    def iter_trace_events(self) -> Iterator:
+        """Shard trace streams + the LB events derived from the placement
+        log, merged in canonical ``(trace_id, seq)`` order (LB seqs 0/1
+        lead each tree); empty unless ``config.trace`` is set."""
+        if not self.config.trace:
+            return iter(())
+        from ..tracing.events import derive_trace_events
+
+        return heapq.merge(
+            *(p.stream("traces") for p in self._parts),
+            derive_trace_events((), self.placement_log, self.rpc_latency),
+            key=_TRACE_KEY,
+        )
 
     # -- views (same shapes as Telemetry's) --------------------------------
     def records(self) -> list:
@@ -214,8 +225,8 @@ class MergedTelemetry:
     def breakdowns(self) -> list:
         return list(self.iter_breakdowns())
 
-    def traces(self) -> list:
-        return list(self.iter_traces())
+    def trace_events(self) -> list:
+        return list(self.iter_trace_events())
 
     def merged_metrics(self) -> MetricsRegistry:
         """Counters summed, gauges worker-prefixed — the same worker-order
@@ -250,7 +261,6 @@ class MergedTelemetry:
         series = dict(self.series)
         if self.lb_loads is not None and len(self.lb_loads):
             series["lb"] = self.lb_loads
-        trace_on = getattr(self.config, "trace", False)
         flight_payload = None
         if self.flight is not None:
             flight_payload = dict(self.flight)
@@ -270,7 +280,7 @@ class MergedTelemetry:
             summary=summary,
             histograms=histograms,
             health=self.health,
-            traces=self.iter_traces() if trace_on else None,
+            traces=self.iter_trace_events() if self.config.trace else None,
             flight=flight_payload,
             shards=self.shards,
         )

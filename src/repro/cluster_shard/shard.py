@@ -11,7 +11,7 @@ scheduling order of the shard's own events is sufficient for bit-identical
 records — the determinism argument is spelled out in ``docs/SHARDING.md``.
 The forward process is the serial cluster's own
 :func:`~repro.loadbalancer.frontend.forward_hop`, with the seam log
-attached; the pick side (spans, trace rows) lives in the coordinator.
+attached; the pick side (the placement log) lives in the coordinator.
 
 Epoch messages arrive columnar (parallel arrays of arrival index,
 timestamp, fqdn code, local worker index — schema in ``protocol.py``);
@@ -34,7 +34,8 @@ k-way merge shard streams without re-sorting), closed by one light
 from __future__ import annotations
 
 import traceback
-from typing import Generator
+from itertools import islice
+from typing import Generator, Iterable
 
 from ..core.worker import Worker
 from ..loadbalancer.frontend import forward_hop, load_signal
@@ -44,10 +45,11 @@ from .protocol import RESULT_CHUNK, ShardSpec
 __all__ = ["shard_main"]
 
 
-def _stream_parts(conn, kind: str, items: list) -> None:
+def _stream_parts(conn, kind: str, items: Iterable) -> None:
     """Ship ``items`` as bounded ``("part", kind, chunk)`` messages."""
-    for i in range(0, len(items), RESULT_CHUNK):
-        conn.send(("part", kind, items[i:i + RESULT_CHUNK]))
+    it = iter(items)
+    while chunk := list(islice(it, RESULT_CHUNK)):
+        conn.send(("part", kind, chunk))
 
 
 def _run_shard(conn, spec: ShardSpec) -> None:
@@ -61,19 +63,17 @@ def _run_shard(conn, spec: ShardSpec) -> None:
     vocab = list(spec.fqdn_vocab)
 
     telemetry = None
-    tracer = None
     if spec.telemetry is not None:
         # Deferred: the pipeline only loads when the run opted in.
         from ..telemetry import Telemetry
 
         telemetry = Telemetry(env, spec.telemetry)
-        tracer = telemetry.tracer
-        if tracer is not None:
+        if spec.telemetry.trace:
             # The pick-side events come from the coordinator; this shard's
-            # stage chains hang under the seam's forward hop, and every
-            # event it collects carries the shard's index.
-            tracer.root = "lb_rpc"
-            tracer.shard = spec.index
+            # stage chains hang under the seam's forward hop, and its
+            # worker-side events and spans carry the shard's index.
+            telemetry.trace_root = "lb_rpc"
+            telemetry.shard = spec.index
         for w in workers.values():
             telemetry.attach_worker(w)
         telemetry.start()
@@ -160,15 +160,14 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         # (records and spans already are, by Telemetry's contract).
         _stream_parts(conn, "records", telemetry.records())
         # Worker spans carry the shard index only when tracing asked for
-        # it (tracer.shard), so untraced sharded exports stay
+        # it (telemetry.shard), so untraced sharded exports stay
         # byte-identical to serial ones.
         _stream_parts(conn, "spans", telemetry.spans())
         _stream_parts(
             conn, "breakdowns",
             sorted(telemetry.breakdowns(), key=_BREAKDOWN_KEY),
         )
-        if tracer is not None:
-            _stream_parts(conn, "traces", telemetry.trace_events())
+        _stream_parts(conn, "traces", telemetry.iter_trace_events())
         payload["telemetry"] = {
             # Per-worker counters and gauges, in cluster worker order (the
             # merged registry sums counters in this order, matching

@@ -8,7 +8,6 @@ from .lifecycle import (
     STAGES,
     InvocationContext,
     InvocationLifecycle,
-    StageHooks,
     StageTracker,
 )
 from .worker import Worker
@@ -28,7 +27,6 @@ __all__ = [
     "STAGES",
     "InvocationContext",
     "InvocationLifecycle",
-    "StageHooks",
     "StageTracker",
     "Worker",
 ]

@@ -7,16 +7,12 @@ pipeline instead of control flow buried inside one worker method:
     admit -> enqueue -> dispatch -> acquire -> (warm | cold_create)
           -> execute -> complete / drop / timeout
 
-Three pieces make up the seam:
+Two pieces make up the seam:
 
 * :class:`InvocationContext` — one invocation's full control-plane state:
   the invocation (and through it the registration), the completion event,
   the container entry, per-stage enter/exit timestamps, the component
   intervals telemetry decomposes, and the final outcome or drop reason.
-* :class:`StageHooks` — a registered callable per stage boundary, no-op
-  (and unchecked beyond one attribute load) by default.  This is the
-  extension seam future policies plug into: fault injection, per-stage
-  admission, backend selection.
 * :class:`InvocationLifecycle` — the worker's stages as named units with
   a uniform enter/exit contract.  Each stage spends its component
   latencies as DES timeouts, exactly as the worker's previous inlined
@@ -25,21 +21,21 @@ Three pieces make up the seam:
   golden A/B fixture under ``tests/data/``.
 
 :class:`StageTracker` is the substrate the OpenWhisk baseline shares: it
-owns the context store, the hooks, and the enter/exit contract, while the
+owns the context store and the enter/exit contract, while the
 baseline keeps its own latency components and queueing semantics.
 
 Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
-component per invocation), stage stamps and hook dispatch cost one
-attribute load when nobody observes, and per-invocation interval
-collection is off unless telemetry attached.  The context ``intervals``
-are the only per-invocation record of component timing: spans, phase
-breakdowns, trace trees and Table 2 are all derived from them.
+component per invocation), and stage stamps and per-invocation interval
+collection cost one attribute test unless telemetry attached.  The
+context ``intervals`` are the only per-invocation record of component
+timing: spans, phase breakdowns, trace trees and Table 2 are all derived
+from them (trace trees together with ``stage_times``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Generator, Optional
 
 from ..keepalive.policies import HistogramPolicy
 from ..metrics.registry import InvocationRecord, Outcome
@@ -59,7 +55,6 @@ __all__ = [
     "TIMEOUT",
     "STAGES",
     "InvocationContext",
-    "StageHooks",
     "StageTracker",
     "InvocationLifecycle",
 ]
@@ -91,8 +86,6 @@ STAGES = (
     TIMEOUT,
 )
 
-TERMINAL_STAGES = (COMPLETE, DROP, TIMEOUT)
-
 
 class InvocationContext:
     """One invocation's state as it travels the stage pipeline.
@@ -100,10 +93,10 @@ class InvocationContext:
     Carries the :class:`~repro.core.function.Invocation` (and through it
     the registration and its accumulating timestamps), the completion
     event, the regulator token and container entry currently held, the
-    per-stage ``stage_times`` (stamped when hooks or telemetry observe),
-    the retained component ``intervals`` telemetry decomposes (collected
-    only when a :class:`~repro.telemetry.Telemetry` pipeline attached),
-    and the terminal ``outcome``.
+    per-stage ``stage_times`` and the component ``intervals`` telemetry
+    decomposes (both stamped only while contexts are collected, i.e. when
+    a :class:`~repro.telemetry.Telemetry` pipeline attached), and the
+    terminal ``outcome``.
     """
 
     __slots__ = (
@@ -132,7 +125,7 @@ class InvocationContext:
         self.token = None
         self.entry = None
         self.stage: Optional[str] = None
-        self.stage_times: Optional[dict] = None
+        self.stage_times: Optional[dict] = {} if collect else None
         self.intervals: Optional[list] = [] if collect else None
         self.warm_available = False
         self.exec_time: Optional[float] = None
@@ -163,55 +156,6 @@ class InvocationContext:
         )
 
 
-class StageHooks:
-    """Callables fired at stage boundaries; no-op by default.
-
-    ``on_enter(stage, fn)`` / ``on_exit(stage, fn)`` register
-    ``fn(stage, context)`` to run when the pipeline enters / exits the
-    stage.  Multiple callables per boundary run in registration order.
-    Hooks observe and may annotate the context; they must not yield (the
-    pipeline's timing is not theirs to spend) — policies that need to
-    spend time belong in a stage of their own in a future PR.
-    """
-
-    __slots__ = ("_enter", "_exit", "active")
-
-    def __init__(self):
-        self._enter: dict[str, list[Callable]] = {}
-        self._exit: dict[str, list[Callable]] = {}
-        self.active = False
-
-    @staticmethod
-    def _check(stage: str) -> None:
-        if stage not in STAGES:
-            raise ValueError(f"unknown stage {stage!r}; stages are {STAGES}")
-
-    def on_enter(self, stage: str, fn: Callable[[str, InvocationContext], None]):
-        self._check(stage)
-        self._enter.setdefault(stage, []).append(fn)
-        self.active = True
-        return fn
-
-    def on_exit(self, stage: str, fn: Callable[[str, InvocationContext], None]):
-        self._check(stage)
-        self._exit.setdefault(stage, []).append(fn)
-        self.active = True
-        return fn
-
-    def clear(self) -> None:
-        self._enter.clear()
-        self._exit.clear()
-        self.active = False
-
-    def fire_enter(self, stage: str, ctx: InvocationContext) -> None:
-        for fn in self._enter.get(stage, ()):
-            fn(stage, ctx)
-
-    def fire_exit(self, stage: str, ctx: InvocationContext) -> None:
-        for fn in self._exit.get(stage, ()):
-            fn(stage, ctx)
-
-
 class StageTracker:
     """The uniform stage enter/exit contract plus the context store.
 
@@ -223,13 +167,12 @@ class StageTracker:
 
     def __init__(self, env):
         self.env = env
-        self.hooks = StageHooks()
         self.keep_contexts = False
         self.contexts: list[InvocationContext] = []
-        # Dispatch-layer completion seam (StageHooks-adjacent): when a
-        # pull engine drives this tracker it registers itself here and
-        # close() notifies it for *every* terminal outcome — complete,
-        # drop, and timeout — so claim slots can never leak.
+        # Dispatch-layer completion seam: when a pull engine drives this
+        # tracker it registers itself here and close() notifies it for
+        # *every* terminal outcome — complete, drop, and timeout — so
+        # claim slots can never leak.
         self.dispatch_seam = None
 
     def open(self, inv: Invocation, done: Event) -> InvocationContext:
@@ -243,25 +186,12 @@ class StageTracker:
 
     def stage_enter(self, ctx: InvocationContext, stage: str) -> None:
         ctx.stage = stage
-        hooks = self.hooks
-        if hooks.active or ctx.collect:
-            times = ctx.stage_times
-            if times is None:
-                times = ctx.stage_times = {}
-            times[stage] = [self.env.now, None]
-            if hooks.active:
-                hooks.fire_enter(stage, ctx)
+        if ctx.collect:
+            ctx.stage_times[stage] = [self.env.now, None]
 
     def stage_exit(self, ctx: InvocationContext, stage: str) -> None:
-        hooks = self.hooks
-        if hooks.active or ctx.collect:
-            times = ctx.stage_times
-            if times is not None:
-                entry = times.get(stage)
-                if entry is not None:
-                    entry[1] = self.env.now
-            if hooks.active:
-                hooks.fire_exit(stage, ctx)
+        if ctx.collect:
+            ctx.stage_times[stage][1] = self.env.now
 
     def close(self, ctx: InvocationContext, outcome: Outcome) -> None:
         """Record the terminal outcome."""

@@ -10,7 +10,7 @@ round-robin, least-loaded) place through the
 :class:`~repro.loadbalancer.frontend.PushFrontEnd` — the same placement
 core the cluster-shard coordinator drives, so a serial run is the
 in-process case of a sharded one: invocations are numbered by placement
-ordinal and the LB's spans and trace rows are recorded at pick time.
+ordinal, and an observed front end logs each placement at pick time.
 Pull policies route through a :class:`~repro.dispatch.engine.PullEngine`
 whose per-worker claim loops drain a shared logical queue.
 """
@@ -144,7 +144,6 @@ class Cluster:
         t = env.now
         target = front.place(fqdn, t)
         k = front.placements
-        front.record(fqdn, target, t, k)
         worker = self.workers[target]
         if self.rpc_latency <= 0:
             return worker.async_invoke(fqdn, args, invocation_id=k)
@@ -165,8 +164,8 @@ class Cluster:
     def attach_telemetry(self, telemetry) -> None:
         """Register the whole cluster with a :class:`repro.telemetry.Telemetry`
         pipeline: every worker's gauges are sampled, the status board
-        publishes its load snapshots into the sampler, and the LB's spans
-        are retained alongside the workers'.  Equivalent to
+        publishes its load snapshots into the sampler, and the front end
+        logs its placements.  Equivalent to
         ``telemetry.attach_cluster(self)``."""
         telemetry.attach_cluster(self)
 

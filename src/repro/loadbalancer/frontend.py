@@ -6,25 +6,25 @@ Ilúvatar keeps the load balancer a thin layer in front of the workers.
 ``async_invoke`` against live workers, and the cluster-shard coordinator
 drives it per arrival against the loads its shards report.  It owns the
 status board, the balancer, the placement counter and the LB's
-observation state (span list, trace collector, the board's publish hook),
-so the two engines cannot drift apart on any of them.
+observation state (the placement log and the board's publish hook), so
+the two engines cannot drift apart on any of them.
 
-Placement is split in two calls so the coordinator can overlap the
-second with shard simulation: :meth:`PushFrontEnd.place` picks the worker
-and counts the placement; :meth:`PushFrontEnd.record` emits the
-``lb_pick``/``lb_rpc`` spans and the trace row of an invocation already
-placed.  :func:`forward_hop` is the LB→worker RPC hop both engines start
+:meth:`PushFrontEnd.place` picks the worker, counts the placement and,
+when observed, appends one ``(t, fqdn, target)`` entry to the placement
+log.  That log is the LB's only record: the ``lb_pick``/``lb_rpc`` spans
+(:func:`placement_spans`) and trace events are derived from it at
+export.  :func:`forward_hop` is the LB→worker RPC hop both engines start
 after a placement.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from ..metrics.spans import Span
 from .policies import StatusBoard, make_balancer
 
-__all__ = ["PushFrontEnd", "forward_hop", "load_signal"]
+__all__ = ["PushFrontEnd", "forward_hop", "load_signal", "placement_spans"]
 
 
 def load_signal(workers: dict) -> Callable[[str], float]:
@@ -49,6 +49,16 @@ def forward_hop(env, latency, worker, fqdn, args, invocation_id, done,
     done.succeed(inv)
 
 
+def placement_spans(log: Iterable, rpc_latency: float) -> Iterator[Span]:
+    """The LB's spans, derived from a placement log in log order: an
+    ``lb_pick`` span tagged with the function and, when the RPC hop is
+    modelled, an ``lb_rpc`` span tagged with the target worker."""
+    for t, fqdn, target in log:
+        yield Span("lb_pick", t, t, fqdn)
+        if rpc_latency > 0:
+            yield Span("lb_rpc", t, t + rpc_latency, target)
+
+
 class PushFrontEnd:
     """Status board + balancer + placement accounting for a push cluster.
 
@@ -56,7 +66,7 @@ class PushFrontEnd:
     (snapshotted every ``status_interval`` seconds, or live when None);
     the board's clock is :attr:`now`, which :meth:`place` sets.
     ``rpc_latency`` is the modelled LB→worker hop, which decides whether
-    :meth:`record` emits an ``lb_rpc`` span.
+    the derived views carry an ``lb_rpc`` span per placement.
     """
 
     def __init__(
@@ -82,21 +92,20 @@ class PushFrontEnd:
         self.rpc_latency = float(rpc_latency)
         self.placements = 0
         # Observation state: None (nothing recorded) until observe().
-        self.spans: Optional[list] = None
-        self.tracer = None
+        self.placement_log: Optional[list] = None
 
     def _clock(self) -> float:
         return self.now
 
-    def observe(self, spans: list, tracer=None,
+    def observe(self, log: list,
                 publish: Optional[Callable[[str, float, float], None]] = None,
                 ) -> None:
-        """Opt in to recording: LB spans go to ``spans``, trace rows to
-        ``tracer`` (a :class:`~repro.tracing.TraceCollector`, or None), and
+        """Opt in to recording, before the first placement: every
+        placement goes to ``log`` as ``(t, fqdn, target)`` (its position
+        + 1 is the placement ordinal, the invocation's trace id), and
         every load value the balancer acts on to ``publish(worker, t,
         load)``."""
-        self.spans = spans
-        self.tracer = tracer
+        self.placement_log = log
         self.status_board.publish = publish
 
     def info(self) -> dict:
@@ -108,18 +117,6 @@ class PushFrontEnd:
         self.now = t
         target = self.balancer.pick(fqdn)
         self.placements += 1
+        if self.placement_log is not None:
+            self.placement_log.append((t, fqdn, target))
         return target
-
-    def record(self, fqdn: str, target: str, t: float, trace_id: int) -> None:
-        """Emit the LB's spans and trace row for a placement made at ``t``
-        (no-op unless :meth:`observe` opted in)."""
-        spans = self.spans
-        if spans is None:
-            return
-        spans.append(Span("lb_pick", t, t, fqdn))
-        rpc_end = None   # no RPC hop: the trace row is the pick alone
-        if self.rpc_latency > 0:
-            rpc_end = t + self.rpc_latency
-            spans.append(Span("lb_rpc", t, rpc_end, target))
-        if self.tracer is not None:
-            self.tracer.record_lb(trace_id, t, t, t, rpc_end, target)

@@ -10,7 +10,8 @@ produce a self-contained run directory:
                       ``series`` keying the worker (plus ``lb`` for the
                       status-board load signal)
 ``spans.jsonl``       merged spans (workers' derived from the lifecycle
-                      contexts' intervals, plus the load balancer's)
+                      contexts' intervals, the load balancer's from its
+                      placement log)
 ``records.jsonl``     per-invocation records
 ``metrics.prom``      Prometheus text-format snapshot of the merged
                       registries
@@ -20,7 +21,9 @@ produce a self-contained run directory:
 
 Every distribution (``summary.json``, the ``metrics.prom`` histograms)
 and the health grade are derived here, at export, from the run's merged
-records — nothing feeds them while the simulation runs.
+records, and the trace trees (``traces.jsonl``) from the retained
+contexts and the placement log — nothing feeds them while the
+simulation runs.
 
 ``repro inspect <run-dir>`` (see :func:`inspect_report`) renders the
 directory back into the paper-style tables.  When no ``Telemetry`` is
@@ -36,6 +39,7 @@ import os
 from pathlib import Path
 from typing import Optional, Union
 
+from ..loadbalancer.frontend import placement_spans
 from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
 from ..metrics.spans import Span, dump_spans_jsonl, load_spans_jsonl
 from .decomposition import breakdown_rows, decompose_contexts, match_records
@@ -266,9 +270,17 @@ class Telemetry:
     instrumentation already woven through the worker starts keeping data
     — no new callbacks enter the invocation path.  The retained contexts'
     ``intervals`` are the run's one per-invocation timeline (:meth:`spans`,
-    :meth:`breakdowns` and the trace trees are derived from them), and the
-    registries' records are its one outcome log: the latency distributions
-    and the health collector are built from them by :meth:`export`.
+    :meth:`breakdowns` and, with ``stage_times``, the trace trees are
+    derived from them), the push front end's placement log is the LB's,
+    and the registries' records are its one outcome log: the latency
+    distributions and the health collector are built from them by
+    :meth:`export`.
+
+    Two attributes shape the derived trace trees: ``trace_root``, the LB
+    event each stage chain hangs under (set by :meth:`attach_cluster` for
+    a push cluster; ``None`` roots the chain at ``admit``), and ``shard``,
+    the index a cluster-shard engine stamps on worker-side events and
+    spans of a traced run.
     """
 
     def __init__(self, env, config: Optional[TelemetryConfig] = None):
@@ -280,13 +292,9 @@ class Telemetry:
             sample_energy=self.config.sample_energy,
         )
         self._workers: list = []
-        self._lb_spans: list = []  # attached clusters' LB span lists
-        self.tracer = None
-        if self.config.trace:
-            # Deferred: the tracing package only loads when a run opts in.
-            from ..tracing import TraceCollector
-
-            self.tracer = TraceCollector()
+        self._front = None   # the attached push cluster's front end
+        self.trace_root: Optional[str] = None
+        self.shard: Optional[int] = None
         # Active dispatch policy description; set by attach_cluster
         # (worker-only pipelines have no placement layer to describe).
         self.dispatch_info = None
@@ -301,25 +309,21 @@ class Telemetry:
     def attach_worker(self, worker) -> None:
         self.sampler.attach_worker(worker)
         worker.lifecycle.keep_contexts = True
-        if self.tracer is not None:
-            self.tracer.attach_worker(worker)
         self._workers.append(worker)
 
     def attach_cluster(self, cluster) -> None:
+        front = cluster.front
+        if front is not None and self._front is not None:
+            raise ValueError("a Telemetry pipeline observes one push cluster")
         for worker in cluster.workers.values():
             self.attach_worker(worker)
-        if self.tracer is not None:
-            # Worker stage chains hang under whichever LB span is last.
-            self.tracer.root = (
-                "lb_rpc" if cluster.rpc_latency > 0 else "lb_pick"
-            )
-        if cluster.front is not None:
-            # The push front end reports its pick/rpc spans and trace
-            # rows, and the load values the balancer actually acted on.
-            spans: list = []
-            self._lb_spans.append(spans)
-            cluster.front.observe(spans, self.tracer,
-                                  self.sampler.record_lb_load)
+        if front is not None:
+            # The push front end logs its placements and publishes the
+            # load values the balancer actually acted on; worker stage
+            # chains hang under whichever LB span is last.
+            self._front = front
+            front.observe([], self.sampler.record_lb_load)
+            self.trace_root = "lb_rpc" if front.rpc_latency > 0 else "lb_pick"
         self.dispatch_info = cluster.dispatch_info()
 
     def start(self) -> None:
@@ -403,9 +407,9 @@ class Telemetry:
     def spans(self) -> list[Span]:
         """One span per retained context interval (tagged with the
         invocation id; in-flight invocations included), plus the LB
-        spans, in ``(start, end, name)`` order.  Worker spans carry the
-        tracer's shard index on traced sharded runs."""
-        shard = self.tracer.shard if self.tracer is not None else None
+        spans derived from the placement log, in ``(start, end, name)``
+        order.  Worker spans carry :attr:`shard`."""
+        shard = self.shard
         out: list[Span] = []
         for ctx in self._contexts():
             tag = str(ctx.inv.id)
@@ -413,8 +417,9 @@ class Telemetry:
                 Span(name, start, end, tag, shard)
                 for name, start, end in ctx.intervals
             )
-        for lb_spans in self._lb_spans:
-            out.extend(lb_spans)
+        front = self._front
+        if front is not None:
+            out.extend(placement_spans(front.placement_log, front.rpc_latency))
         out.sort(key=lambda s: (s.start, s.end, s.name))
         return out
 
@@ -430,12 +435,26 @@ class Telemetry:
         read off the retained lifecycle contexts."""
         return decompose_contexts(self._contexts())
 
+    def iter_trace_events(self):
+        """The run's causal trace events in ``(trace_id, seq)`` order,
+        derived from the retained contexts and the placement log; empty
+        unless ``config.trace`` is set."""
+        if not self.config.trace:
+            return iter(())
+        from ..tracing.events import derive_trace_events
+
+        front = self._front
+        return derive_trace_events(
+            ((w.name, ctx) for w in self._workers for ctx in w.lifecycle.contexts),
+            () if front is None else front.placement_log,
+            0.0 if front is None else front.rpc_latency,
+            root=self.trace_root,
+            shard=self.shard,
+        )
+
     def trace_events(self) -> list:
-        """Collected causal trace events in ``(trace_id, seq)`` order;
-        empty unless ``config.trace`` enabled the collector."""
-        if self.tracer is None:
-            return []
-        return self.tracer.trace_events()
+        """:meth:`iter_trace_events` as a list."""
+        return list(self.iter_trace_events())
 
     def merged_metrics(self) -> MetricsRegistry:
         """Counters summed, gauges worker-prefixed."""
@@ -469,7 +488,7 @@ class Telemetry:
             summary=summary,
             histograms=histograms,
             health=None if health is None else health.collector(records),
-            traces=self.trace_events() if self.tracer is not None else None,
+            traces=self.iter_trace_events() if self.config.trace else None,
         )
 
     def summary(self) -> dict:

@@ -2,8 +2,10 @@
 
 Every invocation gets a trace tree — LB pick/RPC spans rooting the
 lifecycle's stage chain, component intervals hanging off their stages —
-collected entirely at terminal-stage hooks, so tracing perturbs nothing
-and costs nothing when off (the golden fixture and the serial-vs-sharded
+built at export (:func:`derive_trace_events`) from the retained lifecycle
+contexts and the push front end's placement log.  Nothing is recorded
+for tracing while the run executes, so tracing perturbs nothing and adds
+no work to the replay (the golden fixture and the serial-vs-sharded
 byte-identity gates hold with tracing enabled *or* disabled).
 
 Enable with ``TelemetryConfig(trace=True)`` (CLI:
@@ -11,7 +13,6 @@ Enable with ``TelemetryConfig(trace=True)`` (CLI:
 ``repro trace DIR`` or export to ``ui.perfetto.dev`` via ``--perfetto``.
 """
 
-from .collector import TraceCollector
 from .critical_path import (
     CriticalPath,
     PathSegment,
@@ -26,6 +27,7 @@ from .events import (
     COMPONENT_STAGE,
     TRACE_KEY,
     TraceEvent,
+    derive_trace_events,
     dump_trace_jsonl,
     load_trace_jsonl,
 )
@@ -34,12 +36,12 @@ from .report import trace_report
 
 __all__ = [
     "TraceEvent",
-    "TraceCollector",
     "TraceTree",
     "CriticalPath",
     "PathSegment",
     "COMPONENT_STAGE",
     "TRACE_KEY",
+    "derive_trace_events",
     "build_traces",
     "critical_path",
     "aggregate_rows",

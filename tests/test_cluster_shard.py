@@ -306,7 +306,7 @@ def test_serial_and_sharded_front_ends_emit_the_same_streams():
     loads = list(serial.sampler.lb_loads.rows())
     assert loads and loads == list(sharded.lb_loads.rows())
     events = serial.trace_events()
-    assert events and events == _unsharded(sharded.traces())
+    assert events and events == _unsharded(sharded.trace_events())
 
 
 def test_repeated_serial_study_exports_identical_bytes(tmp_path):

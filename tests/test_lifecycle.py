@@ -1,16 +1,16 @@
-"""The invocation-lifecycle pipeline: stages, hooks, and contexts.
+"""The invocation-lifecycle pipeline: stages and contexts.
 
-Pins the tentpole contract of the lifecycle refactor: every stage
-boundary fires its registered hooks in pipeline order for warm and cold
-invocations, terminal stages close the context with the right outcome,
-context retention is opt-in, and the context-derived phase decomposition
-is bit-identical to the span-derived one.
+Pins the tentpole contract of the lifecycle refactor: every invocation
+walks the stages in pipeline order for warm and cold invocations (read
+back off the retained contexts' ``stage_times``), terminal stages close
+the context with the right outcome, context retention is opt-in, and the
+context-derived phase decomposition accounts for every record.
 """
 
 import pytest
 
 from repro.core.config import WorkerConfig
-from repro.core.function import FunctionRegistration
+from repro.core.function import FunctionRegistration, Invocation
 from repro.core.lifecycle import (
     ACQUIRE,
     ADMIT,
@@ -20,11 +20,10 @@ from repro.core.lifecycle import (
     DROP,
     ENQUEUE,
     EXECUTE,
-    STAGES,
     TIMEOUT,
     WARM,
     InvocationContext,
-    StageHooks,
+    StageTracker,
 )
 from repro.core.worker import Worker
 from repro.metrics.registry import Outcome
@@ -34,36 +33,39 @@ from repro.telemetry.decomposition import decompose_contexts, match_records
 REG = FunctionRegistration(name="f", memory_mb=128, warm_time=0.1, cold_time=0.5)
 
 
-def make_worker(**overrides):
+def make_worker(keep_contexts=True, **overrides):
     env = Environment()
     cfg = dict(cores=2, memory_mb=1024, free_memory_buffer_mb=0.0,
                bypass_enabled=False, seed=3)
     cfg.update(overrides)
     worker = Worker(env, WorkerConfig(**cfg))
+    if keep_contexts:
+        worker.lifecycle.keep_contexts = True
     worker.start()
     worker.register_sync(REG)
     return env, worker
 
 
-def observe_all_stages(lifecycle, log):
-    """Register one enter and one exit hook on every stage boundary."""
-    for stage in STAGES:
-        lifecycle.hooks.on_enter(
-            stage, lambda s, ctx: log.append((s, "enter", ctx.inv.id))
-        )
-        lifecycle.hooks.on_exit(
-            stage, lambda s, ctx: log.append((s, "exit", ctx.inv.id))
-        )
+def stage_walk(ctx):
+    """The stages a retained context walked, in enter order.
 
-
-def boundaries(log, inv_id):
-    return [(stage, edge) for stage, edge, i in log if i == inv_id]
+    Checks the stamps on the way: every exited stage has
+    ``enter <= exit``, and no stage starts before its predecessor exited
+    (``exit(s_i) <= enter(s_i+1)``).  A stage the pipeline never exited
+    (EXECUTE on the timeout path) has no exit stamp and is skipped by
+    both checks.
+    """
+    items = list(ctx.stage_times.items())
+    for _name, (enter, exit_) in items:
+        assert enter is not None
+        assert exit_ is None or enter <= exit_
+    for (_, (_, exit_)), (_, (enter, _)) in zip(items, items[1:]):
+        assert exit_ is None or exit_ <= enter
+    return [name for name, _ in items]
 
 
 def run_cold_then_warm():
     env, worker = make_worker()
-    log = []
-    observe_all_stages(worker.lifecycle, log)
     results = []
 
     def submit(at):
@@ -75,68 +77,51 @@ def run_cold_then_warm():
     env.process(submit(5.0), name="warm")
     env.run(until=30.0)
     assert [inv.cold for inv in results] == [True, False]
-    return log, results
-
-
-def pairs(stage_list):
-    """[(s, enter), (s, exit), ...] for a stage sequence."""
-    out = []
-    for s in stage_list:
-        out.append((s, "enter"))
-        out.append((s, "exit"))
-    return out
+    return worker.lifecycle.contexts, results
 
 
 # ------------------------------------------------------------- stage order
-def test_hooks_observe_every_stage_boundary_cold_and_warm():
-    log, (cold_inv, warm_inv) = run_cold_then_warm()
-    assert boundaries(log, cold_inv.id) == pairs(
-        [ADMIT, ENQUEUE, DISPATCH, ACQUIRE, COLD_CREATE, EXECUTE, COMPLETE]
-    )
-    assert boundaries(log, warm_inv.id) == pairs(
-        [ADMIT, ENQUEUE, DISPATCH, ACQUIRE, WARM, EXECUTE, COMPLETE]
-    )
+def test_contexts_record_every_stage_cold_and_warm():
+    (cold, warm), (cold_inv, warm_inv) = run_cold_then_warm()
+    assert (cold.inv, warm.inv) == (cold_inv, warm_inv)
+    assert stage_walk(cold) == [
+        ADMIT, ENQUEUE, DISPATCH, ACQUIRE, COLD_CREATE, EXECUTE, COMPLETE
+    ]
+    assert stage_walk(warm) == [
+        ADMIT, ENQUEUE, DISPATCH, ACQUIRE, WARM, EXECUTE, COMPLETE
+    ]
+    assert (cold.outcome, warm.outcome) == (Outcome.COLD, Outcome.WARM)
+    assert cold.stage == warm.stage == COMPLETE
 
 
-def test_stage_times_stamped_when_hooks_active():
-    env, worker = make_worker()
-    seen = []
-    worker.lifecycle.hooks.on_exit(
-        COMPLETE, lambda s, ctx: seen.append(ctx)
-    )
-
-    def submit():
-        yield from worker.invoke(REG.fqdn())
-
-    env.process(submit(), name="s")
-    env.run(until=30.0)
-    [ctx] = seen
-    for stage in (ADMIT, ENQUEUE, DISPATCH, ACQUIRE, COLD_CREATE, EXECUTE):
-        enter, exit_ = ctx.stage_times[stage]
-        assert enter is not None and exit_ is not None and enter <= exit_
-    # stage_exit stamps before firing, so the exit hook observes its own
-    # boundary time already recorded.
-    enter, exit_ = ctx.stage_times[COMPLETE]
-    assert enter is not None and exit_ is not None and enter <= exit_
-    # No telemetry attached: interval collection stays off even though
-    # hooks stamped the stage clock.
-    assert ctx.intervals is None
+def test_stage_times_stamped_only_while_collecting():
+    env = Environment()
+    tracker = StageTracker(env)
+    done = env.event()
+    quiet = tracker.open(Invocation(function=REG, arrival=0.0), done)
+    tracker.keep_contexts = True
+    kept = tracker.open(Invocation(function=REG, arrival=0.0), done)
+    for ctx in (quiet, kept):
+        tracker.stage_enter(ctx, ADMIT)
+        tracker.stage_exit(ctx, ADMIT)
+        assert ctx.stage == ADMIT
+    assert quiet.stage_times is None and quiet.intervals is None
+    assert kept.stage_times == {ADMIT: [0.0, 0.0]}
+    assert tracker.contexts == [kept]
 
 
 def test_drop_stage_closes_context_with_dropped_outcome():
     env, worker = make_worker(cores=1, concurrency_limit=1, queue_max_len=1)
-    outcomes = []
-    worker.lifecycle.hooks.on_exit(
-        DROP, lambda s, ctx: outcomes.append(ctx)
-    )
     for _ in range(4):
         worker.async_invoke(REG.fqdn())
     env.run(until=30.0)
-    assert outcomes, "expected overflow drops"
-    for ctx in outcomes:
+    dropped = [c for c in worker.lifecycle.contexts
+               if c.outcome is Outcome.DROPPED]
+    assert dropped, "expected overflow drops"
+    for ctx in dropped:
         assert ctx.inv.dropped and ctx.drop_reason == "queue overflow"
-        assert ctx.outcome is Outcome.DROPPED
         assert ctx.stage == DROP
+        assert stage_walk(ctx) == [ADMIT, ENQUEUE, DROP]
 
 
 def test_timeout_stage_closes_context_with_timeout_outcome():
@@ -145,56 +130,28 @@ def test_timeout_stage_closes_context_with_timeout_outcome():
         name="slow", memory_mb=64, warm_time=5.0, cold_time=6.0, timeout=0.25
     )
     worker.register_sync(slow)
-    seen = []
-    worker.lifecycle.hooks.on_exit(TIMEOUT, lambda s, ctx: seen.append(ctx))
 
     def submit():
         yield from worker.invoke(slow.fqdn())
 
     env.process(submit(), name="s")
     env.run(until=30.0)
-    [ctx] = seen
+    [ctx] = worker.lifecycle.contexts
     assert ctx.inv.timed_out
     assert ctx.outcome is Outcome.TIMEOUT
     assert ctx.entry is None  # the killed container was discarded
-
-
-# ------------------------------------------------------------------- hooks
-def test_unknown_stage_rejected():
-    hooks = StageHooks()
-    with pytest.raises(ValueError):
-        hooks.on_enter("bogus", lambda s, ctx: None)
-    with pytest.raises(ValueError):
-        hooks.on_exit("", lambda s, ctx: None)
-    assert not hooks.active
-
-
-def test_hooks_inactive_by_default_and_clearable():
-    env, worker = make_worker()
-    assert not worker.lifecycle.hooks.active
-    worker.lifecycle.hooks.on_enter(ADMIT, lambda s, ctx: None)
-    assert worker.lifecycle.hooks.active
-    worker.lifecycle.hooks.clear()
-    assert not worker.lifecycle.hooks.active
-
-
-def test_multiple_hooks_fire_in_registration_order():
-    env, worker = make_worker()
-    order = []
-    worker.lifecycle.hooks.on_enter(ADMIT, lambda s, ctx: order.append("a"))
-    worker.lifecycle.hooks.on_enter(ADMIT, lambda s, ctx: order.append("b"))
-
-    def submit():
-        yield from worker.invoke(REG.fqdn())
-
-    env.process(submit(), name="s")
-    env.run(until=30.0)
-    assert order == ["a", "b"]
+    assert stage_walk(ctx) == [
+        ADMIT, ENQUEUE, DISPATCH, ACQUIRE, COLD_CREATE, EXECUTE, TIMEOUT
+    ]
+    # The killed execution never exits its stage; the kill starts after
+    # the execute stage began.
+    execute, timeout = ctx.stage_times[EXECUTE], ctx.stage_times[TIMEOUT]
+    assert execute[1] is None and execute[0] <= timeout[0] <= timeout[1]
 
 
 # ---------------------------------------------------------------- contexts
 def test_contexts_not_retained_by_default():
-    env, worker = make_worker()
+    env, worker = make_worker(keep_contexts=False)
 
     def submit():
         yield from worker.invoke(REG.fqdn())

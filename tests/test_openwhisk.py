@@ -179,20 +179,13 @@ def test_ow_drives_shared_stage_pipeline():
     """The baseline runs the same InvocationContext through the shared
     stage names (no dispatch stage: OpenWhisk has no dispatcher)."""
     from repro.core.lifecycle import (
-        ACQUIRE, ADMIT, COLD_CREATE, COMPLETE, ENQUEUE, EXECUTE, STAGES, WARM,
+        ACQUIRE, ADMIT, COLD_CREATE, COMPLETE, ENQUEUE, EXECUTE, WARM,
         InvocationContext,
     )
     from repro.metrics.registry import Outcome
+    from tests.test_lifecycle import stage_walk
 
     env, worker = make_ow()
-    log = []
-    for stage in STAGES:
-        worker.lifecycle.hooks.on_enter(
-            stage, lambda s, ctx: log.append((s, "enter", ctx.inv.id))
-        )
-        worker.lifecycle.hooks.on_exit(
-            stage, lambda s, ctx: log.append((s, "exit", ctx.inv.id))
-        )
     worker.lifecycle.keep_contexts = True
     worker.register_sync(reg())
     results = []
@@ -207,37 +200,32 @@ def test_ow_drives_shared_stage_pipeline():
     env.run(until=30.0)
 
     assert [inv.cold for inv in results] == [True, False]
-    cold_inv, warm_inv = results
-
-    def boundaries(inv_id):
-        return [(s, e) for s, e, i in log if i == inv_id]
-
-    def pairs(stage_list):
-        return [(s, e) for s in stage_list for e in ("enter", "exit")]
-
-    assert boundaries(cold_inv.id) == pairs(
-        [ADMIT, ENQUEUE, ACQUIRE, COLD_CREATE, EXECUTE, COMPLETE]
-    )
-    assert boundaries(warm_inv.id) == pairs(
-        [ADMIT, ENQUEUE, ACQUIRE, WARM, EXECUTE, COMPLETE]
-    )
     contexts = worker.lifecycle.contexts
     assert [type(c) for c in contexts] == [InvocationContext, InvocationContext]
+    assert [c.inv for c in contexts] == results
+    cold, warm = contexts
+    assert stage_walk(cold) == [
+        ADMIT, ENQUEUE, ACQUIRE, COLD_CREATE, EXECUTE, COMPLETE
+    ]
+    assert stage_walk(warm) == [ADMIT, ENQUEUE, ACQUIRE, WARM, EXECUTE, COMPLETE]
     assert [c.outcome for c in contexts] == [Outcome.COLD, Outcome.WARM]
 
 
 def test_ow_drop_closes_shared_context():
-    from repro.core.lifecycle import DROP
+    from repro.core.lifecycle import ADMIT, DROP
     from repro.metrics.registry import Outcome
+    from tests.test_lifecycle import stage_walk
 
     env, worker = make_ow(buffer_max=1, memory_mb=4096.0)
-    dropped = []
-    worker.lifecycle.hooks.on_exit(DROP, lambda s, ctx: dropped.append(ctx))
+    worker.lifecycle.keep_contexts = True
     worker.register_sync(reg(warm=1.0, cold=2.0))
     for _ in range(5):
         worker.async_invoke("f.1")
     env.run(until=30.0)
+    dropped = [c for c in worker.lifecycle.contexts
+               if c.outcome is Outcome.DROPPED]
     assert dropped, "expected buffer-full drops"
     for ctx in dropped:
-        assert ctx.outcome is Outcome.DROPPED
         assert ctx.drop_reason == "activation buffer full"
+        # A full activation buffer sheds the invocation at admission.
+        assert stage_walk(ctx) == [ADMIT, DROP]

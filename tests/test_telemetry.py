@@ -346,7 +346,7 @@ def test_untelemetered_replay_keeps_no_per_invocation_timing():
     for w in cluster.workers.values():
         assert not hasattr(w, "spans")
         assert w.lifecycle.contexts == []
-    assert cluster.front.spans is None
+    assert cluster.front.placement_log is None
 
 
 def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
@@ -360,8 +360,15 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
     assert len(contexts) == len(invocations)
     derived = [(name, start, end, str(ctx.inv.id))
                for ctx in contexts for name, start, end in ctx.intervals]
-    lb = [(s.name, s.start, s.end, s.tag) for s in cluster.front.spans]
-    assert len(lb) == 2 * len(invocations)        # one lb_pick + one lb_rpc each
+    log = cluster.front.placement_log
+    assert len(log) == len(invocations)
+    # Log position + 1 is the placement ordinal, the invocation id.
+    targets = {r.invocation_id: r.worker for r in cluster.records()}
+    assert all(targets[k] == target
+               for k, (_t, _fqdn, target) in enumerate(log, 1))
+    rpc = cluster.rpc_latency
+    lb = [row for t, fqdn, target in log
+          for row in (("lb_pick", t, t, fqdn), ("lb_rpc", t, t + rpc, target))]
     assert len(exported) == len(derived) + len(lb)
     assert sorted((s.name, s.start, s.end, s.tag) for s in exported) == \
         sorted(derived + lb)
@@ -369,31 +376,39 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
         sorted((s.start, s.end, s.name) for s in exported)
 
 
+def test_one_push_cluster_per_pipeline():
+    env = Environment()
+    telemetry = Telemetry(env, TelemetryConfig())
+    telemetry.attach_cluster(Cluster(env, num_workers=1))
+    with pytest.raises(ValueError, match="one push cluster"):
+        telemetry.attach_cluster(Cluster(env, num_workers=1))
+
+
 def _single_invocation(until):
     """One cold invocation on a telemetry-attached worker, cut at ``until``;
-    also returns when the (uncut) invocation entered its complete stage."""
-    from repro.core.lifecycle import COMPLETE
-
+    returns the worker, the pipeline and the retained context."""
     env = Environment()
     worker = Worker(env, WorkerConfig(cores=2, memory_mb=4096))
     telemetry = Telemetry(env, TelemetryConfig())
     telemetry.attach_worker(worker)
-    entered = []
-    worker.lifecycle.hooks.on_enter(COMPLETE, lambda _s, _c: entered.append(env.now))
     worker.start()
     worker.register_sync(REG)
     env.process(worker.invoke(REG.fqdn()), name="one")
     env.run(until=until)
-    return worker, telemetry, entered
+    (ctx,) = worker.lifecycle.contexts
+    return worker, telemetry, ctx
 
 
 def test_cut_off_invocation_exports_finished_spans_but_no_breakdown():
-    _, _, entered = _single_invocation(until=30.0)
+    from repro.core.lifecycle import COMPLETE
+
+    _, _, whole = _single_invocation(until=30.0)
+    entered = whole.stage_times[COMPLETE][0]
     # Cut inside return_container: after the exec interval was recorded,
     # before the invocation could close.
-    worker, telemetry, entered_cut = _single_invocation(until=entered[0] + 1e-6)
-    assert entered_cut == entered
-    (ctx,) = worker.lifecycle.contexts
+    worker, telemetry, ctx = _single_invocation(until=entered + 1e-6)
+    assert ctx.stage == COMPLETE
+    assert ctx.stage_times[COMPLETE] == [entered, None]
     assert ctx.outcome is None and worker.metrics.records == []
     names = [name for name, _start, _end in ctx.intervals]
     assert "exec" in names and "download_result" in names

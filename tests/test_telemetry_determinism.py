@@ -97,7 +97,7 @@ def test_telemetry_off_allocates_nothing():
         # Records and counters only: no distribution and no record hook.
         assert set(vars(w.metrics)) == {"clock", "counters", "gauges", "records"}
         assert w.lifecycle.contexts == []          # no per-invocation timing
-    assert cluster.front.spans is None             # LB records nothing
+    assert cluster.front.placement_log is None     # LB records nothing
     assert cluster.front.status_board.publish is None  # no publish hook
 
 
@@ -113,5 +113,6 @@ def test_telemetry_on_flips_only_observation_switches():
             if r.outcome.value not in ("dropped", "timeout")
         )
         assert w.lifecycle.keep_contexts
-    assert cluster.front.spans is not None
+    # One placement log entry per placement: the LB's only record.
+    assert len(cluster.front.placement_log) == cluster.placements > 0
     assert cluster.front.status_board.publish is not None

@@ -8,7 +8,12 @@ The contract under test, in the order the PR's acceptance gates state it:
   which is always written and deliberately timestamp-free).
 * **Rooted trees when on** — every invocation in the golden scenario
   yields one trace tree whose spine is an unbroken parent chain from the
-  LB root to its terminal stage, serial and sharded alike.
+  LB root to its terminal stage, serial and sharded alike; a pull run
+  (no placement log) roots the chain at ``admit``.
+* **Built at export** — trace trees are derived from the retained
+  contexts and the placement log after the run: a traced replay holds
+  no ``TraceEvent``, and the exported bytes equal the pinned digests
+  in ``tests/data/trace_digests.json``.
 * **Float-exact attribution** — the critical-path analyzer's per-phase
   sums equal ``Telemetry.breakdowns()`` (the ``decompose_contexts``
   pipeline) with exact float equality, at 1 and 4 shards.
@@ -19,7 +24,10 @@ The contract under test, in the order the PR's acceptance gates state it:
   export all round-trip through the run directory.
 """
 
+import gc
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -42,6 +50,7 @@ from repro.tracing import (
 )
 
 TRACED = TelemetryConfig(interval=1.0, sample_energy=True, trace=True)
+TRACE_DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +71,7 @@ def sharded_traced():
 
 
 def _paths(telemetry):
-    return [critical_path(t) for t in build_traces(telemetry.trace_events()
-            if hasattr(telemetry, "trace_events") else telemetry.traces())]
+    return [critical_path(t) for t in build_traces(telemetry.trace_events())]
 
 
 # ------------------------------------------------------- zero perturbation
@@ -126,6 +134,74 @@ def test_no_rpc_hop_roots_trees_at_the_pick():
         chain = t.chain()
         assert chain[0].name == "lb_pick" and chain[0].parent is None
         assert chain[1].parent == "lb_pick"
+
+
+def _pull_cluster_run(config):
+    """The golden arrivals on a 3-worker ``pull_local`` cluster."""
+    from repro.core.config import WorkerConfig
+    from repro.loadbalancer.cluster import Cluster
+    from repro.sim.core import Environment
+    from repro.telemetry import Telemetry
+    from tests.golden_scenario import ARRIVALS, FUNCTIONS
+
+    env = Environment()
+    cluster = Cluster(env, num_workers=3, lb_policy="pull_local",
+                      config=WorkerConfig(cores=2, memory_mb=4096, seed=13))
+    telemetry = Telemetry(env, config)
+    cluster.attach_telemetry(telemetry)
+    telemetry.start()
+    cluster.start()
+    for reg in FUNCTIONS:
+        cluster.register_sync(reg)
+
+    def submit(at, fqdn):
+        yield env.timeout(at)
+        yield from cluster.invoke(fqdn)
+
+    for at, idx in ARRIVALS:
+        env.process(submit(at, FUNCTIONS[idx].fqdn()), name=f"sub-{at}")
+    env.run(until=120.0)
+    telemetry.stop()
+    return telemetry
+
+
+def test_pull_traces_root_at_admit(tmp_path):
+    """Pull dispatch keeps no placement log, so each stage chain roots
+    itself: ``admit`` has no parent and takes seq 0."""
+    telemetry = _pull_cluster_run(TRACED)
+    trees = build_traces(telemetry.trace_events())
+    assert len(trees) == len(telemetry.records()) == 42
+    assert all(t.rooted() for t in trees)
+    for t in trees:
+        first = t.events[0]
+        assert (first.name, first.seq, first.parent) == ("admit", 0, None)
+        assert [e.seq for e in t.events] == list(range(len(t.events)))
+    telemetry.export(tmp_path / "run")
+    assert "42/42 rooted" in trace_report(tmp_path / "run")
+
+
+def test_traced_export_matches_pinned_digests(tmp_path, traced):
+    _, telemetry = traced
+    paths = telemetry.export(tmp_path / "run")
+    digests = json.loads(TRACE_DIGESTS.read_text())["digests"]
+    assert {
+        name: hashlib.sha256(paths[kind].read_bytes()).hexdigest()
+        for kind, name in (("traces", "traces.jsonl"), ("spans", "spans.jsonl"))
+    } == digests
+
+
+def test_traced_replay_holds_no_trace_events():
+    """Tracing adds nothing to the replay: until export, no TraceEvent
+    exists; the trees are derived afterwards from the same run."""
+    def live_events():
+        gc.collect()
+        return sum(isinstance(o, TraceEvent) for o in gc.get_objects())
+
+    # Other fixtures in this process may hold events; count the delta.
+    before = live_events()
+    _, telemetry = run_scenario(TRACED, return_telemetry=True)
+    assert live_events() == before
+    assert len(build_traces(telemetry.trace_events())) == 42
 
 
 def test_completed_traces_terminate_in_complete(traced):
@@ -201,12 +277,12 @@ def test_sharded_traces_reduce_to_serial(traced, sharded_traced):
         ]
 
     serial = reduce_events(serial_tel.trace_events(), serial_tel.records())
-    sharded = reduce_events(sharded_tel.traces(), sharded_tel.records())
+    sharded = reduce_events(sharded_tel.trace_events(), sharded_tel.records())
     assert serial == sharded
 
 
 def test_sharded_events_carry_owning_shard(sharded_traced):
-    events = sharded_traced.telemetry.traces()
+    events = sharded_traced.telemetry.trace_events()
     worker_shards = {e.shard for e in events if e.kind != "lb"}
     assert worker_shards == {0, 1}
     # LB events live in the coordinator, not in any shard.
