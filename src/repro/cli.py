@@ -205,39 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument("--functions", type=int, default=2000)
     export.add_argument("--minutes", type=int, default=1440)
     export.add_argument("--seed", type=int, default=0xFAA5)
-    azure_scale = sub.add_parser(
-        "azure-scale",
-        help="replay an Azure-schema dataset per shard count; record the "
-             "throughput/RSS scaling curve in BENCH_azure_scale.json",
-    )
-    azure_scale.add_argument(
-        "--dataset", default=None, metavar="DIR",
-        help="directory of Azure-schema CSVs (e.g. from export-azure); "
-             "default: generate a synthetic dataset in-process",
-    )
-    azure_scale.add_argument("--functions", type=int, default=120,
-                             help="synthetic dataset size (ignored with --dataset)")
-    azure_scale.add_argument("--minutes", type=int, default=60,
-                             help="synthetic dataset length (ignored with --dataset)")
-    azure_scale.add_argument("--seed", type=int, default=0xFAA5)
-    azure_scale.add_argument("--workers", type=int, default=8)
-    azure_scale.add_argument("--cores-per-worker", type=int, default=2)
-    azure_scale.add_argument(
-        "--shards", default="1,2", metavar="N,N,...",
-        help="comma-separated shard counts to measure (default: 1,2); "
-             "1 = single-process engine",
-    )
-    azure_scale.add_argument("--policy", default="ch_bl")
-    azure_scale.add_argument("--status-interval", type=float, default=2.0)
-    azure_scale.add_argument(
-        "--health", action="store_true",
-        help="grade every row's outcomes against the default SLO targets "
-             "(outside the timed region); adds slo_viol/alerts columns",
-    )
-    azure_scale.add_argument(
-        "--out", default=None, metavar="PATH",
-        help="record path (default: BENCH_azure_scale.json at the repo root)",
-    )
     return parser
 
 
@@ -404,58 +371,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             f"wrote {dataset.total_invocations()} invocations / "
             f"{len(dataset.counts)} functions to {path}"
         )
-    elif args.command == "azure-scale":
-        from .experiments import run_azure_scale
-
-        try:
-            shard_counts = [int(s) for s in args.shards.split(",") if s.strip()]
-        except ValueError:
-            parser.error(f"--shards must be comma-separated integers, got "
-                         f"{args.shards!r}")
-        report = run_azure_scale(
-            args.dataset,
-            num_functions=args.functions,
-            minutes=args.minutes,
-            seed=args.seed,
-            num_workers=args.workers,
-            cores_per_worker=args.cores_per_worker,
-            shard_counts=shard_counts,
-            lb_policy=args.policy,
-            status_interval=args.status_interval,
-            out_path=args.out,
-            health=args.health,
-        )
-        table_rows = []
-        for r in report.rows:
-            row = {
-                "shards": r.shards,
-                "engine": r.engine,
-                "wall_s": round(r.wall_s, 3),
-                "inv_per_sec": round(r.inv_per_sec, 1),
-                "peak_rss_mb": round(r.peak_rss_mb, 1),
-            }
-            if r.seam_stats is not None:
-                row["msgs_per_shard"] = r.seam_stats["messages_per_shard"]
-                row["epochs"] = r.seam_stats["epochs"]
-            if r.flight is not None:
-                row["stall_s"] = round(r.flight["stall_s"], 3)
-                row["overlap_pct"] = round(
-                    100.0 * r.flight["overlap_efficiency"], 1
-                )
-            if r.health is not None:
-                row["slo_viol"] = r.health["slo_violations"]
-                row["alerts"] = r.health["alerts"]
-            if r.fallback_reason is not None:
-                row["fallback"] = "yes"
-            table_rows.append(row)
-        out.append(format_table(table_rows, title="Azure-scale sharded replay"))
-        out.append(
-            f"summaries_match={report.summaries_match}  "
-            f"invocations={report.dataset['invocations']}  "
-            f"record: {args.out or 'BENCH_azure_scale.json'}"
-        )
-        if "WARNING" in report.record:
-            out.append(f"WARNING: {report.record['WARNING']}")
     else:  # pragma: no cover - argparse enforces choices
         raise SystemExit(2)
 

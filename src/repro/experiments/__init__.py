@@ -1,6 +1,5 @@
 """Experiment harnesses: one module per paper table/figure plus ablations."""
 
-from .azure_scale import AzureScaleReport, AzureScaleRow, run_azure_scale
 from .cluster_study import ClusterStudyResult, run_cluster_lb_sweep, run_cluster_study
 from .defaults import FULL, MEDIUM, SMALL, Scale
 from .fig1_overhead_scaling import Fig1Row, fig1_rows, run_fig1
@@ -25,9 +24,6 @@ from .table2_breakdown import PAPER_TABLE2_MS, run_table2
 from .tables import PAPER_TABLE3, appendix_timeseries, table3_rows, table4_rows
 
 __all__ = [
-    "AzureScaleReport",
-    "AzureScaleRow",
-    "run_azure_scale",
     "ClusterStudyResult",
     "run_cluster_study",
     "run_cluster_lb_sweep",

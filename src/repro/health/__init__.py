@@ -27,7 +27,6 @@ from .slo import (
     SLOTarget,
     evaluate_health,
     normalize_health,
-    summaries_health,
 )
 
 __all__ = [
@@ -47,7 +46,6 @@ __all__ = [
     "normalize_health",
     "read_live",
     "sparkline",
-    "summaries_health",
     "watch",
     "watch_report",
     "window_index",

@@ -31,8 +31,7 @@ from typing import Iterable, Optional, Sequence
 from .collector import COUNT_KEYS, HealthCollector
 
 __all__ = [
-    "SLOTarget", "HealthConfig", "HealthReport",
-    "evaluate_health", "summaries_health",
+    "SLOTarget", "HealthConfig", "HealthReport", "evaluate_health",
 ]
 
 
@@ -330,42 +329,6 @@ def evaluate_health(collector: HealthCollector,
         "alerts": [a.as_dict() for a in alerts],
     }
     return HealthReport(health=health, rows=rows, alerts=alerts)
-
-
-def summaries_health(fqdns: Sequence[str], timestamps, rows,
-                     config: Optional[HealthConfig] = None) -> dict:
-    """Health rollup for the azure-scale runner's plan-keyed summaries.
-
-    ``rows`` are ``(k, dropped, completed, cold, e2e, overhead)`` tuples
-    keyed by plan index ``k`` (the sharded engine's reduced form);
-    ``fqdns``/``timestamps`` are the plan's parallel arrays.  Returns the
-    compact per-row columns: SLO violation count, worst burn rate and its
-    function, alert count (always 0 here — no sampled gauges at this
-    seam).
-    """
-    if config is None:
-        config = HealthConfig()
-    collector = config.collector()
-    for k, dropped, completed, cold, e2e, overhead in rows:
-        arrival = float(timestamps[k])
-        done = bool(completed) and not dropped
-        collector.observe(
-            fqdns[k],
-            arrival + (e2e if done else 0.0),
-            completed=done,
-            cold=bool(cold),
-            e2e_time=e2e if done else None,
-            overhead=overhead if done else None,
-        )
-    report = evaluate_health(collector, series=None, config=config)
-    totals = report.health["totals"]
-    return {
-        "slo_violations": totals["violating_windows"],
-        "slo_rows": totals["slo_rows"],
-        "alerts": totals["alert_count"],
-        "worst_burn_rate": report.health["worst_burn"]["rate"],
-        "worst_burn_function": report.health["worst_burn"]["function"],
-    }
 
 
 def normalize_health(value) -> Optional[HealthConfig]:

@@ -83,7 +83,8 @@ def test_dataset_cache_round_trip_is_bit_identical(tmp_path):
 def test_make_traces_cached_matches_uncached(tmp_path):
     uncached = make_traces(SMALL, cache=False)
     cold = make_traces(SMALL, cache=str(tmp_path))
-    warm = make_traces(SMALL, cache=str(tmp_path))
+    store = ArtifactCache(tmp_path)
+    warm = make_traces(SMALL, cache=store)
     assert list(uncached) == list(cold) == list(warm)
     for name in uncached:
         assert (
@@ -91,9 +92,12 @@ def test_make_traces_cached_matches_uncached(tmp_path):
             == pickle.dumps(cold[name])
             == pickle.dumps(warm[name])
         ), name
-    # The warm run served every artifact from disk: 1 dataset + 3 traces.
-    store = ArtifactCache(tmp_path)
-    assert sum(1 for _ in store.root.rglob("*.pkl")) == 4
+    # The warm run served every stored artifact from disk (1 dataset + 3
+    # trace samples) and regenerated nothing.
+    stored = sum(1 for _ in store.root.rglob("*.pkl"))
+    assert stored == 4
+    assert store.misses == 0
+    assert store.hits == stored
 
 
 # ----------------------------------------------------------- determinism

@@ -48,7 +48,6 @@ from repro.health import (
     normalize_health,
     read_live,
     sparkline,
-    summaries_health,
     watch,
     watch_report,
     window_index,
@@ -337,25 +336,6 @@ def test_evaluate_health_rejects_mismatched_collector():
     with pytest.raises(ValueError, match="does not match"):
         evaluate_health(HealthCollector(window=5.0),
                         config=HealthConfig(window=10.0))
-
-
-def test_summaries_health_rolls_up_plan_rows():
-    config = HealthConfig(window=10.0, detectors=False,
-                          targets=(SLOTarget(e2e_p99_s=1.0),))
-    fqdns = ["a.1", "b.1", "a.1", "b.1"]
-    timestamps = [1.0, 2.0, 11.0, 12.0]
-    rows = [
-        (0, False, True, True, 3.0, 0.1),   # violates in window 0
-        (1, False, True, False, 0.2, 0.1),
-        (2, False, True, False, 0.3, 0.1),
-        (3, True, False, False, 0.0, 0.0),  # dropped -> drop_ratio 1.0
-    ]
-    out = summaries_health(fqdns, timestamps, rows, config=config)
-    assert out["slo_violations"] == 2  # a.1 window 0 (p99), b.1 window 1 (drop)
-    assert out["slo_rows"] == 4
-    assert out["alerts"] == 0
-    assert out["worst_burn_rate"] > 0
-    assert out["worst_burn_function"] in ("a.1", "b.1")
 
 
 # --------------------------------------------------------------- detectors
@@ -670,34 +650,3 @@ def test_cli_cluster_study_health_flag_validation(capsys):
         main(["--telemetry", "/tmp/x", "cluster-study", "--health",
               "--compare-lb"])
     assert "not the" in capsys.readouterr().err
-
-
-# -------------------------------------------------------------- azure-scale
-def test_azure_scale_health_columns(tmp_path):
-    from repro.experiments.azure_scale import run_azure_scale
-
-    out = tmp_path / "bench.json"
-    report = run_azure_scale(
-        num_functions=20, minutes=4, num_workers=3, shard_counts=(1,),
-        out_path=out, health=True,
-    )
-    (row,) = report.rows
-    assert row.health is not None
-    assert set(row.health) == {
-        "slo_violations", "slo_rows", "alerts", "worst_burn_rate",
-        "worst_burn_function",
-    }
-    record = json.loads(out.read_text())
-    assert record["rows"][0]["health"] == row.health
-
-
-def test_azure_scale_health_off_omits_column(tmp_path):
-    from repro.experiments.azure_scale import run_azure_scale
-
-    out = tmp_path / "bench.json"
-    report = run_azure_scale(
-        num_functions=20, minutes=4, num_workers=3, shard_counts=(1,),
-        out_path=out,
-    )
-    assert report.rows[0].health is None
-    assert "health" not in json.loads(out.read_text())["rows"][0]
