@@ -9,7 +9,9 @@ non-work-conserving policies (TTL/HIST).
 Performance notes (this is the hot loop of multi-million-invocation
 sweeps): entries use ``__slots__``; heap invalidation is by version stamp
 rather than heap surgery; per-function container lists are short so linear
-scans beat fancier indexes.
+scans beat fancier indexes, and :meth:`KeepAliveCache.lookup` makes one
+pass over them without copying, collecting expired containers only when
+there are any.
 """
 
 from __future__ import annotations
@@ -120,8 +122,8 @@ class KeepAliveCache:
         """Evict every idle container whose policy expiry has passed.
 
         TTL-like policies are non-work-conserving: containers leave the
-        cache even without memory pressure.  Called by the simulator before
-        each arrival batch and by the worker's background eviction thread.
+        cache even without memory pressure.  The simulator does not sweep:
+        :meth:`lookup` reaps a function's expired containers lazily.
         """
         expired = []
         for containers in self._containers.values():
@@ -136,20 +138,27 @@ class KeepAliveCache:
     def lookup(self, fqdn: str, now: float) -> Optional[WarmContainer]:
         """Find an idle, unexpired warm container; count hit/miss; claim it.
 
-        On a hit the container is marked busy-until-now (the caller sets the
-        real completion time via :meth:`finish`) and its policy priority is
+        On a hit the container is marked busy (the caller sets the real
+        completion time via :meth:`finish`) and its policy priority is
         refreshed.
         """
+        # One pass: the first idle, unexpired container is the pick; idle,
+        # expired ones are reaped lazily, in list order, after the scan
+        # (``is_idle`` is inlined: this is the simulator's hottest call).
         best = None
+        expired = None
         for c in self._containers.get(fqdn, ()):
-            if c.is_idle(now):
-                if c.expires_at <= now:
-                    continue  # lazily expired; reaped below
+            if c.busy_until > now:
+                continue
+            if c.expires_at <= now:
+                if expired is None:
+                    expired = [c]
+                else:
+                    expired.append(c)
+            elif best is None:
                 best = c
-                break
-        # Reap this function's expired idle containers lazily.
-        for c in list(self._containers.get(fqdn, ())):
-            if c is not best and c.expires_at <= now and c.is_idle(now):
+        if expired is not None:
+            for c in expired:
                 self._remove(c, expired_eviction=True)
         if best is None:
             self.stats.misses += 1
@@ -225,7 +234,6 @@ class KeepAliveCache:
     def _evict_until(self, needed_mb: float, now: float) -> bool:
         """Evict idle victims until ``needed_mb`` has been freed."""
         freed = 0.0
-        evicted: list[WarmContainer] = []
         while freed < needed_mb:
             victim = self.evict_one(now)
             if victim is None:
@@ -233,7 +241,6 @@ class KeepAliveCache:
                 # (they were the policy's lowest-value containers anyway).
                 return False
             freed += victim.memory_mb
-            evicted.append(victim)
         return True
 
     def _remove(self, container: WarmContainer, expired_eviction: bool) -> None:

@@ -27,8 +27,6 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-import numpy as np
-
 from ..metrics.stats import OnlineStats
 from .entries import WarmContainer
 
@@ -177,28 +175,89 @@ class PreloadRequest:
         return self.when < other.when
 
 
+# Marks a function's memoised keep-alive windows as out of date.
+_STALE = object()
+
+
+class _TrackedPercentile:
+    """One percentile of a growing minute histogram, kept up to date.
+
+    ``idx`` is the bucket ``searchsorted(cumsum(buckets), rank)`` picks
+    for rank = ceil(frac * total), and ``cum`` the cumulative count
+    through it.  One recorded IAT raises the total and each cumulative
+    count by at most one, so :meth:`add` moves the answer by a short walk
+    instead of re-scanning the histogram.
+    """
+
+    __slots__ = ("frac", "idx", "cum")
+
+    def __init__(self, percentile: float):
+        self.frac = percentile / 100.0
+        self.idx = -1  # empty histogram: the walk starts before bucket 0
+        self.cum = 0
+
+    def add(self, buckets: list[int], minute: int, total: int) -> None:
+        """Account for one IAT just counted in ``buckets[minute]``."""
+        idx = self.idx
+        cum = self.cum
+        if minute <= idx:
+            cum += 1
+        rank = math.ceil(self.frac * total)
+        if cum < rank:
+            while cum < rank:
+                idx += 1
+                cum += buckets[idx]
+        else:
+            # Back up to the first bucket whose cumulative count reaches
+            # the rank.
+            while cum - buckets[idx] >= rank:
+                cum -= buckets[idx]
+                idx -= 1
+        self.idx = idx
+        self.cum = cum
+
+
 class _FunctionHistory:
-    """Per-function IAT histogram in minute buckets (HIST policy state)."""
+    """Per-function IAT histogram in minute buckets (HIST policy state).
 
-    __slots__ = ("buckets", "stats", "last_invocation")
+    Buckets are Python ints; ``stats.n`` is their running total (an IAT is
+    pushed exactly when a bucket is incremented).  The head and tail
+    percentile buckets are kept up to date by :class:`_TrackedPercentile`
+    on every recorded IAT, and ``windows`` memoises the policy's keep-alive
+    windows until a bucket changes.
+    """
 
-    def __init__(self, n_buckets: int):
-        self.buckets = np.zeros(n_buckets, dtype=np.int64)
+    __slots__ = ("buckets", "stats", "last_invocation", "head", "tail", "windows")
+
+    def __init__(self, n_buckets: int, head_percentile: float,
+                 tail_percentile: float):
+        self.buckets = [0] * n_buckets
         self.stats = OnlineStats()
         self.last_invocation: Optional[float] = None
+        self.head = _TrackedPercentile(head_percentile)
+        self.tail = _TrackedPercentile(tail_percentile)
+        self.windows = _STALE
 
     def record(self, now: float) -> None:
-        if self.last_invocation is not None:
-            iat = now - self.last_invocation
-            minute = int(iat // 60.0)
-            if minute < self.buckets.size:
-                self.buckets[min(minute, self.buckets.size - 1)] += 1
-                self.stats.push(iat)
+        last = self.last_invocation
+        self.last_invocation = now
+        if last is None:
+            return
+        iat = now - last
+        minute = int(iat // 60.0)
+        buckets = self.buckets
+        if not 0 <= minute < len(buckets):
             # IATs beyond the histogram window would use ARIMA in the
             # original system; the paper's reproduction skips it (~0.56%
             # of invocations), and so do we: out-of-window IATs are not
             # recorded, pushing the function toward the generic TTL.
-        self.last_invocation = now
+            return
+        buckets[minute] += 1
+        self.stats.push(iat)
+        total = self.stats.n
+        self.head.add(buckets, minute, total)
+        self.tail.add(buckets, minute, total)
+        self.windows = _STALE
 
     def percentile_iat(self, q: float, edge: str = "upper") -> float:
         """q-th percentile of the bucketized IAT distribution (seconds).
@@ -206,13 +265,20 @@ class _FunctionHistory:
         Buckets are minute-wide; ``edge`` picks which bucket boundary to
         report.  The *lower* edge is used for the pre-warming window (be
         early rather than late) and the *upper* edge for the keep-alive
-        window (keep a little longer than observed).
+        window (keep a little longer than observed).  Scans the histogram
+        for any ``q``; the policy's own head and tail are tracked instead.
         """
-        total = int(self.buckets.sum())
+        total = self.stats.n
         if total == 0:
             return float("nan")
-        cdf = np.cumsum(self.buckets)
-        idx = int(np.searchsorted(cdf, math.ceil(q / 100.0 * total)))
+        rank = math.ceil(q / 100.0 * total)
+        cum = 0
+        for idx, count in enumerate(self.buckets):
+            cum += count
+            if cum >= rank:
+                break
+        else:
+            idx = len(self.buckets)
         if edge == "lower":
             return idx * 60.0
         if edge == "upper":
@@ -239,6 +305,13 @@ class HistogramPolicy(KeepAlivePolicy):
     Because the policy reasons purely about inter-arrival times, it is
     blind to function size and initialization cost — the limitation that
     makes it lose to Greedy-Dual on heterogeneous workloads.
+
+    Only the trace simulator
+    (:class:`~repro.keepalive.simulator.KeepAliveSimulator`) acts on
+    :meth:`preloads_after`.  The worker's DES container pool does not
+    prewarm: under ``keepalive_policy="HIST"`` a predictable function's
+    container expires the moment it is returned (``expires_at ==
+    last_used``), so its next invocation cold-starts.
     """
 
     name = "HIST"
@@ -266,31 +339,36 @@ class HistogramPolicy(KeepAlivePolicy):
         self._n_buckets = int(window_hours * 60)
         self._history: dict[str, _FunctionHistory] = {}
 
-    def _hist(self, fqdn: str) -> _FunctionHistory:
+    def record_arrival(self, fqdn: str, now: float) -> None:
+        """Called for every invocation (hit or miss), by the trace
+        simulator and by the worker's lifecycle."""
         hist = self._history.get(fqdn)
         if hist is None:
-            hist = _FunctionHistory(self._n_buckets)
+            hist = _FunctionHistory(
+                self._n_buckets, self.head_percentile, self.tail_percentile
+            )
             self._history[fqdn] = hist
-        return hist
-
-    def record_arrival(self, fqdn: str, now: float) -> None:
-        """Called by the simulator for every invocation (hit or miss)."""
-        self._hist(fqdn).record(now)
+        hist.record(now)
 
     def priority(self, entry: WarmContainer, now: float) -> float:
         return entry.last_used
 
     def _windows(self, fqdn: str) -> Optional[tuple[float, float]]:
         """(head, tail) keep-alive windows in seconds, or None if the
-        function's IAT history is unusable or unpredictable."""
+        function's IAT history is unusable or unpredictable.  Memoised on
+        the history until its next recorded IAT."""
         hist = self._history.get(fqdn)
-        if hist is None or not hist.predictable or hist.stats.n < self.min_samples:
+        if hist is None:
             return None
-        head = hist.percentile_iat(self.head_percentile, edge="lower")
-        tail = hist.percentile_iat(self.tail_percentile, edge="upper")
-        if math.isnan(head) or math.isnan(tail):
-            return None
-        return head, tail
+        windows = hist.windows
+        if windows is _STALE:
+            # predictable implies n >= 2, so both percentiles exist.
+            if hist.stats.n < self.min_samples or not hist.predictable:
+                windows = None
+            else:
+                windows = (hist.head.idx * 60.0, (hist.tail.idx + 1) * 60.0)
+            hist.windows = windows
+        return windows
 
     def expiry_time(self, entry: WarmContainer) -> float:
         windows = self._windows(entry.fqdn)
@@ -301,8 +379,10 @@ class HistogramPolicy(KeepAlivePolicy):
             # Next invocation may arrive immediately: no pre-warming window,
             # keep alive through the tail of the IAT distribution.
             return entry.last_used + tail * (1.0 + self.margin)
-        # A real gap is predicted: release the container right away; the
-        # scheduled preload re-creates it just before the predicted arrival.
+        # A real gap is predicted: release the container right away.  In
+        # the trace simulator, the preload from preloads_after re-creates
+        # it just before the predicted arrival; the DES container pool
+        # schedules no preload.
         return entry.last_used
 
     def preloads_after(self, fqdn: str, now: float) -> list[PreloadRequest]:

@@ -152,8 +152,11 @@ class OnlineStats:
     @property
     def cov(self) -> float:
         """Coefficient of variation (std / mean); inf when mean is 0."""
-        if self.n == 0:
+        n = self.n
+        if n == 0:
             return float("nan")
-        if self._mean == 0:
+        mean = self._mean
+        if mean == 0:
             return float("inf")
-        return self.std / abs(self._mean)
+        # std / |mean|, spelled out: HIST evaluates it on every arrival.
+        return (self._m2 / n) ** 0.5 / abs(mean)

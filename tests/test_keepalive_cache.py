@@ -1,10 +1,13 @@
 """Unit tests for the memory-bounded keep-alive cache."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.keepalive.cache import KeepAliveCache
 from repro.keepalive.policies import (
     GreedyDualPolicy,
+    HistogramPolicy,
     LRUPolicy,
     TTLPolicy,
 )
@@ -161,3 +164,111 @@ def test_free_mb_accounting():
     c = lru_cache(capacity=500.0)
     c.insert("f", 200.0, 1.0, 0.1, now=0.0)
     assert c.free_mb == pytest.approx(300.0)
+
+
+# ------------------------------------------- one-pass lookup vs reference
+class TwoPassLookupCache(KeepAliveCache):
+    """Reference ``lookup``: find the pick in one scan, then reap expired
+    idle containers in a second scan over a copy of the list."""
+
+    def lookup(self, fqdn, now):
+        best = None
+        for c in self._containers.get(fqdn, ()):
+            if c.is_idle(now):
+                if c.expires_at <= now:
+                    continue
+                best = c
+                break
+        for c in list(self._containers.get(fqdn, ())):
+            if c is not best and c.expires_at <= now and c.is_idle(now):
+                self._remove(c, expired_eviction=True)
+        if best is None:
+            self.stats.misses += 1
+            return None
+        self.stats.hits += 1
+        best.busy_until = float("inf")
+        self.policy.on_access(best, now)
+        self._restamp(best)
+        return best
+
+
+def _make_policy(name):
+    if name == "TTL":
+        return TTLPolicy(ttl=5.0)
+    # Small window, few samples and a short generic TTL: predictable and
+    # unpredictable functions, releases and expirations all show up.
+    return HistogramPolicy(window_hours=0.1, generic_ttl=20.0, min_samples=2)
+
+
+class _Replica:
+    """One cache under test, with its containers named by insert order."""
+
+    def __init__(self, cls, policy_name, capacity):
+        self.evicted = []
+        self.cache = cls(_make_policy(policy_name), capacity,
+                         on_evict=lambda c: self.evicted.append(self.ordinal[c.id]))
+        self.ordinal = {}
+        self.claimed = []
+
+    def insert(self, fqdn, mem, now):
+        c = self.cache.insert(fqdn, mem, 1.0, 0.5, now)
+        if c is None:
+            return None
+        self.ordinal[c.id] = len(self.ordinal)
+        self.cache.finish(c, now + 0.5)
+        return self.ordinal[c.id]
+
+    def invoke(self, fqdn, mem, now):
+        """An arrival as the simulator plays it: a miss caches a new
+        container; a hit stays claimed until ``finish_all``."""
+        policy = self.cache.policy
+        if isinstance(policy, HistogramPolicy):
+            policy.record_arrival(fqdn, now)
+        c = self.cache.lookup(fqdn, now)
+        if c is None:
+            return "cold", self.insert(fqdn, mem, now)
+        self.claimed.append(c)
+        return "warm", self.ordinal[c.id]
+
+    def finish_all(self, until):
+        for c in self.claimed:
+            self.cache.finish(c, until)
+        self.claimed.clear()
+
+    def state(self):
+        s = self.cache.stats
+        return (s.hits, s.misses, s.expirations, s.evictions, s.rejected,
+                self.cache.used_mb, list(self.evicted))
+
+
+cache_op = st.tuples(
+    st.sampled_from(["insert", "invoke", "invoke", "finish_all", "advance"]),
+    st.integers(min_value=0, max_value=2),        # function id
+    st.floats(min_value=50.0, max_value=400.0),   # memory
+    st.sampled_from([0.25, 1.0, 3.0, 7.0, 45.0, 130.0]),  # time step
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=st.lists(cache_op, min_size=1, max_size=120),
+    policy_name=st.sampled_from(["TTL", "HIST"]),
+    capacity=st.floats(min_value=300.0, max_value=1500.0),
+)
+def test_one_pass_lookup_matches_two_pass_reference(ops, policy_name, capacity):
+    fast = _Replica(KeepAliveCache, policy_name, capacity)
+    ref = _Replica(TwoPassLookupCache, policy_name, capacity)
+    now = 0.0
+    for kind, fid, mem, step in ops:
+        fqdn = f"f{fid}"
+        if kind == "insert":
+            assert fast.insert(fqdn, mem, now) == ref.insert(fqdn, mem, now)
+        elif kind == "invoke":
+            assert fast.invoke(fqdn, mem, now) == ref.invoke(fqdn, mem, now)
+        elif kind == "finish_all":
+            fast.finish_all(now + step)
+            ref.finish_all(now + step)
+        else:
+            now += step
+        assert fast.state() == ref.state()
+        fast.cache.check_invariants(now=now)

@@ -1,6 +1,8 @@
 """Property tests for the HIST policy's preload machinery and the
 simulator's invariants under it."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,60 @@ def test_hist_windows_are_ordered(iats):
         # Bucket edges: both are multiples of 60 s.
         assert head % 60.0 == 0.0
         assert tail % 60.0 == 0.0
+
+
+def _reference_bucket(buckets, q):
+    """The bucket numpy's cumsum + searchsorted picks for percentile q."""
+    cdf = np.cumsum(np.asarray(buckets, dtype=np.int64))
+    return int(np.searchsorted(cdf, math.ceil(q / 100.0 * int(cdf[-1]))))
+
+
+iat_gap = st.one_of(
+    st.floats(min_value=0.0, max_value=59.99),          # sub-minute
+    st.integers(min_value=1, max_value=30).map(lambda m: m * 60.0),  # on an edge
+    st.floats(min_value=60.0, max_value=1800.0),        # multi-minute
+    st.floats(min_value=1800.0, max_value=20000.0),     # beyond small windows
+)
+percentile = st.one_of(st.just(100.0), st.floats(min_value=0.01, max_value=100.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    gaps=st.lists(iat_gap, min_size=1, max_size=60),
+    window_hours=st.sampled_from([0.1, 0.5, 4.0]),
+    qs=st.tuples(percentile, percentile).map(sorted),
+    min_samples=st.integers(min_value=1, max_value=5),
+)
+def test_hist_incremental_percentiles_match_numpy(gaps, window_hours, qs,
+                                                  min_samples):
+    head_q, tail_q = qs
+    p = HistogramPolicy(window_hours=window_hours, head_percentile=head_q,
+                        tail_percentile=tail_q, min_samples=min_samples)
+    t = 0.0
+    p.record_arrival("f", t)
+    for gap in gaps:
+        t += gap
+        p.record_arrival("f", t)
+        hist = p._history["f"]
+        assert len(hist.buckets) == int(window_hours * 60)
+        assert sum(hist.buckets) == hist.stats.n
+        if hist.stats.n == 0:
+            assert math.isnan(hist.percentile_iat(head_q, edge="lower"))
+            assert p._windows("f") is None
+            continue
+        head = _reference_bucket(hist.buckets, head_q)
+        tail = _reference_bucket(hist.buckets, tail_q)
+        assert (hist.head.idx, hist.tail.idx) == (head, tail)
+        for q, idx in ((head_q, head), (tail_q, tail)):
+            assert hist.percentile_iat(q, edge="lower") == idx * 60.0
+            assert hist.percentile_iat(q, edge="upper") == (idx + 1) * 60.0
+        if hist.stats.n < min_samples or not hist.predictable:
+            expected = None
+        else:
+            expected = (head * 60.0, (tail + 1) * 60.0)
+        # Asked twice: the memo must be fresh after every arrival.
+        assert p._windows("f") == expected
+        assert p._windows("f") == expected
 
 
 @settings(max_examples=25, deadline=None)

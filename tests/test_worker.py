@@ -217,3 +217,25 @@ def test_queue_policy_configurable():
         worker.register_sync(reg())
         inv = env.run_process(worker.invoke("hello.1"))
         assert inv.completed_at is not None
+
+
+def test_hist_pool_releases_predictable_function_at_return():
+    # The DES worker schedules no HIST preloads: once a function's IATs
+    # are predictable (here a steady 2-minute gap), its container expires
+    # the moment it is returned and the next invocation cold-starts.
+    env, worker = make_worker(keepalive_policy="HIST")
+    worker.register_sync(reg())
+    policy = worker.keepalive_policy
+    colds = []
+    for k in range(7):
+        env.run(until=1000.0 + 120.0 * k)
+        colds.append(env.run_process(worker.invoke("hello.1")).cold)
+        (entry,) = worker.pool._available["hello.1"]
+        windows = policy._windows("hello.1")
+        if windows is None:
+            assert entry.expires_at == entry.last_used + policy.generic_ttl
+        else:
+            assert windows[0] > 0  # a real gap is predicted
+            assert entry.expires_at == entry.last_used
+    # min_samples IATs make the function predictable; warm until then.
+    assert colds == [True, False, False, False, False, True, True]
