@@ -15,7 +15,6 @@ contract and determinism argument are documented in ``docs/SHARDING.md``.
 """
 
 from .coordinator import ShardedOutcome, run_sharded_replay
-from .merge import MergedTelemetry, ShardTelemetryParts
 from .protocol import (
     EPOCH_CHUNK,
     RESULT_CHUNK,
@@ -32,9 +31,7 @@ __all__ = [
     "EPOCH_CHUNK",
     "RESULT_CHUNK",
     "SHARDS_ENV_VAR",
-    "MergedTelemetry",
     "ShardSpec",
-    "ShardTelemetryParts",
     "ShardedOutcome",
     "ShardingUnavailable",
     "partition_workers",

@@ -248,7 +248,6 @@ def run_sharded_replay(
     collect_seam: bool = False,
     start_method: Optional[str] = None,
     chunk_size: Optional[int] = None,
-    spool_dir=None,
     flight_recorder: bool = False,
     live_path=None,
 ) -> ShardedOutcome:
@@ -257,10 +256,7 @@ def run_sharded_replay(
 
     ``chunk_size`` caps the arrivals per seam message (default
     :data:`~.protocol.EPOCH_CHUNK`); epochs that fit send exactly one
-    message per shard.  ``spool_dir``, when set with telemetry enabled,
-    spools the shards' record/span/breakdown streams to disk as they
-    arrive instead of holding them in RAM (the streaming-export path for
-    full-trace replays).  ``flight_recorder`` turns on wall-clock seam
+    message per shard.  ``flight_recorder`` turns on wall-clock seam
     accounting (:class:`FlightRecorder`): per-epoch stall/pick/send/
     overlap timings and payload bytes, reduced to totals on the returned
     outcome's ``flight_log`` and exported as ``flight.json`` by the
@@ -270,7 +266,7 @@ def run_sharded_replay(
     ``spawn``).
 
     ``live_path``, when set, appends coordinator heartbeats (JSON lines:
-    sim time reached, epoch count, placements so far) for ``repro watch``
+    sim time reached, epochs walked, placements so far) for ``repro watch``
     to tail while the run executes; the final beat carries the health
     totals of the merged records when health telemetry was enabled.
     Heartbeats are written from the coordinator's overlap region, so they
@@ -364,6 +360,7 @@ def run_sharded_replay(
     conns, procs = _spawn_shards(ctx, specs)
 
     sent = [0] * num_shards
+    walked = 0   # epochs whose first arrival has been picked
     place = front.place
     fr = FlightRecorder() if flight_recorder else None
     live_writer = None
@@ -440,11 +437,13 @@ def run_sharded_replay(
             # the next chunk.
             nxt = _prep(next(descs, None))
             if live_writer is not None and m and tlist[-1] >= next_live_t:
+                while walked < len(segments) and segments[walked][1] < b:
+                    walked += 1
                 live_writer.heartbeat({
                     "t": tlist[-1],
                     "engine": "sharded",
                     "placements": front.placements,
-                    "epoch": sum(sent),
+                    "epoch": walked,
                 })
                 next_live_t = (
                     int(tlist[-1] // live_interval) + 1
@@ -470,14 +469,13 @@ def run_sharded_replay(
         seam_parts: list[list] = [[] for _ in specs]
         per_worker: dict[str, int] = {}
         tele_parts = None
+        tele_kinds: tuple = ()
         if telemetry_config is not None:
-            from .merge import ShardTelemetryParts
+            from ..telemetry.export import PART_STREAMS, TelemetryPart
 
-            tele_parts = [
-                ShardTelemetryParts(shard_index=s, spool_dir=spool_dir)
-                for s in range(num_shards)
-            ]
+            tele_parts, tele_kinds = [], PART_STREAMS
         for s, conn in enumerate(conns):
+            tele_chunks = {kind: [] for kind in tele_kinds}
             while True:
                 msg = _recv(conn, s)
                 if msg[0] == "part":
@@ -486,8 +484,8 @@ def run_sharded_replay(
                         summaries_parts[s].extend(chunk_items)
                     elif kind == "seam":
                         seam_parts[s].extend(chunk_items)
-                    elif tele_parts is not None:
-                        tele_parts[s].append(kind, chunk_items)
+                    elif kind in tele_chunks:
+                        tele_chunks[kind].append(chunk_items)
                     else:  # pragma: no cover - defensive
                         raise RuntimeError(
                             f"shard {s} streamed unexpected part {kind!r}"
@@ -498,7 +496,8 @@ def run_sharded_replay(
                 break
             per_worker.update(payload["per_worker_records"])
             if tele_parts is not None:
-                tele_parts[s].set_meta(payload["telemetry"])
+                tele_parts.append(TelemetryPart.from_chunks(
+                    tele_chunks, payload["telemetry"]))
         for p in procs:
             p.join()
         if fr is not None:
@@ -530,18 +529,17 @@ def run_sharded_replay(
 
     telemetry = None
     if telemetry_config is not None:
-        from .merge import MergedTelemetry
+        from ..telemetry.export import MergedTelemetry
 
         telemetry = MergedTelemetry(
-            config=telemetry_config,
-            worker_names=worker_names,
-            shard_parts=tele_parts,
-            placement_log=front.placement_log,
-            rpc_latency=front.rpc_latency,
-            lb_loads=lb_loads,
-            flight=flight_log,
-            seam_stats=seam_stats,
-            shards=num_shards,
+            telemetry_config,
+            worker_names,
+            tele_parts,
+            front.placement_log,
+            front.rpc_latency,
+            lb_loads,
+            flight=(None if flight_log is None
+                    else dict(flight_log, seam_stats=dict(seam_stats))),
             dispatch_info=front.info(),
         )
 
@@ -550,7 +548,7 @@ def run_sharded_replay(
             "t": float(horizon),
             "engine": "sharded",
             "placements": front.placements,
-            "epoch": sum(sent),
+            "epoch": len(segments),
         }
         # Folded from the merged records here; the export reuses it.
         merged_health = getattr(telemetry, "health", None)

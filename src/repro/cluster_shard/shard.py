@@ -25,10 +25,10 @@ Blocking ``conn.recv()`` happens *inside* the injector generator, so the
 environment freezes at the current simulated time whenever the shard
 waits on the coordinator — no wall-clock/sim-time interleaving hazards.
 
-Results stream back in bounded ``("part", kind, chunk)`` messages
-(telemetry kinds pre-sorted by their merge keys, so the coordinator can
-k-way merge shard streams without re-sorting), closed by one light
-``("result", ...)`` payload.
+Results stream back in bounded ``("part", kind, chunk)`` messages — the
+telemetry kinds are the streams of the shard's
+:class:`~repro.telemetry.export.TelemetryPart`, already in merge-key
+order — closed by one light ``("result", ...)`` payload.
 """
 
 from __future__ import annotations
@@ -154,33 +154,16 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         },
     }
     if telemetry is not None:
-        from .merge import _BREAKDOWN_KEY
+        from ..telemetry.export import PART_STREAMS
 
-        # Streams go out pre-sorted by the coordinator's merge keys
-        # (records and spans already are, by Telemetry's contract).
-        _stream_parts(conn, "records", telemetry.records())
-        # Worker spans carry the shard index only when tracing asked for
-        # it (telemetry.shard), so untraced sharded exports stay
-        # byte-identical to serial ones.
-        _stream_parts(conn, "spans", telemetry.spans())
-        _stream_parts(
-            conn, "breakdowns",
-            sorted(telemetry.breakdowns(), key=_BREAKDOWN_KEY),
-        )
-        _stream_parts(conn, "traces", telemetry.iter_trace_events())
-        payload["telemetry"] = {
-            # Per-worker counters and gauges, in cluster worker order (the
-            # merged registry sums counters in this order, matching
-            # Telemetry.merged_metrics on a single-process run).  No
-            # distributions or health collector: the coordinator derives
-            # them from the merged records at export.
-            "metrics": [
-                (w.name, dict(w.metrics.counters), dict(w.metrics.gauges))
-                for w in workers.values()
-            ],
-            "series": dict(telemetry.series),
-            "samples": telemetry.sampler.samples,
-        }
+        # The coordinator merges this part with the other shards' and its
+        # placement log.  Worker spans carry the shard index only when
+        # tracing asked for it (telemetry.shard), so untraced sharded
+        # exports stay byte-identical to serial ones.
+        part = telemetry.part()
+        for kind in PART_STREAMS:
+            _stream_parts(conn, kind, part.stream(kind))
+        payload["telemetry"] = part.meta()
     conn.send(("result", payload))
 
 

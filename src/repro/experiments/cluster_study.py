@@ -10,7 +10,6 @@ latency percentiles, locality, per-worker balance).
 
 from __future__ import annotations
 
-import tempfile
 import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -148,33 +147,21 @@ def _run_study_sharded(
             from ..telemetry import RUN_FILES
 
             live_path = Path(telemetry_dir) / RUN_FILES["live"]
-    spool = None
-    if telemetry_config is not None:
-        # Stream the shards' record/span/breakdown chunks through an
-        # on-disk spool instead of coordinator RAM; the spool lives only
-        # until the run directory is written.
-        spool = tempfile.TemporaryDirectory(prefix="repro-shard-spool-")
-    try:
-        outcome = run_sharded_replay(
-            plan,
-            num_workers=num_workers,
-            shards=shards,
-            registrations=trace_registrations(trace),
-            config=config,
-            lb_policy=lb_policy,
-            status_interval=status_interval,
-            grace=300.0,
-            telemetry_config=telemetry_config,
-            spool_dir=spool.name if spool is not None else None,
-            flight_recorder=trace_on,
-            live_path=live_path,
-        )
-        if outcome.telemetry is not None:
-            outcome.telemetry.export(telemetry_dir)
-            outcome.telemetry.cleanup()
-    finally:
-        if spool is not None:
-            spool.cleanup()
+    outcome = run_sharded_replay(
+        plan,
+        num_workers=num_workers,
+        shards=shards,
+        registrations=trace_registrations(trace),
+        config=config,
+        lb_policy=lb_policy,
+        status_interval=status_interval,
+        grace=300.0,
+        telemetry_config=telemetry_config,
+        flight_recorder=trace_on,
+        live_path=live_path,
+    )
+    if outcome.telemetry is not None:
+        outcome.telemetry.export(telemetry_dir)
     # Summaries arrive in arrival order, mirroring replay_plan's return.
     return (outcome.summaries, outcome.forwards, outcome.placements,
             dict(outcome.per_worker_records))

@@ -22,9 +22,7 @@ import time
 from pathlib import Path
 from typing import Optional, TextIO, Union
 
-__all__ = ["LiveWriter", "read_live", "watch_report", "watch", "LIVE_FILE"]
-
-LIVE_FILE = "live.jsonl"
+__all__ = ["LiveWriter", "read_live", "watch_report", "watch"]
 
 SPARK = "▁▂▃▄▅▆▇█"
 SPARK_WIDTH = 32
@@ -101,8 +99,10 @@ def watch_report(run_dir: Union[str, Path]) -> tuple[str, bool]:
     Returns ``(text, done)``; ``done`` is True once the run has appended
     its terminal heartbeat (so the watch loop knows to stop).
     """
+    from ..telemetry import RUN_FILES   # deferred: telemetry imports health
+
     run_dir = Path(run_dir)
-    beats = read_live(run_dir / LIVE_FILE)
+    beats = read_live(run_dir / RUN_FILES["live"])
     if not beats:
         return (f"watching {run_dir}\n(no live heartbeats yet — is the run "
                 "started with health enabled?)"), False

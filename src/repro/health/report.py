@@ -9,30 +9,21 @@ Both degrade gracefully on runs exported without health enabled.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
 __all__ = ["load_health", "health_report", "health_section"]
 
-HEALTH_FILE = "health.json"
-SLO_FILE = "slo.jsonl"
-
 
 def load_health(run_dir: Union[str, Path]) -> tuple[Optional[dict], list[dict]]:
     """``(health.json dict or None, slo.jsonl rows)`` from a run dir."""
-    run_dir = Path(run_dir)
-    health_path = run_dir / HEALTH_FILE
-    if not health_path.exists():
+    # Deferred: the telemetry package imports this one.
+    from ..telemetry.runs import read_run_file
+
+    health = read_run_file(run_dir, "health")
+    if not health:
         return None, []
-    health = json.loads(health_path.read_text())
-    rows: list[dict] = []
-    slo_path = run_dir / SLO_FILE
-    if slo_path.exists():
-        for line in slo_path.read_text().splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
-    return health, rows
+    return health, read_run_file(run_dir, "slo")
 
 
 def _table(rows: list[list[str]], header: list[str]) -> list[str]:

@@ -12,6 +12,10 @@ status.  This package reproduces that stack for the simulator —
 * the overhead :mod:`~repro.telemetry.decomposition`, read off the
   retained lifecycle contexts — the per-phase critical-path breakdown
   behind the paper's Table 2;
+* the run-directory exporter (:mod:`~repro.telemetry.export`) — the
+  one writer of a run dir: it merges per-worker-set
+  :class:`TelemetryPart` streams (one for a serial run, one per shard
+  for a sharded one) with the placement log;
 * :mod:`~repro.telemetry.exporters` + ``repro inspect`` — JSONL/CSV/
   Prometheus artifacts and the CLI that reads them back.
 
@@ -41,15 +45,15 @@ from .exporters import (
     write_health_prometheus,
     write_prometheus,
 )
-from .runs import (
+from .export import (
     RUN_FILES,
-    Telemetry,
+    MergedTelemetry,
+    TelemetryPart,
     build_manifest,
     build_summary,
-    inspect_report,
-    load_run,
     write_run_dir,
 )
+from .runs import Telemetry, inspect_report, load_run, read_run_file
 from .sampler import (
     ENERGY_COLUMNS,
     WORKER_COLUMNS,
@@ -78,11 +82,14 @@ __all__ = [
     "write_health_prometheus",
     "write_prometheus",
     "RUN_FILES",
+    "MergedTelemetry",
     "Telemetry",
+    "TelemetryPart",
     "build_manifest",
     "build_summary",
     "inspect_report",
     "load_run",
+    "read_run_file",
     "write_run_dir",
     "ENERGY_COLUMNS",
     "WORKER_COLUMNS",

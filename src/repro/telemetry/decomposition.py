@@ -49,6 +49,7 @@ __all__ = [
     "PHASE_OF_SPAN",
     "EXEC_SPAN",
     "InvocationBreakdown",
+    "BREAKDOWN_KEY",
     "decompose_contexts",
     "aggregate_phases",
     "breakdown_rows",
@@ -149,7 +150,9 @@ def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreak
     )
 
 
-_SORT_KEY = lambda b: (b.invocation_id is None, b.invocation_id, b.tag)  # noqa: E731
+# Breakdown order: by invocation id, untagged ones last (the merge key
+# of the breakdown stream).
+BREAKDOWN_KEY = lambda b: (b.invocation_id is None, b.invocation_id, b.tag)  # noqa: E731
 
 
 def decompose_contexts(contexts: Iterable) -> list[InvocationBreakdown]:
@@ -170,7 +173,7 @@ def decompose_contexts(contexts: Iterable) -> list[InvocationBreakdown]:
         b = _breakdown(str(ctx.inv.id), intervals)
         if b is not None:
             out.append(b)
-    out.sort(key=_SORT_KEY)
+    out.sort(key=BREAKDOWN_KEY)
     return out
 
 

@@ -3,27 +3,8 @@
 :class:`Telemetry` bundles the whole observability stack behind one
 opt-in object.  An experiment constructs it, attaches a worker or a
 cluster *before* starting the run, and calls :meth:`export` afterwards to
-produce a self-contained run directory:
-
-=================  ====================================================
-``timeseries.jsonl``  sampled gauge rows, one JSON object per line,
-                      ``series`` keying the worker (plus ``lb`` for the
-                      status-board load signal)
-``spans.jsonl``       merged spans (workers' derived from the lifecycle
-                      contexts' intervals, the load balancer's from its
-                      placement log)
-``records.jsonl``     per-invocation records
-``metrics.prom``      Prometheus text-format snapshot of the merged
-                      registries
-``summary.json``      config echo, outcome tallies, latency-distribution
-                      summaries and the phase decomposition
-=================  ====================================================
-
-Every distribution (``summary.json``, the ``metrics.prom`` histograms)
-and the health grade are derived here, at export, from the run's merged
-records, and the trace trees (``traces.jsonl``) from the retained
-contexts and the placement log — nothing feeds them while the
-simulation runs.
+produce a self-contained run directory (layout in
+:mod:`~repro.telemetry.export`, whose exporter writes every run dir).
 
 ``repro inspect <run-dir>`` (see :func:`inspect_report`) renders the
 directory back into the paper-style tables.  When no ``Telemetry`` is
@@ -33,233 +14,21 @@ a build without this package.
 
 from __future__ import annotations
 
-import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Optional, Union
 
-from ..loadbalancer.frontend import placement_spans
-from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
-from ..metrics.spans import Span, dump_spans_jsonl, load_spans_jsonl
-from .decomposition import breakdown_rows, decompose_contexts, match_records
-from .distributions import latency_distributions
-from .exporters import (
-    dump_timeseries_jsonl,
-    write_health_prometheus,
-    write_prometheus,
-)
+from ..metrics.spans import Span, load_spans_jsonl
+from .decomposition import decompose_contexts
+from .export import RECORD_KEY, RUN_FILES, SPAN_KEY, MergedTelemetry, TelemetryPart
 from .sampler import TelemetryConfig, TelemetrySampler, Timeseries
 
 __all__ = [
     "Telemetry",
-    "RUN_FILES",
-    "write_run_dir",
-    "build_summary",
-    "build_manifest",
+    "read_run_file",
     "load_run",
     "inspect_report",
 ]
-
-# Canonical run-directory layout (name → filename).  The first five are
-# always written; the rest only when the run produced them ("traces" when
-# tracing was enabled, "flight" when the sharded coordinator recorded its
-# flight log, "health"/"slo"/"health_prom" when the health layer was on,
-# "live" while a health-enabled run is in flight); "manifest" is always
-# written.
-RUN_FILES = {
-    "timeseries": "timeseries.jsonl",
-    "spans": "spans.jsonl",
-    "records": "records.jsonl",
-    "metrics": "metrics.prom",
-    "summary": "summary.json",
-    "traces": "traces.jsonl",
-    "flight": "flight.json",
-    "health": "health.json",
-    "slo": "slo.jsonl",
-    "health_prom": "health.prom",
-    "live": "live.jsonl",
-    "manifest": "manifest.json",
-}
-_CORE_FILES = ("timeseries", "spans", "records", "metrics", "summary")
-
-
-def write_run_dir(
-    run_dir: Union[str, Path],
-    *,
-    config: TelemetryConfig,
-    worker_names: list,
-    series: dict,
-    spans,
-    records,
-    registry: MetricsRegistry,
-    summary: dict,
-    histograms: dict,
-    health=None,
-    traces=None,
-    flight: Optional[dict] = None,
-    shards: int = 1,
-) -> dict[str, Path]:
-    """Write the canonical run-directory layout from already-merged parts,
-    grading ``health`` and stamping the manifest on the way.
-
-    :class:`Telemetry` feeds this from one live pipeline; the cluster-shard
-    merge feeds it from per-shard payloads.  Either way the parts — and so
-    the directory — are identical, and ``repro inspect`` reads it back the
-    same.  ``summary`` and ``histograms`` come from :func:`build_summary`;
-    ``health`` is the run's :class:`~repro.health.HealthCollector`
-    (``None`` when health is off).  ``spans``, ``records`` and ``traces``
-    may be any single-pass iterables (each is walked exactly once,
-    straight onto disk) — the cluster-shard merge hands over lazy
-    k-way-merged streams.  The optional artifacts are written (and
-    included in the returned paths) only when supplied, so a tracing-off
-    export stays byte-identical to earlier layouts apart from the
-    provenance manifest.
-    """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    paths = {k: run_dir / RUN_FILES[k] for k in _CORE_FILES}
-
-    dump_timeseries_jsonl(series, paths["timeseries"])
-    dump_spans_jsonl(spans, paths["spans"])
-
-    with open(paths["records"], "w") as fh:
-        for r in records:
-            fh.write(json.dumps({
-                "function": r.function,
-                "arrival": r.arrival,
-                "outcome": r.outcome.value,
-                "exec_time": r.exec_time,
-                "e2e_time": r.e2e_time,
-                "queue_time": r.queue_time,
-                "overhead": r.overhead,
-                "cold": r.cold,
-                "worker": r.worker,
-                "invocation_id": r.invocation_id,
-            }))
-            fh.write("\n")
-
-    write_prometheus(registry, paths["metrics"], histograms)
-
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-
-    if traces is not None:
-        from ..tracing.events import dump_trace_jsonl
-
-        paths["traces"] = run_dir / RUN_FILES["traces"]
-        dump_trace_jsonl(traces, paths["traces"])
-    if flight is not None:
-        paths["flight"] = run_dir / RUN_FILES["flight"]
-        with open(paths["flight"], "w") as fh:
-            json.dump(flight, fh, indent=2)
-            fh.write("\n")
-    if health is not None:
-        from ..health.slo import evaluate_health
-
-        report = evaluate_health(health, series=series, config=config.health)
-        paths["health"] = run_dir / RUN_FILES["health"]
-        with open(paths["health"], "w") as fh:
-            json.dump(report.health, fh, indent=2)
-            fh.write("\n")
-        paths["slo"] = run_dir / RUN_FILES["slo"]
-        with open(paths["slo"], "w") as fh:
-            for row in report.rows:
-                fh.write(json.dumps(row, separators=(",", ":")))
-                fh.write("\n")
-        paths["health_prom"] = run_dir / RUN_FILES["health_prom"]
-        write_health_prometheus(report.health, paths["health_prom"])
-    paths["manifest"] = run_dir / RUN_FILES["manifest"]
-    with open(paths["manifest"], "w") as fh:
-        json.dump(build_manifest(config, worker_names, shards), fh, indent=2)
-        fh.write("\n")
-    return paths
-
-
-def build_summary(
-    config: TelemetryConfig,
-    worker_names: list,
-    samples: int,
-    records: list,
-    breakdowns: list,
-    dispatch: Optional[dict] = None,
-) -> tuple[dict, dict]:
-    """The ``summary.json`` structure from already-merged run parts, and
-    the :func:`latency_distributions` it summarizes (``metrics.prom``
-    renders them).  Exports call this before building the span list, so
-    the breakdowns need not outlive it."""
-    histograms = latency_distributions(records, breakdowns)
-    outcomes: dict[str, int] = {}
-    for r in records:
-        outcomes[r.outcome.value] = outcomes.get(r.outcome.value, 0) + 1
-    matched, compared = match_records(breakdowns, records)
-    cfg = {
-        "interval": config.interval,
-        "sample_energy": config.sample_energy,
-    }
-    # Only present when enabled, so a health-off summary.json stays
-    # byte-identical to exports from before the health layer existed.
-    health = getattr(config, "health", None)
-    if health is not None:
-        cfg["health"] = health.describe()
-    out = {
-        "config": cfg,
-        "workers": list(worker_names),
-        "samples": samples,
-        "invocations": len(records),
-        "outcomes": outcomes,
-        "histograms": {
-            name: dist.summary() for name, dist in histograms.items()
-        },
-        "decomposition": {
-            "invocations": len(breakdowns),
-            "matched_records": matched,
-            "compared_records": compared,
-            "rows": breakdown_rows(breakdowns),
-        },
-    }
-    # Only present for cluster runs (the telemetry pipeline learned the
-    # active policy from attach_cluster); worker-only runs and run dirs
-    # from before the dispatch layer simply lack the key.
-    if dispatch is not None:
-        out["dispatch"] = dict(dispatch)
-    return out, histograms
-
-
-def build_manifest(
-    config: TelemetryConfig,
-    worker_names: list,
-    shards: int = 1,
-) -> dict:
-    """The ``manifest.json`` provenance record for a run directory.
-
-    Deliberately free of wall-clock timestamps: two runs of the same
-    configuration produce the same manifest (``shards`` aside), so the
-    serial-vs-sharded byte-identity gates only have to exclude this one
-    file — and can still assert ``config_hash`` equality across it.
-    """
-    cfg = {
-        "interval": config.interval,
-        "sample_energy": config.sample_energy,
-        "trace": getattr(config, "trace", False),
-    }
-    health = getattr(config, "health", None)
-    if health is not None:
-        cfg["health"] = health.describe()
-    payload = json.dumps({"config": cfg, "workers": list(worker_names)},
-                         sort_keys=True)
-    from .. import __version__
-
-    return {
-        "schema": 1,
-        "version": __version__,
-        "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:16],
-        "config": cfg,
-        "workers": list(worker_names),
-        "shards": int(shards),
-        "cpu_count": os.cpu_count() or 1,
-    }
 
 
 class Telemetry:
@@ -404,108 +173,137 @@ class Telemetry:
     def _contexts(self) -> list:
         return [ctx for w in self._workers for ctx in w.lifecycle.contexts]
 
-    def spans(self) -> list[Span]:
-        """One span per retained context interval (tagged with the
-        invocation id; in-flight invocations included), plus the LB
-        spans derived from the placement log, in ``(start, end, name)``
-        order.  Worker spans carry :attr:`shard`."""
+    def part(self) -> TelemetryPart:
+        """The attached workers' share of the run, as one
+        :class:`TelemetryPart`: each stream is derived from the workers'
+        records and retained contexts when it is walked.  Spans (one per
+        retained context interval, in-flight invocations included) are
+        tagged with the invocation id; spans and trace events carry
+        :attr:`shard`."""
+        workers = self._workers
         shard = self.shard
-        out: list[Span] = []
-        for ctx in self._contexts():
-            tag = str(ctx.inv.id)
-            out.extend(
-                Span(name, start, end, tag, shard)
-                for name, start, end in ctx.intervals
+
+        def records():
+            out = [r for w in workers for r in w.metrics.records]
+            out.sort(key=RECORD_KEY)
+            yield from out
+
+        def spans():
+            out: list[Span] = []
+            for ctx in self._contexts():
+                tag = str(ctx.inv.id)
+                out.extend(
+                    Span(name, start, end, tag, shard)
+                    for name, start, end in ctx.intervals
+                )
+            out.sort(key=SPAN_KEY)
+            yield from out
+
+        def breakdowns():
+            yield from decompose_contexts(self._contexts())
+
+        def traces():
+            if not self.config.trace:
+                return
+            from ..tracing.events import derive_trace_events
+
+            yield from derive_trace_events(
+                ((w.name, ctx) for w in workers for ctx in w.lifecycle.contexts),
+                root=self.trace_root,
+                shard=shard,
             )
-        front = self._front
-        if front is not None:
-            out.extend(placement_spans(front.placement_log, front.rpc_latency))
-        out.sort(key=lambda s: (s.start, s.end, s.name))
-        return out
 
-    def records(self) -> list[InvocationRecord]:
-        out: list[InvocationRecord] = []
-        for w in self._workers:
-            out.extend(w.metrics.records)
-        out.sort(key=lambda r: (r.arrival, r.invocation_id))
-        return out
-
-    def breakdowns(self):
-        """Per-invocation phase breakdowns of the completed invocations,
-        read off the retained lifecycle contexts."""
-        return decompose_contexts(self._contexts())
-
-    def iter_trace_events(self):
-        """The run's causal trace events in ``(trace_id, seq)`` order,
-        derived from the retained contexts and the placement log; empty
-        unless ``config.trace`` is set."""
-        if not self.config.trace:
-            return iter(())
-        from ..tracing.events import derive_trace_events
-
-        front = self._front
-        return derive_trace_events(
-            ((w.name, ctx) for w in self._workers for ctx in w.lifecycle.contexts),
-            () if front is None else front.placement_log,
-            0.0 if front is None else front.rpc_latency,
-            root=self.trace_root,
-            shard=self.shard,
+        return TelemetryPart(
+            {"records": records, "spans": spans, "breakdowns": breakdowns,
+             "traces": traces},
+            metrics=[(w.name, w.metrics.counters, w.metrics.gauges)
+                     for w in workers],
+            series=dict(self.sampler.series),
+            samples=self.sampler.samples,
         )
 
-    def trace_events(self) -> list:
-        """:meth:`iter_trace_events` as a list."""
-        return list(self.iter_trace_events())
+    def _merged(self) -> MergedTelemetry:
+        """The run as a merge of :meth:`part` with the attached push
+        front end's placement log and the LB load series."""
+        front = self._front
+        return MergedTelemetry(
+            self.config,
+            [w.name for w in self._workers],
+            [self.part()],
+            () if front is None else front.placement_log,
+            0.0 if front is None else front.rpc_latency,
+            self.sampler.lb_loads,
+            dispatch_info=self.dispatch_info,
+        )
 
-    def merged_metrics(self) -> MetricsRegistry:
-        """Counters summed, gauges worker-prefixed."""
-        merged = MetricsRegistry()
-        for w in self._workers:
-            m = w.metrics
-            for name, v in m.counters.items():
-                merged.incr(name, v)
-            for name, v in m.gauges.items():
-                merged.set_gauge(f"{w.name}.{name}", v)
-        return merged
+    def spans(self) -> list[Span]:
+        """Worker and LB spans in ``(start, end, name)`` order."""
+        return self._merged().spans()
+
+    def records(self) -> list:
+        return self._merged().records()
+
+    def breakdowns(self) -> list:
+        """Per-invocation phase breakdowns of the completed invocations,
+        read off the retained lifecycle contexts."""
+        return self._merged().breakdowns()
+
+    def trace_events(self) -> list:
+        """The run's causal trace events in ``(trace_id, seq)`` order;
+        empty unless ``config.trace`` is set."""
+        return self._merged().trace_events()
+
+    def summary(self) -> dict:
+        return self._merged().summary()
 
     # -- export ------------------------------------------------------------
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:
         """Write the run directory; returns {kind: path}."""
         self._finish_live()
-        series = dict(self.sampler.series)
-        if len(self.sampler.lb_loads):
-            series["lb"] = self.sampler.lb_loads
-        records = self.records()
-        summary, histograms = self._summary(records)
-        health = self.config.health
-        return write_run_dir(
-            run_dir,
-            config=self.config,
-            worker_names=[w.name for w in self._workers],
-            series=series,
-            spans=self.spans(),
-            records=records,
-            registry=self.merged_metrics(),
-            summary=summary,
-            histograms=histograms,
-            health=None if health is None else health.collector(records),
-            traces=self.iter_trace_events() if self.config.trace else None,
-        )
-
-    def summary(self) -> dict:
-        return self._summary(self.records())[0]
-
-    def _summary(self, records: list) -> tuple[dict, dict]:
-        return build_summary(
-            self.config,
-            [w.name for w in self._workers],
-            self.sampler.samples,
-            records,
-            self.breakdowns(),
-            dispatch=self.dispatch_info,
-        )
+        return self._merged().export(run_dir)
 
 
 # ---------------------------------------------------------------- inspect
+def _json(path: Path):
+    return json.loads(path.read_text())
+
+
+def _jsonl(path: Path) -> list:
+    with open(path) as fh:
+        return [json.loads(line) for line in fh if line.strip()]
+
+
+def _traces(path: Path) -> list:
+    from ..tracing.events import load_trace_jsonl
+
+    return load_trace_jsonl(path)
+
+
+# The one parser of each run-dir file (by RUN_FILES kind), and the empty
+# value a missing file reads as.  live.jsonl, which a run appends to while
+# it executes, has its own torn-line-tolerant reader, health.live.read_live.
+_READERS = {
+    "summary": (_json, dict),
+    "records": (_jsonl, list),
+    "spans": (load_spans_jsonl, list),
+    "timeseries": (_jsonl, list),
+    "metrics": (Path.read_text, str),
+    "manifest": (_json, dict),
+    "flight": (_json, dict),
+    "traces": (_traces, list),
+    "health": (_json, dict),
+    "slo": (_jsonl, list),
+}
+
+
+def read_run_file(run_dir: Union[str, Path], kind: str):
+    """Parse one run-dir file, named by its :data:`RUN_FILES` kind; a
+    file the run did not write reads as an empty value."""
+    parse, empty = _READERS[kind]
+    path = Path(run_dir) / RUN_FILES[kind]
+    return parse(path) if path.exists() else empty()
+
+
 def load_run(run_dir: Union[str, Path]) -> dict:
     """Read a telemetry run directory back into memory.
 
@@ -514,54 +312,8 @@ def load_run(run_dir: Union[str, Path]) -> dict:
     mapped to empty values, so partially exported directories still
     inspect cleanly.
     """
-    run_dir = Path(run_dir)
-    out: dict = {
-        "summary": {},
-        "records": [],
-        "spans": [],
-        "timeseries": [],
-        "metrics_text": "",
-        "manifest": {},
-        "flight": {},
-        "traces": [],
-        "health": {},
-        "slo": [],
-    }
-    health_path = run_dir / RUN_FILES["health"]
-    if health_path.exists():
-        out["health"] = json.loads(health_path.read_text())
-    slo_path = run_dir / RUN_FILES["slo"]
-    if slo_path.exists():
-        with open(slo_path) as fh:
-            out["slo"] = [json.loads(line) for line in fh if line.strip()]
-    summary_path = run_dir / RUN_FILES["summary"]
-    if summary_path.exists():
-        out["summary"] = json.loads(summary_path.read_text())
-    records_path = run_dir / RUN_FILES["records"]
-    if records_path.exists():
-        with open(records_path) as fh:
-            out["records"] = [json.loads(line) for line in fh if line.strip()]
-    spans_path = run_dir / RUN_FILES["spans"]
-    if spans_path.exists():
-        out["spans"] = load_spans_jsonl(spans_path)
-    ts_path = run_dir / RUN_FILES["timeseries"]
-    if ts_path.exists():
-        with open(ts_path) as fh:
-            out["timeseries"] = [json.loads(line) for line in fh if line.strip()]
-    prom_path = run_dir / RUN_FILES["metrics"]
-    if prom_path.exists():
-        out["metrics_text"] = prom_path.read_text()
-    manifest_path = run_dir / RUN_FILES["manifest"]
-    if manifest_path.exists():
-        out["manifest"] = json.loads(manifest_path.read_text())
-    flight_path = run_dir / RUN_FILES["flight"]
-    if flight_path.exists():
-        out["flight"] = json.loads(flight_path.read_text())
-    traces_path = run_dir / RUN_FILES["traces"]
-    if traces_path.exists():
-        from ..tracing.events import load_trace_jsonl
-
-        out["traces"] = load_trace_jsonl(traces_path)
+    out = {kind: read_run_file(run_dir, kind) for kind in _READERS}
+    out["metrics_text"] = out.pop("metrics")
     return out
 
 

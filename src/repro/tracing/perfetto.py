@@ -13,7 +13,7 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
-from .events import TraceEvent, load_trace_jsonl
+from .events import TraceEvent
 
 __all__ = ["chrome_trace", "dump_chrome_trace", "export_perfetto"]
 
@@ -74,10 +74,12 @@ def export_perfetto(run_dir: Union[str, Path],
     """Convert a run directory's ``traces.jsonl`` into a Perfetto-openable
     JSON file; raises :class:`FileNotFoundError` when the run was not
     traced.  Returns the number of exported slices."""
-    traces_path = Path(run_dir) / "traces.jsonl"
+    from ..telemetry.runs import RUN_FILES, read_run_file   # deferred
+
+    traces_path = Path(run_dir) / RUN_FILES["traces"]
     if not traces_path.exists():
         raise FileNotFoundError(
             f"{traces_path} does not exist — re-run with tracing enabled "
             "(e.g. repro --telemetry DIR cluster-study --trace)"
         )
-    return dump_chrome_trace(load_trace_jsonl(traces_path), out_path)
+    return dump_chrome_trace(read_run_file(run_dir, "traces"), out_path)

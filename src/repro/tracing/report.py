@@ -9,7 +9,6 @@ drill-down into the e2e distribution.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
@@ -19,27 +18,16 @@ from .critical_path import (
     critical_path,
     render_critical_path,
 )
-from .events import load_trace_jsonl
 
 __all__ = ["trace_report"]
 
 
-def _record_labels(run_dir: Path) -> dict[int, str]:
-    """``invocation_id -> "function (outcome)"`` from records.jsonl."""
-    labels: dict[int, str] = {}
-    records_path = run_dir / "records.jsonl"
-    if not records_path.exists():
-        return labels
-    with open(records_path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            r = json.loads(line)
-            rid = r.get("invocation_id")
-            if rid is not None:
-                labels[rid] = f"{r.get('function')} ({r.get('outcome')})"
-    return labels
+def _record_labels(records: list[dict]) -> dict[int, str]:
+    """``invocation_id -> "function (outcome)"`` from records.jsonl rows."""
+    return {
+        r["invocation_id"]: f"{r.get('function')} ({r.get('outcome')})"
+        for r in records if r.get("invocation_id") is not None
+    }
 
 
 def _nearest_rank(sorted_values: list, pct: float):
@@ -54,20 +42,20 @@ def _nearest_rank(sorted_values: list, pct: float):
 def trace_report(run_dir: Union[str, Path], top: int = 5,
                  percentile: Optional[float] = None) -> str:
     """Render the causal-trace report for a run directory."""
-    from ..telemetry.runs import _table   # deferred: avoids import-order knots
+    # Deferred: avoids import-order knots.
+    from ..telemetry.runs import RUN_FILES, _table, read_run_file
 
     run_dir = Path(run_dir)
-    traces_path = run_dir / "traces.jsonl"
-    if not traces_path.exists():
+    if not (run_dir / RUN_FILES["traces"]).exists():
         return (
             f"no traces.jsonl under {run_dir} — this run was not traced.\n"
             "Re-run with tracing enabled, e.g.:\n"
             "  repro --telemetry DIR cluster-study --trace\n"
         )
-    events = load_trace_jsonl(traces_path)
+    events = read_run_file(run_dir, "traces")
     trees = build_traces(events)
     paths = [critical_path(t) for t in trees]
-    labels = _record_labels(run_dir)
+    labels = _record_labels(read_run_file(run_dir, "records"))
     completed = [p for p in paths if p.breakdown is not None]
     rooted = sum(1 for p in paths if p.rooted)
 

@@ -28,7 +28,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tests.golden_scenario import GOLDEN_PATH, normalized, run_scenario
-from tests.test_cluster_shard import FUNCTIONS, GOLDEN_CONFIG, golden_plan
+from tests.test_cluster_shard import (
+    FUNCTIONS,
+    GOLDEN_CONFIG,
+    golden_plan,
+    sharded_golden,
+)
 from repro.cli import main
 from repro.cluster_shard import ShardingUnavailable, run_sharded_replay
 from repro.health import (
@@ -561,7 +566,6 @@ def _export_sharded(shards, run_dir):
     except ShardingUnavailable as exc:  # pragma: no cover - sandbox dependent
         pytest.skip(f"shard processes unavailable here: {exc}")
     outcome.telemetry.export(run_dir)
-    outcome.telemetry.cleanup()
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4])
@@ -572,6 +576,20 @@ def test_sharded_health_artifacts_byte_identical(health_run, tmp_path, shards):
     for name in ("health.json", "slo.jsonl", "health.prom"):
         assert (shard_dir / name).read_bytes() == \
             (serial_dir / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+def test_sharded_heartbeat_counts_epochs_walked(tmp_path, shards):
+    """The sharded beat's ``epoch`` counts seam epochs, not messages: the
+    final beat equals the flight log's ``seam_stats["epochs"]``."""
+    live = tmp_path / "live.jsonl"
+    outcome = sharded_golden(shards, telemetry_config=HEALTH_TC,
+                             live_path=live)
+    beats = read_live(live)
+    assert beats[-1]["done"] is True
+    assert beats[-1]["epoch"] == outcome.seam_stats["epochs"]
+    epochs = [b["epoch"] for b in beats]
+    assert epochs == sorted(epochs)
 
 
 def test_live_heartbeats_from_serial_run(health_run):

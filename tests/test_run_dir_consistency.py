@@ -58,7 +58,6 @@ def _sharded_chbl_run(run_dir):
     except ShardingUnavailable as exc:  # pragma: no cover - sandbox dependent
         pytest.skip(f"shard processes unavailable here: {exc}")
     outcome.telemetry.export(run_dir)
-    outcome.telemetry.cleanup()
     return run_dir
 
 
