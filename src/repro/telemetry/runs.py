@@ -204,10 +204,10 @@ class Telemetry:
 
         def traces():
             if not self.config.trace:
-                return
+                return iter(())
             from ..tracing.events import derive_trace_events
 
-            yield from derive_trace_events(
+            return derive_trace_events(
                 ((w.name, ctx) for w in workers for ctx in w.lifecycle.contexts),
                 root=self.trace_root,
                 shard=shard,
