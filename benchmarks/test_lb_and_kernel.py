@@ -1,21 +1,17 @@
-"""Load-balancer ablation and control-plane throughput benchmarks.
+"""Load-balancer ablation benchmarks.
 
 Two extension benchmarks beyond the paper's figures:
 
 * CH-BL bound-factor sensitivity — the locality/spillover tradeoff the
   design section argues about;
-* control-plane throughput — how many invocations per wall-second the
-  Python reproduction pushes through the full worker path with the null
-  backend (the paper's "each worker can simulate 100s of cores" claim,
-  measured for this implementation).
+* the placement-policy comparison under memory pressure.
+
+How fast the simulator pushes invocations through the control plane is
+measured by the performance ledger (``benchmarks/ledger``), not here.
 """
 
-import time
-
-from repro import Environment, Worker, WorkerConfig
 from repro.experiments import format_table
 from repro.experiments.lb_ablation import run_lb_ablation, run_lb_policy_comparison
-from repro.workloads import lookbusy_function
 
 
 def test_chbl_bound_factor_ablation(benchmark, artifact):
@@ -48,37 +44,3 @@ def test_lb_policy_comparison(benchmark, artifact):
     assert by_policy["ch_bl"]["warm_ratio"] > by_policy["round_robin"]["warm_ratio"]
     for r in rows:
         assert r["completed"] > 0
-
-
-def test_control_plane_throughput(benchmark, artifact):
-    """Wall-clock throughput of the full invoke path (null backend)."""
-
-    def drive(n_invocations: int = 4000) -> float:
-        env = Environment()
-        worker = Worker(
-            env,
-            WorkerConfig(cores=512, memory_mb=262_144.0, backend="null",
-                         bypass_enabled=False),
-        )
-        worker.start()
-        f = lookbusy_function("tp", run_time=0.01, memory_mb=64.0)
-        worker.register_sync(f)
-        start = time.perf_counter()
-        events = [worker.async_invoke("tp.1") for _ in range(n_invocations)]
-        env.run(until=600.0)
-        elapsed = time.perf_counter() - start
-        worker.stop()
-        assert all(e.triggered and not e.value.dropped for e in events)
-        return n_invocations / elapsed
-
-    throughput = benchmark.pedantic(drive, rounds=1, iterations=1)
-    artifact(
-        "kernel_throughput",
-        format_table(
-            [{"invocations_per_wall_second": throughput}],
-            title="Control-plane throughput (null backend, 512 simulated cores)",
-        ),
-    )
-    # The in-situ simulator must sustain hundreds of invocations per
-    # wall-second for cluster-scale studies to be practical.
-    assert throughput > 200.0

@@ -3,7 +3,7 @@
 The coordinator drives the same push placement core as a single-process
 :class:`Cluster` — one :class:`~repro.loadbalancer.frontend.PushFrontEnd`
 owning the status board, the balancer, the placement counter and the
-pick/RPC spans — but reads the loads its shard processes report, because
+placement log — but reads the loads its shard processes report, because
 the workers live there.  It walks
 the invocation plan **epoch by epoch**: sync points (the arrivals where a
 single-process balancer would have read worker loads, precomputed by
@@ -15,10 +15,9 @@ indices — instead of one tuple per invocation.
 
 The sync request for the next epoch's boundary rides inside the current
 epoch's message, so shards simulate (and compute the next loads) while
-the coordinator is still slicing the following epoch and accounting this
-one's spans.  Span accounting itself is batched: the core places every
-arrival of a chunk, and when telemetry is on records the chunk's
-``lb_pick``/``lb_rpc`` spans and trace rows after the chunk is sent.
+the coordinator is still slicing the following epoch.  When telemetry is
+on, the placement log supplies the ``lb`` entry of each invocation's
+timeline row at export.
 
 Conservative-epoch synchronization: between two sync arrivals no load is
 read, so every shard holds all the information it needs to simulate up to

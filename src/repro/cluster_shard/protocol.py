@@ -45,11 +45,12 @@ shard → coordinator:
     balancer would read live.
 ``("part", kind, chunk)``
     One bounded chunk of a terminal result stream (``kind`` in
-    ``{"summaries", "seam", "records", "spans", "breakdowns",
-    "traces"}`` — the last only when ``TelemetryConfig(trace=True)``
-    opted the run into causal tracing); telemetry kinds arrive pre-sorted
-    by the merge key so the coordinator can k-way merge without
-    re-sorting.
+    ``{"summaries", "seam", "records", "breakdowns", "timeline"}``; the
+    telemetry kinds, the last three, only when the run has telemetry).
+    ``timeline`` rows are the shard's per-invocation rows (schema in
+    ``tracing/events.py``), without the LB entries the coordinator joins
+    from its placement log.  Telemetry kinds arrive pre-sorted by the
+    merge key so the coordinator can k-way merge without re-sorting.
 ``("result", payload)``
     Terminal message after all parts: per-worker record counts plus the
     small telemetry leftovers (metric registries, gauge series, sample

@@ -69,10 +69,8 @@ def _run_shard(conn, spec: ShardSpec) -> None:
 
         telemetry = Telemetry(env, spec.telemetry)
         if spec.telemetry.trace:
-            # The pick-side events come from the coordinator; this shard's
-            # stage chains hang under the seam's forward hop, and its
-            # worker-side events and spans carry the shard's index.
-            telemetry.trace_root = "lb_rpc"
+            # The LB entries come from the coordinator's placement log;
+            # this shard's timeline rows carry the shard's index.
             telemetry.shard = spec.index
         for w in workers.values():
             telemetry.attach_worker(w)
@@ -157,9 +155,9 @@ def _run_shard(conn, spec: ShardSpec) -> None:
         from ..telemetry.export import PART_STREAMS
 
         # The coordinator merges this part with the other shards' and its
-        # placement log.  Worker spans carry the shard index only when
+        # placement log.  Timeline rows carry the shard index only when
         # tracing asked for it (telemetry.shard), so untraced sharded
-        # exports stay byte-identical to serial ones.
+        # views stay equal to serial ones.
         part = telemetry.part()
         for kind in PART_STREAMS:
             _stream_parts(conn, kind, part.stream(kind))

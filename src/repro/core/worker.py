@@ -191,9 +191,9 @@ class Worker:
 
         ``invocation_id`` presets the id instead of drawing from the
         process-global counter — push clusters (serial and sharded) pass
-        the placement ordinal, so both engines number invocations alike
-        and a repeated run reproduces its ids; standalone callers leave
-        it unset.
+        the placement ordinal and pull clusters the claim ordinal, so a
+        repeated run reproduces its ids; standalone callers leave it
+        unset.
 
         ``offered_at`` marks a pull-dispatch claim: the invocation was
         offered to the cluster queue at that (earlier) time, so it becomes

@@ -91,8 +91,11 @@ class PullEngine:
             offer.claimed_at = env.now
             offer.claimed_by = name
             self.placements += 1
+            # The claim ordinal is the invocation id, so a repeated run
+            # reproduces its ids (push numbers by placement ordinal).
             inner = worker.async_invoke(
-                offer.fqdn, offer.args, offered_at=offer.offered_at
+                offer.fqdn, offer.args, invocation_id=self.placements,
+                offered_at=offer.offered_at,
             )
             self._claims[inner] = (name, request, offer)
             inner.callbacks.append(self._finish)

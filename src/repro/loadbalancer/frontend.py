@@ -11,20 +11,19 @@ the two engines cannot drift apart on any of them.
 
 :meth:`PushFrontEnd.place` picks the worker, counts the placement and,
 when observed, appends one ``(t, fqdn, target)`` entry to the placement
-log.  That log is the LB's only record: the ``lb_pick``/``lb_rpc`` spans
-(:func:`placement_spans`) and trace events are derived from it at
-export.  :func:`forward_hop` is the LB→worker RPC hop both engines start
-after a placement.
+log.  That log is the LB's only record: it supplies the ``lb`` entry of
+each invocation's timeline row at export, from which the ``lb_pick``/
+``lb_rpc`` spans and trace events are derived.  :func:`forward_hop` is
+the LB→worker RPC hop both engines start after a placement.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Optional
 
-from ..metrics.spans import Span
 from .policies import StatusBoard, make_balancer
 
-__all__ = ["PushFrontEnd", "forward_hop", "load_signal", "placement_spans"]
+__all__ = ["PushFrontEnd", "forward_hop", "load_signal"]
 
 
 def load_signal(workers: dict) -> Callable[[str], float]:
@@ -47,16 +46,6 @@ def forward_hop(env, latency, worker, fqdn, args, invocation_id, done,
         seam.append((invocation_id - 1, env.now))
     inv = yield worker.async_invoke(fqdn, args, invocation_id=invocation_id)
     done.succeed(inv)
-
-
-def placement_spans(log: Iterable, rpc_latency: float) -> Iterator[Span]:
-    """The LB's spans, derived from a placement log in log order: an
-    ``lb_pick`` span tagged with the function and, when the RPC hop is
-    modelled, an ``lb_rpc`` span tagged with the target worker."""
-    for t, fqdn, target in log:
-        yield Span("lb_pick", t, t, fqdn)
-        if rpc_latency > 0:
-            yield Span("lb_rpc", t, t + rpc_latency, target)
 
 
 class PushFrontEnd:

@@ -2,7 +2,7 @@
 
 from .energy import EnergyModel, EnergyMonitor
 from .registry import InvocationRecord, MetricsRegistry, Outcome
-from .spans import SPAN_GROUPS, Span, dump_spans_jsonl, load_spans_jsonl
+from .spans import SPAN_GROUPS, Span
 from .stats import LatencySummary, OnlineStats, bin_timeseries, percentile, summarize
 
 __all__ = [
@@ -13,8 +13,6 @@ __all__ = [
     "Outcome",
     "SPAN_GROUPS",
     "Span",
-    "dump_spans_jsonl",
-    "load_spans_jsonl",
     "LatencySummary",
     "OnlineStats",
     "bin_timeseries",

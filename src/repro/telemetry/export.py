@@ -11,9 +11,6 @@ series, and is the only code that writes a run directory:
 ``timeseries.jsonl``  sampled gauge rows, one JSON object per line,
                       ``series`` keying the worker (plus ``lb`` for the
                       status-board load signal)
-``spans.jsonl``       merged spans (workers' derived from the lifecycle
-                      contexts' intervals, the load balancer's from its
-                      placement log)
 ``records.jsonl``     per-invocation records
 ``metrics.prom``      Prometheus text-format snapshot of the merged
                       registries
@@ -21,10 +18,12 @@ series, and is the only code that writes a run directory:
                       summaries and the phase decomposition
 =================  ====================================================
 
-plus ``traces.jsonl``, ``flight.json`` and the health files when the run
-produced them.  Every distribution, the health grade and the trace trees
-are derived here from the merged streams; nothing feeds them while the
-simulation runs.
+plus ``traces.jsonl`` (the per-invocation timeline, one row per
+invocation id; schema in :mod:`repro.tracing.events`) when the run was
+traced, and ``flight.json`` and the health files when the run produced
+them.  Every distribution and the health grade are derived here from the
+merged streams, and span and trace-event views from the timeline rows;
+nothing feeds them while the simulation runs.
 
 Each part stream is sorted by its merge key, so every merged view is a
 k-way ``heapq.merge``.  ``heapq.merge`` is stable (the earlier stream
@@ -43,12 +42,11 @@ import heapq
 import itertools
 import json
 import os
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from ..loadbalancer.frontend import placement_spans
 from ..metrics.registry import MetricsRegistry
-from ..metrics.spans import dump_spans_jsonl
 from .decomposition import BREAKDOWN_KEY, breakdown_rows, match_records
 from .distributions import latency_distributions
 from .exporters import (
@@ -61,7 +59,7 @@ from .sampler import TelemetryConfig
 __all__ = [
     "RUN_FILES",
     "RECORD_KEY",
-    "SPAN_KEY",
+    "TIMELINE_KEY",
     "PART_STREAMS",
     "TelemetryPart",
     "MergedTelemetry",
@@ -70,7 +68,7 @@ __all__ = [
     "build_manifest",
 ]
 
-# Canonical run-directory layout (name → filename).  The first five are
+# Canonical run-directory layout (name → filename).  The first four are
 # always written; the rest only when the run produced them ("traces" when
 # tracing was enabled, "flight" when the sharded coordinator recorded its
 # flight log, "health"/"slo"/"health_prom" when the health layer was on,
@@ -78,7 +76,6 @@ __all__ = [
 # written.
 RUN_FILES = {
     "timeseries": "timeseries.jsonl",
-    "spans": "spans.jsonl",
     "records": "records.jsonl",
     "metrics": "metrics.prom",
     "summary": "summary.json",
@@ -90,15 +87,14 @@ RUN_FILES = {
     "live": "live.jsonl",
     "manifest": "manifest.json",
 }
-_CORE_FILES = ("timeseries", "spans", "records", "metrics", "summary")
+_CORE_FILES = ("timeseries", "records", "metrics", "summary")
 
-# Merge keys of the record and span streams; breakdowns merge under
-# decomposition.BREAKDOWN_KEY and trace events under
-# tracing.events.TRACE_KEY.
+# Merge keys of the record and timeline streams; breakdowns merge under
+# decomposition.BREAKDOWN_KEY.
 RECORD_KEY = lambda r: (r.arrival, r.invocation_id)  # noqa: E731
-SPAN_KEY = lambda s: (s.start, s.end, s.name)  # noqa: E731
+TIMELINE_KEY = itemgetter("id")
 
-PART_STREAMS = ("records", "spans", "breakdowns", "traces")
+PART_STREAMS = ("records", "breakdowns", "timeline")
 
 
 class TelemetryPart:
@@ -145,7 +141,7 @@ class MergedTelemetry:
 
     ``placement_log`` is the push front end's ``(t, fqdn, target)`` log
     in placement order (empty for pull dispatch and worker-only runs);
-    the LB spans and trace events derive from it here.  ``lb_loads`` is
+    it supplies the timeline rows' LB entries.  ``lb_loads`` is
     the balancer-visible load series.  ``flight`` is the sharded
     coordinator's flight log, written as ``flight.json``.  The views are
     lists; the ``iter_*`` variants stream the merge without
@@ -175,52 +171,43 @@ class MergedTelemetry:
         return config.collector(self.iter_records())
 
     # -- streams (merge-key order, never materialized) ----------------------
-    def _merge(self, kind: str, *extra: Iterable, key) -> Iterator:
-        return heapq.merge(*(p.stream(kind) for p in self._parts), *extra,
-                           key=key)
+    def _merge(self, kind: str, key) -> Iterator:
+        return heapq.merge(*(p.stream(kind) for p in self._parts), key=key)
 
     def iter_records(self) -> Iterator:
         return self._merge("records", key=RECORD_KEY)
 
-    def iter_spans(self) -> Iterator:
-        # The LB spans come in placement order, which is *not*
-        # start-sorted when arrivals share a timestamp (a pick span (t, t)
-        # sorts before the previous arrival's rpc span (t, t+latency)).
-        lb_spans = sorted(
-            placement_spans(self.placement_log, self.rpc_latency),
-            key=SPAN_KEY,
-        )
-        return self._merge("spans", lb_spans, key=SPAN_KEY)
-
     def iter_breakdowns(self) -> Iterator:
         return self._merge("breakdowns", key=BREAKDOWN_KEY)
 
-    def iter_trace_events(self) -> Iterator:
-        """The parts' worker-side trace events and the LB events derived
-        from the placement log, in ``(trace_id, seq)`` order (LB seqs 0/1
-        lead each tree); empty unless ``config.trace`` is set."""
-        if not self.config.trace:
-            return iter(())
-        from ..tracing.events import TRACE_KEY, derive_trace_events
-
-        return self._merge(
-            "traces",
-            derive_trace_events((), self.placement_log, self.rpc_latency),
-            key=TRACE_KEY,
-        )
+    def iter_timeline(self) -> Iterator[dict]:
+        """The run's timeline rows in id order: the parts' context rows
+        outer-joined with the placement log, whose ordinals are ids."""
+        rows = self._merge("timeline", key=TIMELINE_KEY)
+        if not self.placement_log:
+            return rows
+        return _join_placements(rows, self.placement_log, self.rpc_latency)
 
     # -- views -------------------------------------------------------------
     def records(self) -> list:
         return list(self.iter_records())
 
     def spans(self) -> list:
-        return list(self.iter_spans())
+        from ..tracing.events import derive_spans
+
+        return derive_spans(self.iter_timeline(), self.worker_names)
 
     def breakdowns(self) -> list:
         return list(self.iter_breakdowns())
 
     def trace_events(self) -> list:
-        return list(self.iter_trace_events())
+        """The run's causal trace events in ``(trace_id, seq)`` order;
+        empty unless ``config.trace`` is set."""
+        if not self.config.trace:
+            return []
+        from ..tracing.events import derive_trace_events
+
+        return list(derive_trace_events(self.iter_timeline()))
 
     def _registry(self) -> MetricsRegistry:
         """Counters summed, gauges worker-prefixed, in worker order."""
@@ -252,7 +239,7 @@ class MergedTelemetry:
     # -- export ------------------------------------------------------------
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:
         """Write the run directory; returns {kind: path}.  The summary's
-        transient pass comes first; the record, span and trace files then
+        transient pass comes first; the record and timeline files then
         stream straight off the merged iterators."""
         series: dict = {}
         for part in self._parts:
@@ -265,16 +252,37 @@ class MergedTelemetry:
             config=self.config,
             worker_names=self.worker_names,
             series=series,
-            spans=self.iter_spans(),
             records=self.iter_records(),
             registry=self._registry(),
             summary=summary,
             histograms=histograms,
             health=self.health,
-            traces=self.iter_trace_events() if self.config.trace else None,
+            timeline=self.iter_timeline() if self.config.trace else None,
             flight=self.flight,
             shards=len(self._parts),
         )
+
+
+def _join_placements(rows: Iterator[dict], log,
+                     rpc_latency: float) -> Iterator[dict]:
+    """Outer-join id-ordered context ``rows`` with a placement log: entry
+    ``k`` (1-based) becomes invocation ``k``'s ``lb`` entry, on its context
+    row or on a row of its own when no worker opened a context for it
+    (the RPC hop was still in flight at the horizon)."""
+    row = next(rows, None)
+    for k, (t, fqdn, target) in enumerate(log, 1):
+        while row is not None and row["id"] < k:
+            yield row
+            row = next(rows, None)
+        lb = [t, fqdn, target, t + rpc_latency if rpc_latency > 0 else None]
+        if row is not None and row["id"] == k:
+            yield {**row, "lb": lb}
+            row = next(rows, None)
+        else:
+            yield {"id": k, "lb": lb}
+    if row is not None:
+        yield row
+        yield from rows
 
 
 def write_run_dir(
@@ -283,13 +291,12 @@ def write_run_dir(
     config: TelemetryConfig,
     worker_names: list,
     series: dict,
-    spans,
     records,
     registry: MetricsRegistry,
     summary: dict,
     histograms: dict,
     health=None,
-    traces=None,
+    timeline=None,
     flight: Optional[dict] = None,
     shards: int = 1,
 ) -> dict[str, Path]:
@@ -299,19 +306,17 @@ def write_run_dir(
 
     ``summary`` and ``histograms`` come from :func:`build_summary`;
     ``health`` is the run's :class:`~repro.health.HealthCollector`
-    (``None`` when health is off).  ``spans``, ``records`` and ``traces``
-    may be any single-pass iterables (each is walked exactly once,
-    straight onto disk).  The optional artifacts are written (and
-    included in the returned paths) only when supplied, so a tracing-off
-    export stays byte-identical to earlier layouts apart from the
-    provenance manifest.
+    (``None`` when health is off).  ``records`` and ``timeline`` (the
+    timeline rows, written as ``traces.jsonl``) may be any single-pass
+    iterables (each is walked exactly once, straight onto disk).  The
+    optional artifacts are written (and included in the returned paths)
+    only when supplied.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
     paths = {k: run_dir / RUN_FILES[k] for k in _CORE_FILES}
 
     dump_timeseries_jsonl(series, paths["timeseries"])
-    dump_spans_jsonl(spans, paths["spans"])
 
     with open(paths["records"], "w") as fh:
         for r in records:
@@ -335,11 +340,13 @@ def write_run_dir(
         json.dump(summary, fh, indent=2)
         fh.write("\n")
 
-    if traces is not None:
-        from ..tracing.events import dump_trace_jsonl
-
+    if timeline is not None:
         paths["traces"] = run_dir / RUN_FILES["traces"]
-        dump_trace_jsonl(traces, paths["traces"])
+        dumps = json.JSONEncoder(separators=(",", ":")).encode
+        with open(paths["traces"], "w") as fh:
+            for row in timeline:
+                fh.write(dumps(row))
+                fh.write("\n")
     if flight is not None:
         paths["flight"] = run_dir / RUN_FILES["flight"]
         with open(paths["flight"], "w") as fh:
@@ -379,7 +386,7 @@ def build_summary(
     breakdowns, and the :func:`latency_distributions` it summarizes
     (``metrics.prom`` renders them); called by
     :class:`MergedTelemetry` alone.  The export calls this before it
-    walks the span stream, so the lists need not outlive it."""
+    walks the timeline, so the lists need not outlive it."""
     histograms = latency_distributions(records, breakdowns)
     outcomes: dict[str, int] = {}
     for r in records:
@@ -443,7 +450,7 @@ def build_manifest(
     from .. import __version__
 
     return {
-        "schema": 1,
+        "schema": 2,
         "version": __version__,
         "config_hash": hashlib.sha256(payload.encode()).hexdigest()[:16],
         "config": cfg,

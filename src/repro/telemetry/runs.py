@@ -15,12 +15,13 @@ a build without this package.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Union
 
-from ..metrics.spans import Span, load_spans_jsonl
+from ..metrics.spans import Span
 from .decomposition import decompose_contexts
-from .export import RECORD_KEY, RUN_FILES, SPAN_KEY, MergedTelemetry, TelemetryPart
+from .export import RECORD_KEY, RUN_FILES, MergedTelemetry, TelemetryPart
 from .sampler import TelemetryConfig, TelemetrySampler, Timeseries
 
 __all__ = [
@@ -38,18 +39,15 @@ class Telemetry:
     -retention switch on the target's existing lifecycle, so the
     instrumentation already woven through the worker starts keeping data
     — no new callbacks enter the invocation path.  The retained contexts'
-    ``intervals`` are the run's one per-invocation timeline (:meth:`spans`,
-    :meth:`breakdowns` and, with ``stage_times``, the trace trees are
-    derived from them), the push front end's placement log is the LB's,
-    and the registries' records are its one outcome log: the latency
-    distributions and the health collector are built from them by
-    :meth:`export`.
+    ``stage_times`` and ``intervals``, joined with the push front end's
+    placement log, are the run's one per-invocation timeline (the
+    ``traces.jsonl`` rows; :meth:`spans`, :meth:`trace_events` and
+    :meth:`breakdowns` are derived from them), and the registries'
+    records are its one outcome log: the latency distributions and the
+    health collector are built from them by :meth:`export`.
 
-    Two attributes shape the derived trace trees: ``trace_root``, the LB
-    event each stage chain hangs under (set by :meth:`attach_cluster` for
-    a push cluster; ``None`` roots the chain at ``admit``), and ``shard``,
-    the index a cluster-shard engine stamps on worker-side events and
-    spans of a traced run.
+    ``shard`` is the index a cluster-shard engine stamps on the timeline
+    rows of a traced run.
     """
 
     def __init__(self, env, config: Optional[TelemetryConfig] = None):
@@ -62,7 +60,6 @@ class Telemetry:
         )
         self._workers: list = []
         self._front = None   # the attached push cluster's front end
-        self.trace_root: Optional[str] = None
         self.shard: Optional[int] = None
         # Active dispatch policy description; set by attach_cluster
         # (worker-only pipelines have no placement layer to describe).
@@ -88,11 +85,9 @@ class Telemetry:
             self.attach_worker(worker)
         if front is not None:
             # The push front end logs its placements and publishes the
-            # load values the balancer actually acted on; worker stage
-            # chains hang under whichever LB span is last.
+            # load values the balancer actually acted on.
             self._front = front
             front.observe([], self.sampler.record_lb_load)
-            self.trace_root = "lb_rpc" if front.rpc_latency > 0 else "lb_pick"
         self.dispatch_info = cluster.dispatch_info()
 
     def start(self) -> None:
@@ -170,16 +165,12 @@ class Telemetry:
     def series(self) -> dict[str, Timeseries]:
         return self.sampler.series
 
-    def _contexts(self) -> list:
-        return [ctx for w in self._workers for ctx in w.lifecycle.contexts]
-
     def part(self) -> TelemetryPart:
         """The attached workers' share of the run, as one
         :class:`TelemetryPart`: each stream is derived from the workers'
-        records and retained contexts when it is walked.  Spans (one per
-        retained context interval, in-flight invocations included) are
-        tagged with the invocation id; spans and trace events carry
-        :attr:`shard`."""
+        records and retained contexts when it is walked.  The timeline
+        holds one row per retained context (in-flight invocations
+        included), in id order; rows carry :attr:`shard` when it is set."""
         workers = self._workers
         shard = self.shard
 
@@ -188,34 +179,27 @@ class Telemetry:
             out.sort(key=RECORD_KEY)
             yield from out
 
-        def spans():
-            out: list[Span] = []
-            for ctx in self._contexts():
-                tag = str(ctx.inv.id)
-                out.extend(
-                    Span(name, start, end, tag, shard)
-                    for name, start, end in ctx.intervals
-                )
-            out.sort(key=SPAN_KEY)
-            yield from out
-
         def breakdowns():
-            yield from decompose_contexts(self._contexts())
+            yield from decompose_contexts(
+                [ctx for w in workers for ctx in w.lifecycle.contexts])
 
-        def traces():
-            if not self.config.trace:
-                return iter(())
-            from ..tracing.events import derive_trace_events
-
-            return derive_trace_events(
-                ((w.name, ctx) for w in workers for ctx in w.lifecycle.contexts),
-                root=self.trace_root,
-                shard=shard,
-            )
+        def timeline():
+            owned = [(ctx.inv.id, w.name, ctx)
+                     for w in workers for ctx in w.lifecycle.contexts]
+            owned.sort(key=itemgetter(0))
+            for tid, worker, ctx in owned:
+                row = {"id": tid, "worker": worker}
+                if shard is not None:
+                    row["shard"] = shard
+                row["stage_times"] = [[name, *times] for name, times
+                                      in ctx.stage_times.items()]
+                row["intervals"] = ctx.intervals
+                row["closed"] = ctx.outcome is not None
+                yield row
 
         return TelemetryPart(
-            {"records": records, "spans": spans, "breakdowns": breakdowns,
-             "traces": traces},
+            {"records": records, "breakdowns": breakdowns,
+             "timeline": timeline},
             metrics=[(w.name, w.metrics.counters, w.metrics.gauges)
                      for w in workers],
             series=dict(self.sampler.series),
@@ -285,7 +269,6 @@ def _traces(path: Path) -> list:
 _READERS = {
     "summary": (_json, dict),
     "records": (_jsonl, list),
-    "spans": (load_spans_jsonl, list),
     "timeseries": (_jsonl, list),
     "metrics": (Path.read_text, str),
     "manifest": (_json, dict),
@@ -307,7 +290,7 @@ def read_run_file(run_dir: Union[str, Path], kind: str):
 def load_run(run_dir: Union[str, Path]) -> dict:
     """Read a telemetry run directory back into memory.
 
-    Returns ``{"summary", "records", "spans", "timeseries", "metrics_text",
+    Returns ``{"summary", "records", "timeseries", "metrics_text",
     "manifest", "flight", "traces", "health", "slo"}`` with missing files
     mapped to empty values, so partially exported directories still
     inspect cleanly.

@@ -1,16 +1,35 @@
-"""Causal trace events: the one record type the tracing pipeline speaks.
+"""Causal trace events and spans: views of the per-invocation timeline.
+
+A run's one per-invocation record is its *timeline* (``traces.jsonl``):
+one row per invocation id, the outer join of the push front end's
+placement log and the retained lifecycle contexts, in id order.  A row
+is a JSON object with
+
+* ``id`` — the invocation id (the placement ordinal on push clusters,
+  the claim ordinal on pull ones);
+* ``lb`` — ``[t, fqdn, target, rpc_end]`` when the front end placed the
+  invocation: pick time, function, target worker and the end of the
+  modelled LB→worker hop (``null`` when the hop is not modelled);
+* ``worker``, ``stage_times`` (``[name, t0, t1|null]`` in stage-enter
+  order), ``intervals`` (``[name, t0, t1]`` in recording order) and
+  ``closed`` (the context reached a terminal stage) — when a worker
+  opened a context for it, including one cut off at the horizon;
+* ``shard`` — the owning shard index on traced sharded runs.
+
+:class:`TraceEvent` and :class:`~repro.metrics.spans.Span` lists are
+views derived from rows by :func:`derive_trace_events` and
+:func:`derive_spans`; nothing builds either while a run executes or
+while it exports.
 
 A trace is the set of events sharing an invocation's ``trace_id`` (the
-invocation id itself — already globally unique and already stamped on
-records, spans, and breakdown tags, so traces join against every other
-telemetry artifact for free).  Within a trace, ``seq`` orders events in
-causal-emission order and ``parent`` names the event the span causally
-hangs under:
+invocation id itself, already stamped on records and breakdown tags).
+Within a trace, ``seq`` orders events in causal-emission order and
+``parent`` names the event the span causally hangs under:
 
 * ``lb`` events (``lb_pick`` → ``lb_rpc``) root the trace at the load
-  balancer (seq 0 and 1, reserved whenever the stage chain hangs under
-  an LB root; a run without a placement log — pull dispatch, a
-  standalone worker — roots the chain at ``admit`` with seq 0);
+  balancer (seq 0 and 1, reserved whenever the row has an LB entry; a
+  row without one — pull dispatch, a standalone worker — roots the
+  chain at ``admit`` with seq 0);
 * ``stage`` events mirror the lifecycle pipeline's stage walk (admit →
   enqueue → dispatch → acquire → warm/cold_create → execute → terminal),
   each parented on its predecessor so the stage chain *is* the causal
@@ -19,20 +38,11 @@ hangs under:
   decomposes (``exec``, ``cold_create``, ``add_item_to_q``, …), parented
   on their owning stage via :data:`COMPONENT_STAGE`.
 
-Nothing builds events while a run executes.  :func:`derive_trace_events`
-builds them at export from the two records a run already keeps: the
-retained lifecycle contexts (``stage_times`` and ``intervals``) and the
-push front end's placement log.
-
-Events are frozen and totally ordered by ``(trace_id, seq)`` — the merge
-key the cluster-shard seam streams them under, exactly like records and
-spans.  The JSONL form omits ``None`` fields, so serial and sharded runs
-serialize identically except for the shard attribution.
+Events are frozen and totally ordered by ``(trace_id, seq)``.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -48,18 +58,15 @@ from ..core.lifecycle import (
     EXECUTE,
     WARM,
 )
+from ..metrics.spans import Span
 
 __all__ = [
     "TraceEvent",
-    "TRACE_KEY",
     "COMPONENT_STAGE",
     "derive_trace_events",
-    "dump_trace_jsonl",
+    "derive_spans",
     "load_trace_jsonl",
 ]
-
-# Canonical stream/merge order, matching the seam's other telemetry keys.
-TRACE_KEY = lambda e: (e.trace_id, e.seq)  # noqa: E731
 
 # Which lifecycle stage owns each component interval (the parent link for
 # ``component`` events).  Mirrors the recording sites in core/lifecycle.py.
@@ -103,128 +110,94 @@ class TraceEvent:
 
 
 # Seq slots 0/1 are reserved for lb_pick/lb_rpc; worker-side events start
-# after them whenever the trace is rooted at a load balancer.
+# after them whenever the row has an LB entry.
 _LB_SEQS = 2
 
 
-def derive_trace_events(
-    contexts: Iterable = (),
-    placements: Sequence = (),
-    rpc_latency: float = 0.0,
-    root: Optional[str] = None,
-    shard: Optional[int] = None,
-) -> Iterator[TraceEvent]:
-    """Yield a run's trace events in canonical ``(trace_id, seq)`` order.
+def derive_trace_events(rows: Iterable[dict]) -> Iterator[TraceEvent]:
+    """Yield the trace events of timeline ``rows`` (in id order), so in
+    canonical ``(trace_id, seq)`` order.
 
-    ``contexts`` are ``(worker name, InvocationContext)`` pairs; only
-    contexts that reached a terminal stage (``outcome`` set) yield a tree.
-    ``placements`` is a push front end's log of ``(t, fqdn, target)``
-    entries, whose trace id is the placement ordinal: each yields an
-    ``lb_pick`` event and, when ``rpc_latency > 0``, an ``lb_rpc`` one.
-    ``root`` names the LB event the first stage hangs under (``None``
-    roots the stage chain itself); ``shard`` stamps the worker-side events.
+    An LB entry yields ``lb_pick`` and, when the hop is modelled,
+    ``lb_rpc``; the stage chain hangs under the last of them.  Only a
+    closed row yields its stage and component events: stages in
+    ``stage_times`` order, where a stage the pipeline never exited —
+    EXECUTE on the timeout path — borrows the next stage's enter time as
+    its end, falling back to the terminal stamp; then the component
+    intervals in recording order, each parented on its owning stage.
+    Events are built positionally: keyword construction of the frozen
+    dataclass costs about 40% more.
     """
-    stages = _stage_events(contexts, root, shard)
-    if not placements:
-        return stages
-    return heapq.merge(_lb_events(placements, rpc_latency), stages,
-                       key=TRACE_KEY)
-
-
-def _lb_events(placements, rpc_latency) -> Iterator[TraceEvent]:
-    for tid, (t, _fqdn, target) in enumerate(placements, 1):
-        yield TraceEvent(trace_id=tid, seq=0, name="lb_pick", kind="lb",
-                         start=t, end=t)
-        if rpc_latency > 0:
-            yield TraceEvent(trace_id=tid, seq=1, name="lb_rpc", kind="lb",
-                             start=t, end=t + rpc_latency, parent="lb_pick",
-                             worker=target)
-
-
-def _stage_events(contexts, root, shard) -> Iterator[TraceEvent]:
-    """Each closed context's stage chain, then its component intervals.
-
-    Stage events come out in ``stage_times`` insertion order (which is
-    stage-enter order); a stage the pipeline never exited — EXECUTE on
-    the timeout path — borrows the next stage's enter time as its end,
-    falling back to the terminal stamp.  Component events follow in
-    recording order, each parented on its owning stage.  Events are
-    built positionally: keyword construction of the frozen dataclass
-    costs about 40% more, paid once per stage and component interval.
-    """
-    closed = sorted(
-        ((name, ctx) for name, ctx in contexts if ctx.outcome is not None),
-        key=lambda pair: pair[1].inv.id,
-    )
-    first_seq = _LB_SEQS if root is not None else 0
-    for worker, ctx in closed:
-        tid = ctx.inv.id
-        parent = root
-        seq = first_seq
-        items = list(ctx.stage_times.items())
-        terminal_end = items[-1][1][1]
-        for i, (name, (t0, t1)) in enumerate(items):
+    for row in rows:
+        tid = row["id"]
+        parent = None
+        seq = 0
+        lb = row.get("lb")
+        if lb is not None:
+            t, _fqdn, target, rpc_end = lb
+            yield TraceEvent(tid, 0, "lb_pick", "lb", t, t)
+            parent = "lb_pick"
+            if rpc_end is not None:
+                yield TraceEvent(tid, 1, "lb_rpc", "lb", t, rpc_end,
+                                 "lb_pick", target)
+                parent = "lb_rpc"
+            seq = _LB_SEQS
+        if not row.get("closed"):
+            continue
+        worker = row["worker"]
+        shard = row.get("shard")
+        stages = row["stage_times"]
+        terminal_end = stages[-1][2]
+        for i, (name, t0, t1) in enumerate(stages):
             if t1 is None:
-                nxt = items[i + 1][1][0] if i + 1 < len(items) else terminal_end
+                nxt = stages[i + 1][1] if i + 1 < len(stages) else terminal_end
                 t1 = t0 if nxt is None else nxt
             yield TraceEvent(tid, seq, name, "stage", t0, t1, parent, worker,
                              shard)
             parent = name
             seq += 1
-        for name, t0, t1 in ctx.intervals:
+        for name, t0, t1 in row["intervals"]:
             yield TraceEvent(tid, seq, name, "component", t0, t1,
                              COMPONENT_STAGE.get(name), worker, shard)
             seq += 1
 
 
-def dump_trace_jsonl(events: Iterable[TraceEvent],
-                     path: Union[str, Path]) -> int:
-    """Write trace events as JSON lines in stream order, omitting ``None``
-    fields (serial and sharded runs produce the same bytes for the same
-    events, shard attribution aside).  ``events`` may be a lazy stream.
-    Returns the number of events written."""
-    dumps = json.dumps
-    count = 0
-    with open(path, "w") as fh:
-        for e in events:
-            row = {
-                "trace_id": e.trace_id,
-                "seq": e.seq,
-                "name": e.name,
-                "kind": e.kind,
-                "start": e.start,
-                "end": e.end,
-            }
-            if e.parent is not None:
-                row["parent"] = e.parent
-            if e.worker is not None:
-                row["worker"] = e.worker
-            if e.shard is not None:
-                row["shard"] = e.shard
-            fh.write(dumps(row))
-            fh.write("\n")
-            count += 1
-    return count
+def derive_spans(rows: Iterable[dict], workers: Sequence[str]) -> list[Span]:
+    """The spans of timeline ``rows`` in ``(start, end, name)`` order.
+
+    Every interval a worker finished is a span tagged with the invocation
+    id (in-flight invocations included); an LB entry yields an
+    ``lb_pick`` span tagged with the function and, when the hop is
+    modelled, an ``lb_rpc`` span tagged with the target.  Ties keep
+    cluster order: ``workers`` first, then invocation id, then recording
+    order.
+    """
+    rank = {name: i for i, name in enumerate(workers)}
+    owned = []
+    lb_spans = []
+    for row in rows:
+        if "worker" in row:
+            owned.append((rank[row["worker"]], row["id"], row.get("shard"),
+                          row["intervals"]))
+        if "lb" in row:
+            t, fqdn, target, rpc_end = row["lb"]
+            lb_spans.append(Span("lb_pick", t, t, fqdn))
+            if rpc_end is not None:
+                lb_spans.append(Span("lb_rpc", t, rpc_end, target))
+    owned.sort(key=lambda item: item[:2])
+    out: list[Span] = []
+    for _rank, tid, shard, intervals in owned:
+        tag = str(tid)
+        out.extend(Span(name, t0, t1, tag, shard)
+                   for name, t0, t1 in intervals)
+    out.extend(lb_spans)
+    out.sort(key=lambda s: (s.start, s.end, s.name))
+    return out
 
 
 def load_trace_jsonl(path: Union[str, Path]) -> list[TraceEvent]:
-    """Read events written by :func:`dump_trace_jsonl`."""
-    events: list[TraceEvent] = []
+    """The trace events of a ``traces.jsonl`` timeline."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            events.append(TraceEvent(
-                trace_id=data["trace_id"],
-                seq=data["seq"],
-                name=data["name"],
-                kind=data["kind"],
-                start=data["start"],
-                end=data["end"],
-                parent=data.get("parent"),
-                worker=data.get("worker"),
-                shard=data.get("shard"),
-            ))
-    return events
+        return list(derive_trace_events(
+            json.loads(line) for line in fh if line.strip()
+        ))

@@ -7,11 +7,14 @@ Two runs, each exported with tracing and health on:
 * ``pull``   — the same functions and arrivals on a ``pull_local``
   cluster, which has no placement log: trace trees root at ``admit``.
 
-Pull clusters number invocations from the process-global counter in
-``core.function``, so each run executes in a fresh ``spawn`` process
-where that counter starts at 1.  :func:`run_digests` returns the sha256
-of every exported file except ``manifest.json`` (it records the package
-version); ``tests/data/run_dir_digests.json`` holds the digests, and
+Push clusters number invocations by placement ordinal and pull clusters
+by claim ordinal, so both runs reproduce their ids in any process.
+:func:`run_digests` returns the sha256 of every exported file except
+``manifest.json`` (it records the package version).  The digests were
+pinned while run dirs held one ``traces.jsonl`` line per trace event and
+a ``spans.jsonl``; those two are rebuilt from the timeline rows
+(``tests/legacy_run_files.py``) and hashed.
+``tests/data/run_dir_digests.json`` holds the digests, and
 ``tests/test_run_dir_digests.py`` compares against them.
 
 Regenerate the fixture with ``PYTHONPATH=src python -m
@@ -22,9 +25,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing as mp
 import tempfile
 from pathlib import Path
+
+from tests.legacy_run_files import legacy_spans_jsonl, legacy_traces_jsonl
 
 DIGESTS_PATH = Path(__file__).parent / "data" / "run_dir_digests.json"
 RUNS = ("golden", "pull")
@@ -79,22 +83,22 @@ def _export(run: str, run_dir: str) -> None:
 
 
 def file_digests(run_dir) -> dict[str, str]:
-    """sha256 of every file in ``run_dir`` except ``manifest.json``."""
-    return {
-        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(Path(run_dir).iterdir())
-        if path.name != "manifest.json"
+    """sha256 of every file in ``run_dir`` except ``manifest.json``, with
+    ``traces.jsonl`` and ``spans.jsonl`` in their pre-timeline form."""
+    blobs = {
+        path.name: path.read_bytes()
+        for path in Path(run_dir).iterdir() if path.name != "manifest.json"
     }
+    blobs["traces.jsonl"] = legacy_traces_jsonl(run_dir)
+    blobs["spans.jsonl"] = legacy_spans_jsonl(run_dir)
+    return {name: hashlib.sha256(blobs[name]).hexdigest()
+            for name in sorted(blobs)}
 
 
 def run_digests(run: str) -> dict[str, str]:
-    """Export ``run`` in a fresh ``spawn`` process; its file digests."""
+    """Export ``run``; its file digests."""
     with tempfile.TemporaryDirectory(prefix="repro-digest-") as tmp:
-        proc = mp.get_context("spawn").Process(target=_export, args=(run, tmp))
-        proc.start()
-        proc.join()
-        if proc.exitcode != 0:
-            raise RuntimeError(f"{run} export exited with {proc.exitcode}")
+        _export(run, tmp)
         return file_digests(tmp)
 
 

@@ -374,7 +374,7 @@ def test_serial_and_sharded_front_ends_emit_the_same_streams():
 def test_repeated_serial_study_exports_identical_bytes(tmp_path):
     """Serial invocation ids are placement ordinals, not draws from a
     process-global counter: a second run in the same process exports the
-    same records, spans and traces, byte for byte."""
+    same records and timeline, byte for byte."""
     runs = []
     for name in ("first", "second"):
         run_dir = tmp_path / name
@@ -382,5 +382,5 @@ def test_repeated_serial_study_exports_identical_bytes(tmp_path):
                           cores_per_worker=4, shards=1,
                           telemetry_dir=str(run_dir), trace_invocations=True)
         runs.append(run_dir)
-    for name in ("records.jsonl", "spans.jsonl", "traces.jsonl"):
+    for name in ("records.jsonl", "traces.jsonl"):
         assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()

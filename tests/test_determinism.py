@@ -10,9 +10,7 @@ import numpy as np
 from repro import Environment, FunctionRegistration, Worker, WorkerConfig
 from repro.keepalive.simulator import simulate
 from repro.loadgen import FunctionMix, build_plan, replay_plan
-from repro.metrics import dump_spans_jsonl, load_spans_jsonl
 from repro.sim.distributions import Exponential
-from repro.telemetry import Telemetry
 from repro.trace import AzureTraceConfig, generate_dataset, standard_samples
 
 
@@ -66,22 +64,3 @@ def test_trace_generation_repeatable():
     for fn in a.counts:
         assert np.array_equal(a.counts[fn][0], b.counts[fn][0])
         assert np.array_equal(a.counts[fn][1], b.counts[fn][1])
-
-
-def test_span_jsonl_round_trip(tmp_path):
-    env = Environment()
-    worker = Worker(env, WorkerConfig(backend="null", cores=2,
-                                      memory_mb=2048.0))
-    telemetry = Telemetry(env)
-    telemetry.attach_worker(worker)
-    worker.start()
-    worker.register_sync(FunctionRegistration(name="f"))
-    env.run_process(worker.invoke("f.1"))
-    worker.stop()
-    spans = telemetry.spans()
-    path = tmp_path / "spans.jsonl"
-    written = dump_spans_jsonl(spans, path)
-    assert written == len(spans) > 0
-    loaded = load_spans_jsonl(path)
-    assert loaded == spans
-    assert loaded[0].duration >= 0

@@ -405,6 +405,19 @@ def test_sharded_replay_rejects_pull_before_spawning():
                            registrations=[reg], lb_policy="pull")
 
 
+def test_repeated_pull_run_exports_identical_bytes(tmp_path):
+    """Pull invocation ids are claim ordinals, not draws from a
+    process-global counter: a second traced ``pull_local`` run in the
+    same process exports the same records and timeline, byte for byte."""
+    from tests.run_dir_digests import _pull_export
+
+    runs = [tmp_path / "first", tmp_path / "second"]
+    for run_dir in runs:
+        _pull_export(run_dir)
+    for name in ("records.jsonl", "traces.jsonl"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
 # ------------------------------------------------------ inspect section
 
 def _export_run(tmp_path, lb_policy):

@@ -9,7 +9,7 @@ The repo's architecture is a strict layering (ROADMAP / DESIGN):
       ← dispatch, loadbalancer, baselines,
         provisioning                              (3: cluster layer)
       ← experiments, telemetry, cluster_shard,
-        cli, profile                              (4: harness)
+        cli                                       (4: harness)
 
 A module may import (at module level) only from its own layer or below.
 This guard walks every source file's AST and fails on upward imports, so
@@ -61,7 +61,6 @@ LAYERS = {
     "health": 4,
     "cluster_shard": 4,
     "cli": 4,
-    "profile": 4,
     "__init__": 4,
     "__main__": 4,
 }

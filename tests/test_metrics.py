@@ -144,19 +144,6 @@ def test_breakdown_table_grouping_and_order():
         ["invoke", "call_container", "custom_component"]
 
 
-def test_dump_jsonl_writes_all_spans(tmp_path):
-    from repro.metrics import Span, dump_spans_jsonl
-
-    # A lazy stream is written through without being materialized.
-    spans = (Span("invoke", float(i), i + 1.0, tag=f"inv-{i}") for i in range(3))
-    path = tmp_path / "spans.jsonl"
-    written = dump_spans_jsonl(spans, path)
-    lines = path.read_text().splitlines()
-    assert written == 3
-    assert len(lines) == 3
-    assert path.read_text().endswith("\n")
-
-
 # ----------------------------------------------------------------- registry
 def _record(outcome, cold=False, fn="f", overhead=0.001):
     return InvocationRecord(
@@ -297,20 +284,3 @@ def test_energy_monitor_integrates_known_schedule():
     joules = mon.finish()
     expected = 58.0 * 10 + 70.0 * 20 + 50.0 * 30
     assert joules == pytest.approx(expected)
-
-
-def test_span_jsonl_round_trip(tmp_path):
-    from repro.metrics import Span, dump_spans_jsonl, load_spans_jsonl
-
-    spans = [
-        Span("invoke", 0.0, 0.25, tag="1"),
-        Span("exec", 0.25, 0.25, tag="1"),      # zero-duration span
-        Span("lb_pick", 1.0, 1.001, tag=None),  # untagged
-        Span("dequeue", 2.0, 2.5, tag="weird tag with spaces"),
-    ]
-    path = tmp_path / "spans.jsonl"
-    assert dump_spans_jsonl(spans, path) == 4
-    loaded = load_spans_jsonl(path)
-    assert loaded == spans
-    assert loaded[1].duration == 0.0
-    assert loaded[2].tag is None

@@ -350,11 +350,13 @@ def test_untelemetered_replay_keeps_no_per_invocation_timing():
 
 
 def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
-    from repro.metrics import load_spans_jsonl
-
-    cluster, telemetry, invocations = _replay_chbl(TelemetryConfig())
+    """The exported timeline rows hold each context's intervals and each
+    placement's LB entry once; the ``spans()`` view derives the worker
+    and LB spans from them."""
+    cluster, telemetry, invocations = _replay_chbl(TelemetryConfig(trace=True))
     paths = telemetry.export(tmp_path / "run")
-    exported = load_spans_jsonl(paths["spans"])
+    rows = [json.loads(line) for line in paths["traces"].read_text().splitlines()]
+    exported = telemetry.spans()
     contexts = [ctx for w in cluster.workers.values()
                 for ctx in w.lifecycle.contexts]
     assert len(contexts) == len(invocations)
@@ -367,6 +369,12 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
     assert all(targets[k] == target
                for k, (_t, _fqdn, target) in enumerate(log, 1))
     rpc = cluster.rpc_latency
+    assert [row["id"] for row in rows] == list(range(1, len(log) + 1))
+    assert [row["lb"] for row in rows] == \
+        [[t, fqdn, target, t + rpc] for t, fqdn, target in log]
+    by_id = {ctx.inv.id: ctx for ctx in contexts}
+    assert all(row["intervals"] == [list(i) for i in by_id[row["id"]].intervals]
+               for row in rows)
     lb = [row for t, fqdn, target in log
           for row in (("lb_pick", t, t, fqdn), ("lb_rpc", t, t + rpc, target))]
     assert len(exported) == len(derived) + len(lb)
@@ -622,7 +630,7 @@ def test_export_load_run_and_inspect(tmp_path):
     run_dir = tmp_path / "run"
     paths = telemetry.export(run_dir)
     assert sorted(p.name for p in paths.values()) == [
-        "manifest.json", "metrics.prom", "records.jsonl", "spans.jsonl",
+        "manifest.json", "metrics.prom", "records.jsonl",
         "summary.json", "timeseries.jsonl",
     ]
     data = load_run(run_dir)

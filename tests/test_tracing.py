@@ -3,16 +3,17 @@
 The contract under test, in the order the PR's acceptance gates state it:
 
 * **Zero overhead when off** — with ``TelemetryConfig(trace=False)`` the
-  golden reduction, the exported file set, and the span JSONL bytes are
-  exactly what they were before tracing existed (manifest.json aside,
-  which is always written and deliberately timestamp-free).
+  golden reduction is exactly what it was before tracing existed, and
+  the run dir holds no per-invocation timeline.
 * **Rooted trees when on** — every invocation in the golden scenario
   yields one trace tree whose spine is an unbroken parent chain from the
   LB root to its terminal stage, serial and sharded alike; a pull run
   (no placement log) roots the chain at ``admit``.
-* **Built at export** — trace trees are derived from the retained
-  contexts and the placement log after the run: a traced replay holds
-  no ``TraceEvent``, and the exported bytes equal the pinned digests
+* **Built on demand** — trace trees are views of the timeline rows (the
+  retained contexts joined with the placement log): neither a traced
+  replay nor its export builds a ``TraceEvent`` or ``Span``, the export
+  writes one ``traces.jsonl`` row per invocation, and the old per-event
+  and per-span files rebuilt from those rows equal the pinned digests
   in ``tests/data/trace_digests.json``.
 * **Float-exact attribution** — the critical-path analyzer's per-phase
   sums equal ``Telemetry.breakdowns()`` (the ``decompose_contexts``
@@ -27,13 +28,16 @@ The contract under test, in the order the PR's acceptance gates state it:
 import gc
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from tests.golden_scenario import GOLDEN_PATH, normalized, reduce_run, run_scenario
+from tests.legacy_run_files import legacy_spans_jsonl, legacy_traces_jsonl
 from tests.test_cluster_shard import sharded_golden
 from repro.core.lifecycle import COMPLETE
+from repro.metrics import Span
 from repro.telemetry import PHASES, TelemetryConfig, inspect_report, load_run
 from repro.tracing import (
     COMPONENT_STAGE,
@@ -41,7 +45,6 @@ from repro.tracing import (
     build_traces,
     chrome_trace,
     critical_path,
-    dump_trace_jsonl,
     export_perfetto,
     load_trace_jsonl,
     render_critical_path,
@@ -182,12 +185,48 @@ def test_pull_traces_root_at_admit(tmp_path):
 
 def test_traced_export_matches_pinned_digests(tmp_path, traced):
     _, telemetry = traced
-    paths = telemetry.export(tmp_path / "run")
+    run_dir = tmp_path / "run"
+    telemetry.export(run_dir)
     digests = json.loads(TRACE_DIGESTS.read_text())["digests"]
     assert {
-        name: hashlib.sha256(paths[kind].read_bytes()).hexdigest()
-        for kind, name in (("traces", "traces.jsonl"), ("spans", "spans.jsonl"))
+        "traces.jsonl": hashlib.sha256(legacy_traces_jsonl(run_dir)).hexdigest(),
+        "spans.jsonl": hashlib.sha256(legacy_spans_jsonl(run_dir)).hexdigest(),
     } == digests
+
+
+def _live_views() -> int:
+    return sum(isinstance(o, (TraceEvent, Span)) for o in gc.get_objects())
+
+
+def test_export_writes_one_row_per_invocation_and_builds_no_views(
+        tmp_path, traced):
+    """The export writes the timeline straight off the contexts: sampled
+    at file writes throughout export(), no more TraceEvent or Span
+    objects are alive than before it."""
+    _, telemetry = traced
+    gc.collect()
+    before = _live_views()
+    peak = [before]
+    writes = [0]
+
+    def probe(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "write":
+            writes[0] += 1
+            if writes[0] % 16 == 0:
+                peak[0] = max(peak[0], _live_views())
+
+    sys.setprofile(probe)
+    try:
+        paths = telemetry.export(tmp_path / "run")
+    finally:
+        sys.setprofile(None)
+    assert writes[0] > 0 and peak[0] == before
+
+    assert not (tmp_path / "run" / "spans.jsonl").exists()
+    rows = [json.loads(line) for line in paths["traces"].read_text().splitlines()]
+    ids = [row["id"] for row in rows]
+    assert ids == sorted(set(ids))
+    assert set(ids) == {r.invocation_id for r in telemetry.records()}
 
 
 def test_traced_replay_holds_no_trace_events():
@@ -341,17 +380,16 @@ def test_traced_export_round_trips(tmp_path, traced):
 
 
 def test_untraced_export_layout_is_unchanged(tmp_path):
+    """Tracing off writes no per-invocation timeline: neither
+    ``traces.jsonl`` nor a span file."""
     _, telemetry = run_scenario(return_telemetry=True)
     run_dir = tmp_path / "run"
     paths = telemetry.export(run_dir)
     assert "traces" not in paths and "flight" not in paths
     assert sorted(p.name for p in run_dir.iterdir()) == [
-        "manifest.json", "metrics.prom", "records.jsonl", "spans.jsonl",
+        "manifest.json", "metrics.prom", "records.jsonl",
         "summary.json", "timeseries.jsonl",
     ]
-    # Span rows keep their pre-tracing schema: no shard key ever appears.
-    first = json.loads((run_dir / "spans.jsonl").read_text().splitlines()[0])
-    assert set(first) == {"name", "start", "end", "tag"}
 
 
 def test_sharded_export_includes_flight_and_manifest(tmp_path, sharded_traced):
@@ -376,20 +414,23 @@ def test_manifest_hash_is_engine_invariant(tmp_path, traced, sharded_traced):
     assert a["version"] and a["config"]["trace"] is True
 
 
-def test_trace_jsonl_omits_none_fields(tmp_path):
-    path = tmp_path / "traces.jsonl"
-    count = dump_trace_jsonl([
-        TraceEvent(trace_id=7, seq=0, name="lb_pick", kind="lb",
-                   start=0.5, end=0.5),
-        TraceEvent(trace_id=7, seq=2, name="admit", kind="stage",
-                   start=0.5, end=0.6, parent="lb_rpc", worker="w-0",
-                   shard=3),
-    ], path)
-    assert count == 2
-    rows = [json.loads(line) for line in path.read_text().splitlines()]
-    assert set(rows[0]) == {"trace_id", "seq", "name", "kind", "start", "end"}
-    assert rows[1]["parent"] == "lb_rpc" and rows[1]["shard"] == 3
-    assert load_trace_jsonl(path)[1].worker == "w-0"
+def test_trace_jsonl_omits_none_fields(tmp_path, traced, sharded_traced):
+    """A serial row has no ``shard`` key; a traced sharded row has one,
+    and its events carry it (LB events aside)."""
+    _, telemetry = traced
+    serial = telemetry.export(tmp_path / "serial")["traces"]
+    rows = [json.loads(line) for line in serial.read_text().splitlines()]
+    assert rows and all(
+        set(row) == {"id", "worker", "stage_times", "intervals", "closed",
+                     "lb"}
+        for row in rows
+    )
+    sharded = sharded_traced.telemetry.export(tmp_path / "sharded")["traces"]
+    rows = [json.loads(line) for line in sharded.read_text().splitlines()]
+    assert {row["shard"] for row in rows} == {0, 1}
+    events = load_trace_jsonl(sharded)
+    assert {e.shard for e in events if e.kind == "lb"} == {None}
+    assert {e.shard for e in events if e.kind != "lb"} == {0, 1}
 
 
 # ---------------------------------------------------------------- perfetto
