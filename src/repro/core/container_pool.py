@@ -204,6 +204,7 @@ class ContainerPool:
         # Refresh expiry now that the idle clock starts.
         entry.expires_at = self.policy.expiry_time(entry)
         entry.priority = self.policy.priority(entry, self.env.now)
+        entry.stamp += 1  # the idle priority supersedes every older heap tuple
         self._available.setdefault(entry.fqdn, []).append(entry)
         bound = self._min_expiry.get(entry.fqdn)
         if bound is None or entry.expires_at < bound:

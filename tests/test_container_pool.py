@@ -135,6 +135,27 @@ def test_gd_policy_orders_victims():
     assert pool.available_count("dear.1") == 1
 
 
+@pytest.mark.parametrize("policy", [LRUPolicy, GreedyDualPolicy])
+def test_reused_container_outlives_one_idle_since(policy):
+    # Each return must supersede the container's earlier heap tuples:
+    # "f" was idle first but is used again after "g" goes idle, so "g"
+    # now holds the lower priority under both recency and Greedy-Dual.
+    env, _b, memory, pool = make_pool(policy=policy(), capacity=200.0)
+    f = cold_start(env, memory, pool, REG)
+    env.run(until=1.0)
+    pool.return_entry(f)
+    g = cold_start(env, memory, pool, REG2)
+    env.run(until=2.0)
+    pool.return_entry(g)
+    for t in (3.0, 4.0, 5.0):
+        env.run(until=t)
+        assert pool.try_acquire("f.1") is f
+        pool.return_entry(f)
+    assert pool.evict_for(100.0) == pytest.approx(100.0)
+    assert pool.available_count("f.1") == 1
+    assert pool.available_count("g.1") == 0
+
+
 def test_discard_in_use_releases_memory():
     env, _b, memory, pool = make_pool()
     entry = cold_start(env, memory, pool)
