@@ -2,7 +2,7 @@
 
 from .characteristics import CharacteristicsMap, FunctionStats, MovingAverage
 from .config import WorkerConfig, WorkerLatencyProfile, load_config
-from .container_pool import ContainerPool, PoolEntry
+from .container_pool import ContainerPool
 from .function import FunctionRegistration, Invocation, InvocationResult
 from .lifecycle import (
     STAGES,
@@ -20,7 +20,6 @@ __all__ = [
     "WorkerLatencyProfile",
     "load_config",
     "ContainerPool",
-    "PoolEntry",
     "FunctionRegistration",
     "Invocation",
     "InvocationResult",

@@ -1,14 +1,23 @@
-"""Memory-bounded warm-container cache.
+"""Memory-bounded warm-container cache: the one keep-alive store.
 
-This is the core keep-alive data structure shared by the fast trace
-simulator (Figures 4/5) and the worker's container pool.  It tracks warm
-containers per function under a total memory budget, using a lazy-deletion
-min-heap ordered by policy priority for eviction, and lazy expiry for
-non-work-conserving policies (TTL/HIST).
+Both simulators run on this store.  The fast trace simulator (Figures
+4/5) drives it directly; the DES worker and the OpenWhisk model drive it
+through :class:`~repro.core.container_pool.ContainerPool`, a thin shell
+that adds the memory gauge, asynchronous destroy and background eviction.
+It tracks warm containers per function under a total memory budget, using
+a lazy-deletion min-heap ordered by policy priority for eviction, and lazy
+expiry for non-work-conserving policies (TTL/HIST).
+
+A container is claimed by :meth:`KeepAliveCache.lookup` (or created busy
+by :meth:`~KeepAliveCache.insert`).  The trace simulator knows when the
+invocation ends and sets it with :meth:`~KeepAliveCache.finish`; the DES
+does not, so it claims until :meth:`~KeepAliveCache.release`, which
+restarts the container's idle clock.
 
 Performance notes (this is the hot loop of multi-million-invocation
 sweeps): entries use ``__slots__``; heap invalidation is by version stamp
-rather than heap surgery; per-function container lists are short so linear
+rather than heap surgery, and the heap is compacted once stale tuples
+outnumber live ones; per-function container lists are short so linear
 scans beat fancier indexes, and :meth:`KeepAliveCache.lookup` makes one
 pass over them without copying, collecting expired containers only when
 there are any.
@@ -17,7 +26,7 @@ there are any.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .entries import WarmContainer
 from .policies import KeepAlivePolicy
@@ -80,17 +89,32 @@ class KeepAliveCache:
         self.used_mb = 0.0
         self.stats = CacheStats()
         self._containers: dict[str, list[WarmContainer]] = {}
-        # Lazy-deletion eviction heap of (priority, stamp, container).
+        self._count = 0
+        # Lazy-deletion eviction heap of (priority, stamp, seq, container);
+        # each resident container has exactly one tuple whose stamp is
+        # current.
         self._evict_heap: list[tuple[float, int, int, WarmContainer]] = []
         self._seq = 0
         self._on_evict_cb = on_evict
 
     # -- inspection --------------------------------------------------------
     def __len__(self) -> int:
-        return sum(len(v) for v in self._containers.values())
+        return self._count
+
+    def __iter__(self) -> Iterator[WarmContainer]:
+        """Every resident container, idle or busy."""
+        for containers in self._containers.values():
+            yield from containers
 
     def containers_of(self, fqdn: str) -> list[WarmContainer]:
         return list(self._containers.get(fqdn, ()))
+
+    def has_idle(self, fqdn: str, now: float) -> bool:
+        """Whether :meth:`lookup` would hit, without claiming or reaping."""
+        return any(
+            c.busy_until <= now < c.expires_at
+            for c in self._containers.get(fqdn, ())
+        )
 
     @property
     def free_mb(self) -> float:
@@ -103,15 +127,24 @@ class KeepAliveCache:
             raise ValueError(f"capacity_mb must be positive, got {capacity_mb}")
         self.capacity_mb = float(capacity_mb)
         if self.used_mb > self.capacity_mb:
-            self._evict_until(self.used_mb - self.capacity_mb, now)
+            self.evict_for(self.used_mb - self.capacity_mb, now)
 
     # -- heap plumbing -------------------------------------------------------
     def _push_heap(self, container: WarmContainer) -> None:
         self._seq += 1
+        heap = self._evict_heap
         heapq.heappush(
-            self._evict_heap,
-            (container.priority, container.stamp, self._seq, container),
+            heap, (container.priority, container.stamp, self._seq, container)
         )
+        if len(heap) > 2 * self._count + 64:
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop stale heap tuples.  Keys are unique (``seq``), so the pop
+        order of the live tuples is unchanged."""
+        heap = [t for t in self._evict_heap if t[1] == t[3].stamp]
+        heapq.heapify(heap)
+        self._evict_heap = heap
 
     def _restamp(self, container: WarmContainer) -> None:
         container.stamp += 1
@@ -188,7 +221,7 @@ class KeepAliveCache:
             self.stats.rejected += 1
             return None
         deficit = (self.used_mb + memory_mb) - self.capacity_mb
-        if deficit > 0 and not self._evict_until(deficit, now):
+        if deficit > 0 and self.evict_for(deficit, now) < deficit:
             self.stats.rejected += 1
             return None
         container = WarmContainer(
@@ -202,6 +235,7 @@ class KeepAliveCache:
         self.policy.on_insert(container, now)
         self._containers.setdefault(fqdn, []).append(container)
         self.used_mb += container.memory_mb
+        self._count += 1
         self._push_heap(container)
         if prewarmed:
             self.stats.preloads += 1
@@ -210,6 +244,24 @@ class KeepAliveCache:
     def finish(self, container: WarmContainer, busy_until: float) -> None:
         """Mark the container busy until its invocation completes."""
         container.busy_until = busy_until
+
+    def release(self, container: WarmContainer, now: float) -> None:
+        """Return a container claimed until further notice (the DES path).
+
+        Its idle clock, expiry and priority restart at ``now``, and it
+        moves to the end of its function's list, so :meth:`lookup` picks
+        idle containers in return order.
+        """
+        if container.evicted or container.is_idle(now):
+            raise ValueError(f"container {container.fqdn} is not in use")
+        containers = self._containers[container.fqdn]
+        containers.remove(container)
+        containers.append(container)
+        container.busy_until = now
+        container.last_used = now
+        container.expires_at = self.policy.expiry_time(container)
+        container.priority = self.policy.priority(container, now)
+        self._restamp(container)
 
     def evict_one(self, now: float) -> Optional[WarmContainer]:
         """Evict the lowest-priority idle container; None if all busy."""
@@ -231,19 +283,26 @@ class KeepAliveCache:
         self._remove(victim, expired_eviction=False)
         return victim
 
-    def _evict_until(self, needed_mb: float, now: float) -> bool:
-        """Evict idle victims until ``needed_mb`` has been freed."""
+    def evict_for(self, needed_mb: float, now: float) -> float:
+        """Evict idle victims, lowest priority first, until ``needed_mb``
+        has been freed; returns the MB freed.
+
+        Less than ``needed_mb`` comes back when every remaining container
+        is busy; the evictions already made stand (they were the policy's
+        lowest-value containers anyway).
+        """
         freed = 0.0
         while freed < needed_mb:
             victim = self.evict_one(now)
             if victim is None:
-                # Cannot free enough; the evictions already made stand
-                # (they were the policy's lowest-value containers anyway).
-                return False
+                break
             freed += victim.memory_mb
-        return True
+        return freed
 
-    def _remove(self, container: WarmContainer, expired_eviction: bool) -> None:
+    def discard(self, container: WarmContainer) -> None:
+        """Drop a resident container without evicting it (a failure path):
+        no eviction is counted, and neither the policy nor ``on_evict``
+        hears of it."""
         containers = self._containers.get(container.fqdn)
         if not containers or container not in containers:
             raise KeyError(f"container {container!r} not resident")
@@ -255,6 +314,10 @@ class KeepAliveCache:
         self.used_mb -= container.memory_mb
         if self.used_mb < 1e-9:
             self.used_mb = 0.0
+        self._count -= 1
+
+    def _remove(self, container: WarmContainer, expired_eviction: bool) -> None:
+        self.discard(container)
         self.stats.evictions += 1
         self.stats.bytes_evicted_mb += container.memory_mb
         if expired_eviction:
@@ -273,8 +336,10 @@ class KeepAliveCache:
         """
         total = 0.0
         busy = 0.0
+        count = 0
         for fqdn, containers in self._containers.items():
             assert containers, f"empty list retained for {fqdn}"
+            count += len(containers)
             for c in containers:
                 assert not c.evicted, f"evicted container resident: {c!r}"
                 assert c.fqdn == fqdn
@@ -282,5 +347,6 @@ class KeepAliveCache:
                 if now is not None and not c.is_idle(now):
                     busy += c.memory_mb
         assert abs(total - self.used_mb) < 1e-6, (total, self.used_mb)
+        assert count == self._count, (count, self._count)
         if now is not None:
             assert self.used_mb <= self.capacity_mb + busy + 1e-6

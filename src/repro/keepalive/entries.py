@@ -22,7 +22,9 @@ class WarmContainer:
     ``busy_until`` is the simulated time at which the container finishes
     its current invocation and becomes idle (and therefore evictable).
     ``stamp`` is a version counter for lazy-deletion heaps: every priority
-    update increments it, invalidating stale heap entries.
+    update increments it, invalidating stale heap entries.  ``container``
+    is the live sandbox when the DES worker's pool owns the entry, and
+    ``None`` in the trace simulator.
     """
 
     __slots__ = (
@@ -40,6 +42,7 @@ class WarmContainer:
         "stamp",
         "evicted",
         "prewarmed",
+        "container",
     )
 
     def __init__(
@@ -69,6 +72,7 @@ class WarmContainer:
         self.stamp = 0
         self.evicted = False
         self.prewarmed = prewarmed
+        self.container = None
 
     def is_idle(self, now: float) -> bool:
         return self.busy_until <= now

@@ -77,10 +77,13 @@ def test_invocation_conservation(steps, queue_policy, memory_mb):
     # Nothing in flight after drain; memory accounting balances.
     assert worker.pool.in_use_count() == 0
     env.run(until=env.now + 60.0)  # let async destroys settle
-    expected_free = worker.memory.capacity - sum(
-        e.memory_mb for entries in worker.pool._available.values()
-        for e in entries
+    # The store's invariants: no evicted container resident, and its
+    # used_mb is the resident sum, all of it idle once drained.
+    worker.pool.cache.check_invariants(env.now)
+    assert worker.pool.cache.used_mb == pytest.approx(
+        worker.pool.pooled_memory_mb(), abs=1e-6
     )
+    expected_free = worker.memory.capacity - worker.pool.pooled_memory_mb()
     assert worker.memory.level == pytest.approx(expected_free, abs=1e-6)
 
 

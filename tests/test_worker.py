@@ -230,7 +230,7 @@ def test_hist_pool_releases_predictable_function_at_return():
     for k in range(7):
         env.run(until=1000.0 + 120.0 * k)
         colds.append(env.run_process(worker.invoke("hello.1")).cold)
-        (entry,) = worker.pool._available["hello.1"]
+        (entry,) = worker.pool.cache.containers_of("hello.1")
         windows = policy._windows("hello.1")
         if windows is None:
             assert entry.expires_at == entry.last_used + policy.generic_ttl
