@@ -53,7 +53,6 @@ class ContainerPool:
             raise ValueError("eviction_interval must be positive")
         self.env = env
         self.backend = backend
-        self.policy = policy
         self.memory = memory
         self.free_buffer_mb = float(free_buffer_mb)
         self.eviction_interval = float(eviction_interval)
