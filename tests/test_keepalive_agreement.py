@@ -20,7 +20,7 @@ from repro.sim import Environment
 from repro.trace.model import Trace, TraceFunction
 
 MEMORY_MB = 1024.0
-GAP_S = 2.0  # > cold_time + control-plane latency of every invocation
+GAP_S = 2.0  # arrivals are 1.5-2.5 s apart, longer than any invocation
 
 
 def make_trace(seed: int, n: int = 400) -> Trace:
@@ -56,19 +56,18 @@ def replay_cluster(trace: Trace):
         ))
     fqdns = [f"{f.name}.1" for f in trace.functions]
 
-    def driver():
+    def arrivals():
         for t, j in zip(trace.timestamps.tolist(), trace.function_idx.tolist()):
             yield env.timeout(t - env.now)
             cluster.async_invoke(fqdns[j])
 
-    env.process(driver())
+    env.process(arrivals())
     env.run(until=trace.duration + 10 * GAP_S)
     cluster.stop()
     records = cluster.records()
     assert len(records) == len(trace)
-    for r in records:
-        # Each invocation left the worker before the next one arrived.
-        assert r.e2e_time < GAP_S
+    # Each invocation left the worker before the next one arrived.
+    assert max(r.e2e_time for r in records) < np.diff(trace.timestamps).min()
     (worker,) = cluster.workers.values()
     cold = sum(1 for r in records if r.cold)
     return len(records) - cold, cold, worker.pool.evictions
