@@ -13,6 +13,9 @@ Two pieces make up the seam:
   the invocation (and through it the registration), the completion event,
   the container entry, per-stage enter/exit timestamps, the component
   intervals telemetry decomposes, and the final outcome or drop reason.
+  Stage times are two flat ``{stage: float}`` dicts, which the cyclic
+  GC does not track, so a run that retains every context for export
+  does not grow the GC's work by a list per stage.
 * :class:`InvocationLifecycle` — the worker's stages as named units with
   a uniform enter/exit contract.  Each stage spends its component
   latencies as DES timeouts, exactly as the worker's previous inlined
@@ -93,10 +96,10 @@ class InvocationContext:
     Carries the :class:`~repro.core.function.Invocation` (and through it
     the registration and its accumulating timestamps), the completion
     event, the regulator token and container entry currently held, the
-    per-stage ``stage_times`` and the component ``intervals`` telemetry
-    decomposes (both stamped only while contexts are collected, i.e. when
-    a :class:`~repro.telemetry.Telemetry` pipeline attached), and the
-    terminal ``outcome``.
+    per-stage ``entered``/``exited`` times and the component
+    ``intervals`` telemetry decomposes (all stamped only while contexts
+    are collected, i.e. when a :class:`~repro.telemetry.Telemetry`
+    pipeline attached), and the terminal ``outcome``.
     """
 
     __slots__ = (
@@ -106,7 +109,8 @@ class InvocationContext:
         "token",
         "entry",
         "stage",
-        "stage_times",
+        "entered",
+        "exited",
         "intervals",
         "warm_available",
         "exec_time",
@@ -125,7 +129,8 @@ class InvocationContext:
         self.token = None
         self.entry = None
         self.stage: Optional[str] = None
-        self.stage_times: Optional[dict] = {} if collect else None
+        self.entered: Optional[dict] = {} if collect else None
+        self.exited: Optional[dict] = {} if collect else None
         self.intervals: Optional[list] = [] if collect else None
         self.warm_available = False
         self.exec_time: Optional[float] = None
@@ -147,6 +152,17 @@ class InvocationContext:
     @property
     def drop_reason(self) -> Optional[str]:
         return self.inv.drop_reason
+
+    @property
+    def stage_times(self) -> Optional[dict]:
+        """``{stage: [t0, t1|None]}`` in stage-enter order (``t1`` is
+        ``None`` for a stage not yet exited); ``None`` unless collected.
+        A fresh dict per read: the context stores the flat times."""
+        if not self.collect:
+            return None
+        exited = self.exited
+        return {stage: [t0, exited.get(stage)]
+                for stage, t0 in self.entered.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -187,11 +203,11 @@ class StageTracker:
     def stage_enter(self, ctx: InvocationContext, stage: str) -> None:
         ctx.stage = stage
         if ctx.collect:
-            ctx.stage_times[stage] = [self.env.now, None]
+            ctx.entered[stage] = self.env.now
 
     def stage_exit(self, ctx: InvocationContext, stage: str) -> None:
         if ctx.collect:
-            ctx.stage_times[stage][1] = self.env.now
+            ctx.exited[stage] = self.env.now
 
     def close(self, ctx: InvocationContext, outcome: Outcome) -> None:
         """Record the terminal outcome."""
@@ -305,6 +321,7 @@ class InvocationLifecycle(StageTracker):
             self.energy.update(self.load.busy_cores)
             if ctx.token is not None:
                 w.regulator.tokens.release(ctx.token)
+                ctx.token = None
             if ctx.entry is not None:
                 # Failure path: never leak a claimed container.
                 self.env.process(self.pool.discard_in_use(ctx.entry))

@@ -183,7 +183,7 @@ class Worker:
 
     def async_invoke(
         self, fqdn: str, args=None, *, invocation_id: Optional[int] = None,
-        offered_at: Optional[float] = None,
+        offered_at: Optional[float] = None, done: Optional[Event] = None,
     ) -> Event:
         """Fire an invocation; returns an event that succeeds with the
         completed :class:`Invocation` (dropped invocations also complete,
@@ -200,9 +200,14 @@ class Worker:
         the arrival — end-to-end latency then charges the claim wait to
         the control plane, and the lifecycle attributes it as an explicit
         ``claim_wait`` interval.
+
+        ``done`` is the event to return and succeed, when the caller
+        already holds one (a pull claim passes its offer's), instead of
+        a fresh event the caller would relay.
         """
         registration = self._lookup(fqdn)
-        done = self.env.event()
+        if done is None:
+            done = self.env.event()
         arrival = self.env.now if offered_at is None else offered_at
         if invocation_id is None:
             inv = Invocation(function=registration, arrival=arrival, args=args)

@@ -11,7 +11,8 @@ start immediately — the defining property of pull scheduling.  The loop:
 3. pays the claim latency (one queue round-trip, modeled like
    ``rpc_latency``),
 4. hands the invocation to the worker with its original offer timestamp
-   so the worker-side lifecycle can attribute the claim wait.
+   so the worker-side lifecycle can attribute the claim wait, and with
+   the offer's completion event, which the lifecycle succeeds itself.
 
 Slots are released through the lifecycle's ``dispatch_seam`` — the
 engine registers itself on each worker's stage tracker and is called
@@ -46,8 +47,8 @@ class PullEngine:
         self.claim_latency = float(claim_latency)
         self.placements = 0
         self._slots: dict[str, Resource] = {}
-        # in-flight claims keyed by the worker-level done event, which is
-        # the same object the lifecycle carries as ``ctx.done``.
+        # In-flight claims keyed by the offer's done event, which is the
+        # same object the lifecycle carries as ``ctx.done``.
         self._claims: dict = {}
         self._started = False
 
@@ -91,27 +92,20 @@ class PullEngine:
             offer.claimed_at = env.now
             offer.claimed_by = name
             self.placements += 1
+            self._claims[offer.done] = (name, request)
             # The claim ordinal is the invocation id, so a repeated run
             # reproduces its ids (push numbers by placement ordinal).
-            inner = worker.async_invoke(
+            worker.async_invoke(
                 offer.fqdn, offer.args, invocation_id=self.placements,
-                offered_at=offer.offered_at,
+                offered_at=offer.offered_at, done=offer.done,
             )
-            self._claims[inner] = (name, request, offer)
-            inner.callbacks.append(self._finish)
 
     # -- completion (the lifecycle's dispatch seam) ----------------------
     def on_complete(self, ctx) -> None:
-        """Called from ``StageTracker.close`` for every terminal outcome."""
-        entry = self._claims.get(ctx.done)
+        """Called from ``StageTracker.close`` for every terminal outcome,
+        just before the lifecycle succeeds ``ctx.done`` (the offer's)."""
+        entry = self._claims.pop(ctx.done, None)
         if entry is None:
             return
-        name, request, _offer = entry
+        name, request = entry
         self._slots[name].release(request)
-
-    def _finish(self, event: Event) -> None:
-        entry = self._claims.pop(event, None)
-        if entry is None:  # pragma: no cover - close() always precedes
-            return
-        _name, _request, offer = entry
-        offer.done.succeed(event.value)

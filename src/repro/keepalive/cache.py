@@ -111,10 +111,10 @@ class KeepAliveCache:
 
     def has_idle(self, fqdn: str, now: float) -> bool:
         """Whether :meth:`lookup` would hit, without claiming or reaping."""
-        return any(
-            c.busy_until <= now < c.expires_at
-            for c in self._containers.get(fqdn, ())
-        )
+        for c in self._containers.get(fqdn, ()):
+            if c.busy_until <= now < c.expires_at:
+                return True
+        return False
 
     @property
     def free_mb(self) -> float:

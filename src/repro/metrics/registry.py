@@ -28,7 +28,7 @@ class Outcome(str, Enum):
     BYPASSED = "bypass"  # ran, but skipped the queue (still warm or cold)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InvocationRecord:
     """One finished (or dropped) invocation, as the experiments consume it."""
 

@@ -58,6 +58,8 @@ __all__ = [
 
 EXEC_SPAN = "exec"
 
+_INF = float("inf")
+
 PHASES = ("queue", "acquire", "cold_create", "exec_comm", "post", "other")
 
 # Conditional phase: present only in pull-dispatch runs (see module doc).
@@ -107,22 +109,24 @@ class InvocationBreakdown:
 def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreakdown]:
     """One invocation's breakdown from ``(name, start, end)`` intervals.
 
-    Intervals arrive in recording order and the queue-wait gap is added
-    after the loop, which fixes the float accumulation order the golden
-    fixture pins.  ``None`` when the invocation has no execution window
+    One pass in recording order; the queue-wait gap is added after the
+    loop, which fixes the float accumulation order the golden fixture
+    pins.  ``None`` when the invocation has no execution window
     (dropped / timed out).
     """
-    if not any(name == EXEC_SPAN for name, _start, _end in intervals):
-        return None
     phases = dict.fromkeys(PHASES, 0.0)
     exec_time = 0.0
+    has_exec = cold = False
     add_item_end: Optional[float] = None
     dequeue_start: Optional[float] = None
-    first_start = min(start for _name, start, _end in intervals)
-    last_end = max(end for _name, _start, end in intervals)
-    cold = False
+    first_start, last_end = _INF, -_INF
     for name, start, end in intervals:
+        if start < first_start:
+            first_start = start
+        if end > last_end:
+            last_end = end
         if name == EXEC_SPAN:
+            has_exec = True
             exec_time += end - start
             continue
         if name == "cold_create":
@@ -136,6 +140,8 @@ def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreak
             add_item_end = end
         elif name == "dequeue":
             dequeue_start = start
+    if not has_exec:
+        return None
     if add_item_end is not None and dequeue_start is not None:
         # The only instrumentation gap on the critical path: waiting in
         # the invocation queue between insertion and dispatch.

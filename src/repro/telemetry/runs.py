@@ -39,7 +39,7 @@ class Telemetry:
     -retention switch on the target's existing lifecycle, so the
     instrumentation already woven through the worker starts keeping data
     — no new callbacks enter the invocation path.  The retained contexts'
-    ``stage_times`` and ``intervals``, joined with the push front end's
+    stage times and ``intervals``, joined with the push front end's
     placement log, are the run's one per-invocation timeline (the
     ``traces.jsonl`` rows; :meth:`spans`, :meth:`trace_events` and
     :meth:`breakdowns` are derived from them), and the registries'
@@ -191,8 +191,9 @@ class Telemetry:
                 row = {"id": tid, "worker": worker}
                 if shard is not None:
                     row["shard"] = shard
-                row["stage_times"] = [[name, *times] for name, times
-                                      in ctx.stage_times.items()]
+                exited = ctx.exited
+                row["stage_times"] = [[name, t0, exited.get(name)]
+                                      for name, t0 in ctx.entered.items()]
                 row["intervals"] = ctx.intervals
                 row["closed"] = ctx.outcome is not None
                 yield row
