@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import WorkerConfig
-from repro.core.function import FunctionRegistration
+from repro.core.function import FunctionRegistration, Invocation
 from repro.dispatch import (
     PULL_POLICIES,
     LocalityPullDispatch,
@@ -257,6 +257,76 @@ def test_claim_after_drop_releases_the_slot():
         assert slot.count == 1, "a claim slot was never released"
         assert slot.queue_length == 0
     assert len(cluster.dispatch) == 0
+
+
+def test_claim_slots_are_conserved_through_drops_and_timeouts():
+    """Claim-slot conservation on a traced ``pull_local`` run with queue
+    overflow drops and function timeouts: every offer's done event
+    succeeds with its own invocation, no claim stays booked, and no
+    slot is held by anything but a parked claim loop."""
+    env = Environment()
+    cluster = Cluster(
+        env, num_workers=2,
+        config=WorkerConfig(cores=4, memory_mb=4096, seed=7, backend="null",
+                            queue_max_len=1),
+        lb_policy="pull_local",
+    )
+    telemetry = Telemetry(env, TelemetryConfig(trace=True, interval=1.0))
+    cluster.attach_telemetry(telemetry)
+    telemetry.start()
+    cluster.start()
+    # A regulator throttled below the claim concurrency (as the AIMD
+    # controller does under congestion): claimed invocations back up in
+    # the worker queue and overflow it.
+    for worker in cluster.workers.values():
+        worker.regulator.tokens.set_capacity(1)
+    cluster.register_sync(FunctionRegistration(
+        name="doomed", memory_mb=128, warm_time=2.0, cold_time=2.2,
+        timeout=0.2))
+    cluster.register_sync(FunctionRegistration(
+        name="fine", memory_mb=128, warm_time=0.05, cold_time=0.3))
+    submitted = []
+
+    def submit(at, fqdn):
+        yield env.timeout(at)
+        submitted.append((fqdn, env.now, cluster.async_invoke(fqdn)))
+
+    for i in range(60):
+        env.process(submit(0.05 * i, "doomed.1" if i % 3 == 0 else "fine.1"),
+                    name=f"s{i}")
+    env.run(until=120.0)
+    cluster.stop()
+    telemetry.stop()
+
+    invocations = []
+    for fqdn, offered_at, done in submitted:
+        assert done.processed and done.ok
+        inv = done.value
+        assert isinstance(inv, Invocation)
+        assert inv.function.fqdn() == fqdn and inv.offered_at == offered_at
+        invocations.append(inv)
+    assert len({inv.id for inv in invocations}) == len(submitted)
+    dropped = [i for i in invocations if i.dropped]
+    timed_out = [i for i in invocations if i.timed_out]
+    completed = [i for i in invocations
+                 if i.completed_at is not None and not (i.dropped or i.timed_out)]
+    assert dropped and timed_out and completed
+    assert {i.drop_reason for i in dropped} == {"queue overflow"}
+    assert len(dropped) + len(timed_out) + len(completed) == len(submitted)
+
+    engine = cluster._pull
+    policy = cluster.dispatch
+    assert not engine._claims, "claim bookkeeping leaked"
+    for name, slot in engine._slots.items():
+        # A parked claim loop pre-acquired one slot; no claim holds any.
+        parked = 1 if name in policy._waiters else 0
+        assert slot.count - parked == 0, f"{name} leaked a claim slot"
+        assert slot.queue_length == 0
+    assert len(policy) == 0
+    # Released contexts drop their regulator token.
+    contexts = [c for w in cluster.workers.values() for c in w.lifecycle.contexts]
+    assert len(contexts) == len(submitted)
+    assert all(c.token is None and c.outcome is not None for c in contexts)
 
 
 @settings(deadline=None, max_examples=40)

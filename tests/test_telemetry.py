@@ -384,6 +384,76 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
         sorted((s.start, s.end, s.name) for s in exported)
 
 
+def _traced_pull_replay(seconds=250.0):
+    """A small traced, health-graded ``pull_local`` replay; returns the
+    cluster and its invocations."""
+    from repro.sim.distributions import Exponential
+    from repro.loadgen.openloop import FunctionMix, build_plan, replay_plan
+
+    env = Environment()
+    cluster = Cluster(env, num_workers=2,
+                      config=WorkerConfig(cores=2, memory_mb=2048, seed=3,
+                                          backend="null"),
+                      lb_policy="pull_local")
+    telemetry = Telemetry(env, TelemetryConfig(trace=True, health=True))
+    cluster.attach_telemetry(telemetry)
+    telemetry.start()
+    cluster.start()
+    regs = [FunctionRegistration(name=f"fn{i}", memory_mb=128,
+                                 warm_time=0.1 + 0.05 * i, cold_time=0.6)
+            for i in range(6)]
+    for reg in regs:
+        cluster.register_sync(reg)
+    plan = build_plan([FunctionMix(r.fqdn(), Exponential(0.9)) for r in regs],
+                      seconds, seed=5)
+    invocations = replay_plan(env, cluster, plan, grace=60.0)
+    cluster.stop()
+    telemetry.stop()
+    return cluster, invocations
+
+
+def test_traced_pull_run_retains_few_gc_objects_per_invocation(monkeypatch):
+    """Retaining every context for export must not make the cyclic GC
+    walk a list per stage: stage times are flat dicts of floats, released
+    contexts drop their regulator token, and records are slotted.  A
+    traced ``pull_local`` replay retained 16 GC-tracked objects per
+    invocation when stage times were ``[t0, t1]`` lists; about 6 now.
+    The ``stage_times`` view still equals the ``{stage: [t0, t1|None]}``
+    dict the tracker used to store, in stage-enter order."""
+    import gc
+
+    from repro.core.lifecycle import StageTracker
+
+    gc.collect()
+    before = len(gc.get_objects())
+    _, invocations = _traced_pull_replay()
+    gc.collect()
+    retained = (len(gc.get_objects()) - before) / len(invocations)
+    assert len(invocations) > 1000
+    assert retained <= 8.0, f"{retained:.2f} GC-tracked objects per invocation"
+
+    # A second, shorter run records the old dict-of-lists beside the
+    # tracker's own stamps.
+    stored: dict[int, dict] = {}
+    enter, exit_ = StageTracker.stage_enter, StageTracker.stage_exit
+
+    def stage_enter(self, ctx, stage):
+        enter(self, ctx, stage)
+        stored.setdefault(id(ctx), {})[stage] = [self.env.now, None]
+
+    def stage_exit(self, ctx, stage):
+        exit_(self, ctx, stage)
+        stored[id(ctx)][stage][1] = self.env.now
+
+    monkeypatch.setattr(StageTracker, "stage_enter", stage_enter)
+    monkeypatch.setattr(StageTracker, "stage_exit", stage_exit)
+    cluster, invocations = _traced_pull_replay(seconds=30.0)
+    contexts = [c for w in cluster.workers.values() for c in w.lifecycle.contexts]
+    assert len(contexts) == len(invocations) > 0
+    for ctx in contexts:
+        assert list(ctx.stage_times.items()) == list(stored[id(ctx)].items())
+
+
 def test_one_push_cluster_per_pipeline():
     env = Environment()
     telemetry = Telemetry(env, TelemetryConfig())
