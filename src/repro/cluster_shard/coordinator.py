@@ -350,7 +350,11 @@ def run_sharded_replay(
 
     # Shards start with ``spawn`` unless told otherwise: a forked shard
     # would inherit (and count as resident) whatever the caller's heap
-    # holds, such as a previous run's outcome.
+    # holds, such as a previous run's outcome.  A spawned shard's
+    # resident memory depends on nothing the caller holds, but its
+    # ``ru_maxrss`` starts at the caller's RSS at the spawn: the fork
+    # before the exec copies the high-water mark, and Linux keeps it
+    # across the exec (docs/SHARDING.md).
     method = start_method or os.environ.get("REPRO_MP_START") or "spawn"
     try:
         ctx = mp.get_context(method)
