@@ -33,8 +33,8 @@ class PullEngine:
     """Drives a pull policy against a set of workers.
 
     ``workers`` maps worker name -> worker object (duck-typed: needs
-    ``config.effective_concurrency``, ``lifecycle`` and
-    ``async_invoke``); ``placements`` counts claims handed to workers.
+    ``config.effective_concurrency``, ``lifecycle`` and ``async_invoke``
+    taking ``done=``); ``placements`` counts claims handed to workers.
     """
 
     def __init__(self, env: Environment, workers: dict, policy: PullDispatch,
@@ -47,8 +47,8 @@ class PullEngine:
         self.claim_latency = float(claim_latency)
         self.placements = 0
         self._slots: dict[str, Resource] = {}
-        # In-flight claims keyed by the offer's done event, which is the
-        # same object the lifecycle carries as ``ctx.done``.
+        # In-flight claims' slot requests, keyed by the offer's done event,
+        # which is the same object the lifecycle carries as ``ctx.done``.
         self._claims: dict = {}
         self._started = False
 
@@ -92,7 +92,7 @@ class PullEngine:
             offer.claimed_at = env.now
             offer.claimed_by = name
             self.placements += 1
-            self._claims[offer.done] = (name, request)
+            self._claims[offer.done] = request
             # The claim ordinal is the invocation id, so a repeated run
             # reproduces its ids (push numbers by placement ordinal).
             worker.async_invoke(
@@ -104,8 +104,6 @@ class PullEngine:
     def on_complete(self, ctx) -> None:
         """Called from ``StageTracker.close`` for every terminal outcome,
         just before the lifecycle succeeds ``ctx.done`` (the offer's)."""
-        entry = self._claims.pop(ctx.done, None)
-        if entry is None:
-            return
-        name, request = entry
-        self._slots[name].release(request)
+        request = self._claims.pop(ctx.done, None)
+        if request is not None:
+            request.resource.release(request)
