@@ -15,12 +15,20 @@ does not, so it claims until :meth:`~KeepAliveCache.release`, which
 restarts the container's idle clock.
 
 Performance notes (this is the hot loop of multi-million-invocation
-sweeps): entries use ``__slots__``; heap invalidation is by version stamp
-rather than heap surgery, and the heap is compacted once stale tuples
-outnumber live ones; per-function container lists are short so linear
-scans beat fancier indexes, and :meth:`KeepAliveCache.lookup` makes one
-pass over them without copying, collecting expired containers only when
-there are any.
+sweeps): entries use ``__slots__``.  The eviction heap is re-keyed
+lazily: a warm hit or a return only bumps the container's current key
+``(priority, stamp, seq)``, and the container's one heap tuple is pushed
+again under that key when it pops, so the heap takes one push per
+eviction rather than one per access.  No shipped policy lowers a
+priority on access, so a container's current key is never below its
+heap key and the first current tuple to pop is the exact victim an
+eagerly re-keyed heap would pop; a priority that does fall is pushed at
+once, leaving the old tuple dead.  Dead tuples (from falls, expiries and
+discards) are dropped by version stamp rather than heap surgery, and the
+heap is compacted once they outnumber live ones.  Per-function container
+lists are short so linear scans beat fancier indexes, and
+:meth:`KeepAliveCache.lookup` makes one pass over them without copying,
+collecting expired containers only when there are any.
 """
 
 from __future__ import annotations
@@ -90,9 +98,10 @@ class KeepAliveCache:
         self.stats = CacheStats()
         self._containers: dict[str, list[WarmContainer]] = {}
         self._count = 0
-        # Lazy-deletion eviction heap of (priority, stamp, seq, container);
-        # each resident container has exactly one tuple whose stamp is
-        # current.
+        # Eviction heap of (priority, stamp, seq, container).  Each resident
+        # container has exactly one live tuple, the one whose stamp is its
+        # heap_stamp, keyed at or below its current key; other tuples are
+        # dead.
         self._evict_heap: list[tuple[float, int, int, WarmContainer]] = []
         self._seq = 0
         self._on_evict_cb = on_evict
@@ -131,24 +140,36 @@ class KeepAliveCache:
 
     # -- heap plumbing -------------------------------------------------------
     def _push_heap(self, container: WarmContainer) -> None:
-        self._seq += 1
+        """Push the container's current key as its live heap tuple."""
         heap = self._evict_heap
+        container.heap_priority = container.priority
+        container.heap_stamp = container.stamp
         heapq.heappush(
-            heap, (container.priority, container.stamp, self._seq, container)
+            heap, (container.priority, container.stamp, container.seq, container)
         )
         if len(heap) > 2 * self._count + 64:
             self._compact()
 
     def _compact(self) -> None:
-        """Drop stale heap tuples.  Keys are unique (``seq``), so the pop
-        order of the live tuples is unchanged."""
-        heap = [t for t in self._evict_heap if t[1] == t[3].stamp]
+        """Drop dead heap tuples: those a fallen priority, an expiry or a
+        discard left behind.  Keys are unique (``seq``), so the pop order
+        of the live tuples is unchanged."""
+        heap = [t for t in self._evict_heap if t[1] == t[3].heap_stamp]
         heapq.heapify(heap)
         self._evict_heap = heap
 
     def _restamp(self, container: WarmContainer) -> None:
+        """Give the container a new current key after a priority update.
+
+        Its heap tuple stays where it is and is re-keyed when it pops,
+        unless the priority fell below the tuple's: then the tuple would
+        pop too late, so the new key is pushed now.
+        """
         container.stamp += 1
-        self._push_heap(container)
+        self._seq += 1
+        container.seq = self._seq
+        if container.priority < container.heap_priority:
+            self._push_heap(container)
 
     # -- expiry ------------------------------------------------------------
     def expire(self, now: float) -> int:
@@ -236,6 +257,8 @@ class KeepAliveCache:
         self._containers.setdefault(fqdn, []).append(container)
         self.used_mb += container.memory_mb
         self._count += 1
+        self._seq += 1
+        container.seq = self._seq
         self._push_heap(container)
         if prewarmed:
             self.stats.preloads += 1
@@ -264,20 +287,39 @@ class KeepAliveCache:
         self._restamp(container)
 
     def evict_one(self, now: float) -> Optional[WarmContainer]:
-        """Evict the lowest-priority idle container; None if all busy."""
+        """Evict the lowest-priority idle container; None if all busy.
+
+        A live tuple whose stamp is out of date is pushed again under its
+        container's current key.  Current keys are never below heap keys
+        and all keys are unique, so the first current idle tuple to pop
+        is the idle container with the lowest current key.
+        """
+        heap = self._evict_heap
         buffer: list[tuple[float, int, int, WarmContainer]] = []
         victim = None
-        while self._evict_heap:
-            pri, stamp, seq, cand = heapq.heappop(self._evict_heap)
-            if cand.evicted or stamp != cand.stamp:
-                continue  # stale heap entry
+        while heap:
+            item = heap[0]
+            cand = item[3]
+            stamp = item[1]
+            if stamp != cand.heap_stamp:
+                heapq.heappop(heap)  # dead tuple
+                continue
+            if stamp != cand.stamp:
+                # Live but out of date: re-key it in place of the old key.
+                cand.heap_priority = cand.priority
+                cand.heap_stamp = cand.stamp
+                heapq.heapreplace(
+                    heap, (cand.priority, cand.stamp, cand.seq, cand)
+                )
+                continue
+            heapq.heappop(heap)
             if not cand.is_idle(now):
-                buffer.append((pri, stamp, seq, cand))
+                buffer.append(item)
                 continue
             victim = cand
             break
         for item in buffer:
-            heapq.heappush(self._evict_heap, item)
+            heapq.heappush(heap, item)
         if victim is None:
             return None
         self._remove(victim, expired_eviction=False)
@@ -310,7 +352,7 @@ class KeepAliveCache:
         if not containers:
             del self._containers[container.fqdn]
         container.evicted = True
-        container.stamp += 1  # invalidate heap entries
+        container.heap_stamp = -1  # its heap tuple is dead
         self.used_mb -= container.memory_mb
         if self.used_mb < 1e-9:
             self.used_mb = 0.0
@@ -332,7 +374,9 @@ class KeepAliveCache:
 
         The memory budget is a *soft* bound under capacity shrinks: busy
         containers cannot be evicted, so overflow is allowed up to the
-        total busy footprint (checked when ``now`` is provided).
+        total busy footprint (checked when ``now`` is provided).  Every
+        resident container has one live heap tuple, keyed at or below
+        its current key.
         """
         total = 0.0
         busy = 0.0
@@ -348,5 +392,18 @@ class KeepAliveCache:
                     busy += c.memory_mb
         assert abs(total - self.used_mb) < 1e-6, (total, self.used_mb)
         assert count == self._count, (count, self._count)
+        self._check_heap()
         if now is not None:
             assert self.used_mb <= self.capacity_mb + busy + 1e-6
+
+    def _check_heap(self) -> None:
+        live = set()
+        for pri, stamp, seq, c in self._evict_heap:
+            if stamp != c.heap_stamp:
+                continue
+            assert not c.evicted, f"live tuple of an evicted container: {c!r}"
+            assert c.id not in live, f"two live tuples for {c!r}"
+            live.add(c.id)
+            assert pri == c.heap_priority, (pri, c.heap_priority)
+            assert (pri, stamp, seq) <= (c.priority, c.stamp, c.seq), c
+        assert live == {c.id for c in self}, "resident without a live tuple"

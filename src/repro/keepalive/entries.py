@@ -21,10 +21,14 @@ class WarmContainer:
 
     ``busy_until`` is the simulated time at which the container finishes
     its current invocation and becomes idle (and therefore evictable).
-    ``stamp`` is a version counter for lazy-deletion heaps: every priority
-    update increments it, invalidating stale heap entries.  ``container``
-    is the live sandbox when the DES worker's pool owns the entry, and
-    ``None`` in the trace simulator.
+    ``(priority, stamp, seq)`` is the container's current eviction key:
+    ``stamp`` counts its priority updates and ``seq`` is the store-wide
+    counter value its last update took.  The store's heap holds one live
+    tuple per container, keyed ``(heap_priority, heap_stamp, ...)``; an
+    access bumps the current key only, and the heap re-keys the tuple when
+    it pops (see :class:`~repro.keepalive.cache.KeepAliveCache`).
+    ``container`` is the live sandbox when the DES worker's pool owns the
+    entry, and ``None`` in the trace simulator.
     """
 
     __slots__ = (
@@ -40,6 +44,9 @@ class WarmContainer:
         "priority",
         "expires_at",
         "stamp",
+        "seq",
+        "heap_priority",
+        "heap_stamp",
         "evicted",
         "prewarmed",
         "container",
@@ -70,6 +77,9 @@ class WarmContainer:
         self.priority = 0.0
         self.expires_at = float("inf")
         self.stamp = 0
+        self.seq = 0
+        self.heap_priority = float("inf")
+        self.heap_stamp = -1  # no live heap tuple
         self.evicted = False
         self.prewarmed = prewarmed
         self.container = None

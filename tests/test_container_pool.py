@@ -5,7 +5,13 @@ import pytest
 from repro.containers.backends import NullBackend
 from repro.core.container_pool import ContainerPool
 from repro.core.function import FunctionRegistration
-from repro.keepalive.policies import GreedyDualPolicy, LRUPolicy, TTLPolicy
+from repro.keepalive.policies import (
+    POLICY_NAMES,
+    GreedyDualPolicy,
+    LRUPolicy,
+    TTLPolicy,
+    make_policy,
+)
 from repro.sim import Environment, Gauge
 
 
@@ -172,3 +178,18 @@ def test_pool_validation():
         ContainerPool(env, backend, LRUPolicy(), memory, free_buffer_mb=-1.0)
     with pytest.raises(ValueError):
         ContainerPool(env, backend, LRUPolicy(), memory, eviction_interval=0.0)
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_acquire_return_cycles_do_not_grow_the_heap(policy_name):
+    env, _b, memory, pool = make_pool(policy=make_policy(policy_name))
+    entry = cold_start(env, memory, pool)
+    pool.return_entry(entry)
+    for i in range(1, 101):
+        env.run(until=float(i))
+        assert pool.try_acquire("f.1") is entry
+        env.run(until=i + 0.5)
+        pool.return_entry(entry)
+    assert entry.freq == 101
+    assert len(pool.cache._evict_heap) == 1
+    pool.cache.check_invariants(now=env.now)

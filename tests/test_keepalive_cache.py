@@ -1,15 +1,19 @@
 """Unit tests for the memory-bounded keep-alive cache."""
 
+import heapq
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.keepalive.cache import KeepAliveCache
 from repro.keepalive.policies import (
+    POLICY_NAMES,
     GreedyDualPolicy,
     HistogramPolicy,
     LRUPolicy,
     TTLPolicy,
+    make_policy,
 )
 
 
@@ -272,3 +276,188 @@ def test_one_pass_lookup_matches_two_pass_reference(ops, policy_name, capacity):
             now += step
         assert fast.state() == ref.state()
         fast.cache.check_invariants(now=now)
+
+
+# ------------------------------------------- lazy heap vs eager reference
+class EagerHeapCache(KeepAliveCache):
+    """Reference heap: every priority update pushes a new tuple, and a
+    popped tuple whose stamp is not the container's current one is
+    skipped as stale."""
+
+    def _push_heap(self, container):
+        heap = self._evict_heap
+        heapq.heappush(
+            heap, (container.priority, container.stamp, container.seq, container)
+        )
+        if len(heap) > 2 * self._count + 64:
+            self._compact()
+
+    def _compact(self):
+        heap = [t for t in self._evict_heap
+                if not t[3].evicted and t[1] == t[3].stamp]
+        heapq.heapify(heap)
+        self._evict_heap = heap
+
+    def _restamp(self, container):
+        container.stamp += 1
+        self._seq += 1
+        container.seq = self._seq
+        self._push_heap(container)
+
+    def evict_one(self, now):
+        buffer = []
+        victim = None
+        while self._evict_heap:
+            pri, stamp, seq, cand = heapq.heappop(self._evict_heap)
+            if cand.evicted or stamp != cand.stamp:
+                continue  # stale heap entry
+            if not cand.is_idle(now):
+                buffer.append((pri, stamp, seq, cand))
+                continue
+            victim = cand
+            break
+        for item in buffer:
+            heapq.heappush(self._evict_heap, item)
+        if victim is None:
+            return None
+        self._remove(victim, expired_eviction=False)
+        return victim
+
+    def _check_heap(self):
+        current = [t[3].id for t in self._evict_heap
+                   if not t[3].evicted and t[1] == t[3].stamp]
+        assert sorted(current) == sorted(c.id for c in self)
+
+
+class FallingPolicy(LRUPolicy):
+    """A priority that rises and falls with the access count, with many
+    ties: every fall must take the store's eager push."""
+
+    name = "FALL"
+
+    def priority(self, entry, now):
+        return float((entry.freq * 7 + int(now)) % 5)
+
+
+def _policy_under_test(name):
+    if name == "FALL":
+        return FallingPolicy()
+    if name in ("TTL", "HIST"):
+        return _make_policy(name)
+    return make_policy(name)
+
+
+class _HeapReplica:
+    """One store under test, driven as both simulators drive it: a claim
+    ends either with ``finish`` (trace simulator) or ``release`` (DES)."""
+
+    def __init__(self, cls, policy_name, capacity):
+        self.victims = []
+        self.ordinal = {}
+        self.cache = cls(_policy_under_test(policy_name), capacity,
+                         on_evict=lambda c: self.victims.append(self.ordinal[c.id]))
+        self.claimed = []
+
+    def _claim(self, c, pick, now):
+        """An odd ``pick`` runs the invocation to completion at once."""
+        if pick % 2:
+            self.cache.finish(c, now + 0.1)
+        else:
+            self.claimed.append(c)
+
+    def apply(self, kind, fqdn, amount, pick, now):
+        cache = self.cache
+        if kind == "invoke":
+            if isinstance(cache.policy, HistogramPolicy):
+                cache.policy.record_arrival(fqdn, now)
+            c = cache.lookup(fqdn, now)
+            if c is not None:
+                self._claim(c, pick, now)
+                return "warm", self.ordinal[c.id]
+            kind = "insert"
+        if kind == "insert":
+            c = cache.insert(fqdn, amount, 1.0 + len(fqdn) % 3, 0.1, now)
+            if c is None:
+                return None
+            self.ordinal[c.id] = len(self.ordinal)
+            cache.finish(c, float("inf"))
+            self._claim(c, pick, now)
+            return "cold", self.ordinal[c.id]
+        if kind in ("finish", "release"):
+            if not self.claimed:
+                return None
+            c = self.claimed.pop(pick % len(self.claimed))
+            if kind == "finish":
+                cache.finish(c, now + amount / 400.0)
+            else:
+                cache.release(c, now)
+            return self.ordinal[c.id]
+        if kind == "discard":
+            resident = sorted(cache, key=lambda c: self.ordinal[c.id])
+            if not resident:
+                return None
+            c = resident[pick % len(resident)]
+            cache.discard(c)
+            if c in self.claimed:
+                self.claimed.remove(c)
+            return self.ordinal[c.id]
+        if kind == "expire":
+            return cache.expire(now)
+        if kind == "set_capacity":
+            cache.set_capacity(amount * 3.0, now)
+            return cache.capacity_mb
+        assert kind == "evict_for"
+        return cache.evict_for(amount, now)
+
+    def state(self):
+        s = self.cache.stats
+        return ({k: getattr(s, k) for k in type(s).__slots__},
+                self.cache.used_mb, list(self.victims))
+
+
+heap_op = st.tuples(
+    st.sampled_from(["invoke"] * 5 + ["advance"] * 4 + [
+        "insert", "finish", "release", "discard", "expire", "set_capacity",
+        "evict_for"]),
+    st.sampled_from(["f", "gg", "hhh"]),          # function
+    st.floats(min_value=50.0, max_value=400.0),   # memory / MB / duration
+    st.integers(min_value=0, max_value=7),        # which container
+    st.sampled_from([0.25, 1.0, 3.0, 7.0, 45.0]),  # time step
+)
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES + ("FALL",))
+@settings(max_examples=30, deadline=None)
+@given(
+    ops=st.lists(heap_op, min_size=20, max_size=80),
+    capacity=st.floats(min_value=300.0, max_value=1500.0),
+)
+def test_lazy_heap_evicts_like_the_eager_reference(ops, policy_name, capacity):
+    lazy = _HeapReplica(KeepAliveCache, policy_name, capacity)
+    eager = _HeapReplica(EagerHeapCache, policy_name, capacity)
+    now = 0.0
+    for kind, fqdn, amount, pick, step in ops:
+        if kind == "advance":
+            now += step
+            continue
+        assert (lazy.apply(kind, fqdn, amount, pick, now)
+                == eager.apply(kind, fqdn, amount, pick, now))
+        assert lazy.state() == eager.state()
+        # Without ``now``: after a shrink, containers busy at the time stay
+        # over the budget once idle, until an insert evicts them.
+        lazy.cache.check_invariants()
+        eager.cache.check_invariants()
+
+
+@pytest.mark.parametrize("policy_name", POLICY_NAMES)
+def test_warm_hits_do_not_grow_the_heap(policy_name):
+    cache = KeepAliveCache(make_policy(policy_name), capacity_mb=1000.0)
+    c = cache.insert("f", 100.0, 1.0, 0.1, now=0.0)
+    cache.finish(c, 0.1)
+    for i in range(1, 101):
+        now = float(i)
+        assert cache.lookup("f", now) is c
+        cache.finish(c, now + 0.1)
+    assert cache.stats.hits == 100
+    assert len(cache._evict_heap) == 1
+    cache.check_invariants(now=101.0)
