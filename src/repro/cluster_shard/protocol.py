@@ -47,7 +47,8 @@ shard → coordinator:
     One bounded chunk of a terminal result stream (``kind`` in
     ``{"summaries", "seam", "records", "breakdowns", "timeline"}``; the
     telemetry kinds, the last three, only when the run has telemetry).
-    ``timeline`` rows are the shard's per-invocation rows (schema in
+    ``timeline`` rows are the shard's per-invocation
+    :class:`~repro.telemetry.timeline.TimelineRow` rows (schema in
     ``tracing/events.py``), without the LB entries the coordinator joins
     from its placement log.  Telemetry kinds arrive pre-sorted by the
     merge key so the coordinator can k-way merge without re-sorting.

@@ -14,8 +14,10 @@ Two pieces make up the seam:
   the container entry, per-stage enter/exit timestamps, the component
   intervals telemetry decomposes, and the final outcome or drop reason.
   Stage times are two flat ``{stage: float}`` dicts, which the cyclic
-  GC does not track, so a run that retains every context for export
-  does not grow the GC's work by a list per stage.
+  GC does not track, and the component intervals one flat list,
+  ``[name, start, end, name, start, end, ...]`` in recording order, so
+  a run that retains every context for export does not grow the GC's
+  work by a container per stage or per interval.
 * :class:`InvocationLifecycle` — the worker's stages as named units with
   a uniform enter/exit contract.  Each stage spends its component
   latencies as DES timeouts, exactly as the worker's previous inlined
@@ -30,15 +32,16 @@ baseline keeps its own latency components and queueing semantics.
 Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
 component per invocation), and stage stamps and per-invocation interval
-collection cost one attribute test unless telemetry attached.  The
-context ``intervals`` are the only per-invocation record of component
-timing: spans, phase breakdowns, trace trees and Table 2 are all derived
-from them (trace trees together with ``stage_times``).
+collection cost one attribute test unless telemetry attached; a site
+records its interval with one ``extend`` of the flat list.  The context
+``intervals`` are the only per-invocation record of component timing:
+spans, phase breakdowns, trace trees and Table 2 are all derived from
+them (trace trees together with the stage times).
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator, Iterator, Optional, Sequence
 
 from ..keepalive.policies import HistogramPolicy
 from ..metrics.registry import InvocationRecord, Outcome
@@ -57,6 +60,7 @@ __all__ = [
     "DROP",
     "TIMEOUT",
     "STAGES",
+    "interval_triples",
     "InvocationContext",
     "StageTracker",
     "InvocationLifecycle",
@@ -90,6 +94,13 @@ STAGES = (
 )
 
 
+def interval_triples(intervals: Sequence) -> Iterator[tuple]:
+    """The ``(name, start, end)`` triples of a flat interval list, in
+    recording order."""
+    it = iter(intervals)
+    return zip(it, it, it)
+
+
 class InvocationContext:
     """One invocation's state as it travels the stage pipeline.
 
@@ -97,9 +108,10 @@ class InvocationContext:
     the registration and its accumulating timestamps), the completion
     event, the regulator token and container entry currently held, the
     per-stage ``entered``/``exited`` times and the component
-    ``intervals`` telemetry decomposes (all stamped only while contexts
-    are collected, i.e. when a :class:`~repro.telemetry.Telemetry`
-    pipeline attached), and the terminal ``outcome``.
+    ``intervals`` telemetry decomposes (one flat ``[name, start, end,
+    ...]`` list; all stamped only while contexts are collected, i.e.
+    when a :class:`~repro.telemetry.Telemetry` pipeline attached), and
+    the terminal ``outcome``.
     """
 
     __slots__ = (
@@ -346,7 +358,7 @@ class InvocationLifecycle(StageTracker):
             # shared queue and a worker claiming it is control-plane
             # time — surface it as its own interval so the overhead
             # decomposition can attribute it (a "claim_wait" phase).
-            ctx.intervals.append(("claim_wait", inv.offered_at, inv.claimed_at))
+            ctx.intervals.extend(("claim_wait", inv.offered_at, inv.claimed_at))
 
         if collect:
             start = env.now
@@ -354,7 +366,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("invoke", start, env.now))
+            ctx.intervals.extend(("invoke", start, env.now))
 
         if collect:
             start = env.now
@@ -362,7 +374,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("sync_invoke", start, env.now))
+            ctx.intervals.extend(("sync_invoke", start, env.now))
 
         fqdn = inv.function.fqdn()
         self.characteristics.record_arrival(fqdn, env.now)
@@ -388,7 +400,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("enqueue_invocation", start, env.now))
+            ctx.intervals.extend(("enqueue_invocation", start, env.now))
 
         priority = self.queue_policy.priority(inv, ctx.warm_available)
         inv.enqueued_at = env.now
@@ -399,7 +411,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("add_item_to_q", start, env.now))
+            ctx.intervals.extend(("add_item_to_q", start, env.now))
         # Admission check at the moment of insertion, so concurrent
         # ingests observe the queue they are actually joining.
         max_len = self.config.queue_max_len
@@ -423,7 +435,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("dequeue", start, env.now))
+            ctx.intervals.extend(("dequeue", start, env.now))
 
         if collect:
             start = env.now
@@ -431,7 +443,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("spawn_worker", start, env.now))
+            ctx.intervals.extend(("spawn_worker", start, env.now))
         self.stage_exit(ctx, DISPATCH)
 
     def acquire(self, ctx: InvocationContext) -> Generator:
@@ -448,7 +460,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("acquire_container", start, env.now))
+            ctx.intervals.extend(("acquire_container", start, env.now))
 
         ctx.entry = self.pool.try_acquire(fqdn)
         self.stage_exit(ctx, ACQUIRE)
@@ -469,7 +481,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("try_lock_container", start, env.now))
+            ctx.intervals.extend(("try_lock_container", start, env.now))
         ctx.inv.cold = False
         self.stage_exit(ctx, WARM)
 
@@ -488,13 +500,13 @@ class InvocationLifecycle(StageTracker):
         took = yield from self.take_memory(inv.function.memory_mb)
         if not took:
             if collect:
-                ctx.intervals.append(("cold_create", start, env.now))
+                ctx.intervals.extend(("cold_create", start, env.now))
             self.stage_exit(ctx, COLD_CREATE)
             self.drop(ctx, "insufficient memory")
             return False
         ctx.entry = yield from self.create_container(inv.function)
         if collect:
-            ctx.intervals.append(("cold_create", start, env.now))
+            ctx.intervals.extend(("cold_create", start, env.now))
         self.stage_exit(ctx, COLD_CREATE)
         return True
 
@@ -513,13 +525,13 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("prepare_invoke", start, env.now))
+            ctx.intervals.extend(("prepare_invoke", start, env.now))
 
         conn_cost = self.http_clients.connection_cost(ctx.entry.container.id)
         if conn_cost > 0:
             yield env.timeout(conn_cost)
             if collect:
-                ctx.intervals.append(
+                ctx.intervals.extend(
                     ("http_client_create", env.now - conn_cost, env.now)
                 )
 
@@ -551,8 +563,8 @@ class InvocationLifecycle(StageTracker):
             # function time exactly; Table 2 leaves it out), then the
             # HTTP overhead around it.
             comm = max(env.now - call_start - exec_time, 0.0)
-            ctx.intervals.append(("exec", call_start, call_start + exec_time))
-            ctx.intervals.append(("call_container", env.now - comm, env.now))
+            ctx.intervals.extend(("exec", call_start, call_start + exec_time,
+                                  "call_container", env.now - comm, env.now))
 
         if collect:
             start = env.now
@@ -560,7 +572,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("download_result", start, env.now))
+            ctx.intervals.extend(("download_result", start, env.now))
         self.stage_exit(ctx, EXECUTE)
         return False
 
@@ -579,7 +591,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("return_container", start, env.now))
+            ctx.intervals.extend(("return_container", start, env.now))
 
         self.pool.return_entry(ctx.entry)
         ctx.entry = None
@@ -590,7 +602,7 @@ class InvocationLifecycle(StageTracker):
         if cost > 0:
             yield env.timeout(cost)
         if collect:
-            ctx.intervals.append(("return_results", start, env.now))
+            ctx.intervals.extend(("return_results", start, env.now))
 
         inv.completed_at = env.now
         fqdn = inv.function.fqdn()

@@ -14,6 +14,7 @@ from collections import defaultdict
 from typing import Iterable
 
 from ..core.config import WorkerConfig
+from ..core.lifecycle import interval_triples
 from ..core.worker import Worker
 from ..metrics.spans import SPAN_GROUPS
 from ..sim.core import Environment
@@ -54,7 +55,7 @@ def component_table(contexts: Iterable, scale: float = 1.0) -> list[dict]:
     """
     durations: dict[str, list[float]] = defaultdict(list)
     for ctx in contexts:
-        for name, start, end in ctx.intervals:
+        for name, start, end in interval_triples(ctx.intervals):
             if name not in NOT_COMPONENTS:
                 durations[name].append(end - start)
     names = [name for name in SPAN_GROUPS if name in durations]

@@ -43,6 +43,8 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
+from ..core.lifecycle import interval_triples
+
 __all__ = [
     "PHASES",
     "CLAIM_WAIT_PHASE",
@@ -106,8 +108,9 @@ class InvocationBreakdown:
         return int(self.tag) if self.tag.isdigit() else None
 
 
-def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreakdown]:
-    """One invocation's breakdown from ``(name, start, end)`` intervals.
+def _breakdown(tag: str, intervals: Sequence) -> Optional[InvocationBreakdown]:
+    """One invocation's breakdown from its flat ``[name, start, end, ...]``
+    intervals (a context's layout).
 
     One pass in recording order; the queue-wait gap is added after the
     loop, which fixes the float accumulation order the golden fixture
@@ -120,7 +123,7 @@ def _breakdown(tag: str, intervals: Sequence[tuple]) -> Optional[InvocationBreak
     add_item_end: Optional[float] = None
     dequeue_start: Optional[float] = None
     first_start, last_end = _INF, -_INF
-    for name, start, end in intervals:
+    for name, start, end in interval_triples(intervals):
         if start < first_start:
             first_start = start
         if end > last_end:

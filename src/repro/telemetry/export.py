@@ -19,11 +19,14 @@ series, and is the only code that writes a run directory:
 =================  ====================================================
 
 plus ``traces.jsonl`` (the per-invocation timeline, one row per
-invocation id; schema in :mod:`repro.tracing.events`) when the run was
-traced, and ``flight.json`` and the health files when the run produced
-them.  Every distribution and the health grade are derived here from the
-merged streams, and span and trace-event views from the timeline rows;
-nothing feeds them while the simulation runs.
+invocation id; schema in :mod:`repro.tracing.events`, rows and their one
+writer in :mod:`repro.telemetry.timeline`) when the run was traced, and
+``flight.json`` and the health files when the run produced them.  Every
+distribution and the health grade are derived here from the merged
+streams, and span and trace-event views from the timeline rows; nothing
+feeds them while the simulation runs.  The merged record stream is
+walked once per export: the summary, the health fold and
+``records.jsonl`` read the same list.
 
 Each part stream is sorted by its merge key, so every merged view is a
 k-way ``heapq.merge``.  ``heapq.merge`` is stable (the earlier stream
@@ -42,7 +45,9 @@ import heapq
 import itertools
 import json
 import os
-from operator import itemgetter
+from json.encoder import encode_basestring_ascii as _string
+from math import isfinite
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
@@ -55,6 +60,7 @@ from .exporters import (
     write_prometheus,
 )
 from .sampler import TelemetryConfig
+from .timeline import TimelineRow, encode_row
 
 __all__ = [
     "RUN_FILES",
@@ -92,7 +98,7 @@ _CORE_FILES = ("timeseries", "records", "metrics", "summary")
 # Merge keys of the record and timeline streams; breakdowns merge under
 # decomposition.BREAKDOWN_KEY.
 RECORD_KEY = lambda r: (r.arrival, r.invocation_id)  # noqa: E731
-TIMELINE_KEY = itemgetter("id")
+TIMELINE_KEY = attrgetter("id")
 
 PART_STREAMS = ("records", "breakdowns", "timeline")
 
@@ -144,8 +150,9 @@ class MergedTelemetry:
     it supplies the timeline rows' LB entries.  ``lb_loads`` is
     the balancer-visible load series.  ``flight`` is the sharded
     coordinator's flight log, written as ``flight.json``.  The views are
-    lists; the ``iter_*`` variants stream the merge without
-    materializing it.
+    lists; the merged records are built once and kept, and the
+    ``iter_*`` variants stream the other merges without materializing
+    them.
     """
 
     def __init__(self, config: TelemetryConfig, worker_names,
@@ -162,25 +169,28 @@ class MergedTelemetry:
         self.dispatch_info = dispatch_info
 
     @functools.cached_property
+    def _records(self) -> list:
+        """The merged records, walked off the parts once and shared by
+        every view and the export."""
+        return list(self._merge("records", key=RECORD_KEY))
+
+    @functools.cached_property
     def health(self):
         """The run's health collector, folded from the merged records on
         first use (``None`` when health is off)."""
         config = self.config.health
         if config is None:
             return None
-        return config.collector(self.iter_records())
+        return config.collector(self._records)
 
     # -- streams (merge-key order, never materialized) ----------------------
     def _merge(self, kind: str, key) -> Iterator:
         return heapq.merge(*(p.stream(kind) for p in self._parts), key=key)
 
-    def iter_records(self) -> Iterator:
-        return self._merge("records", key=RECORD_KEY)
-
     def iter_breakdowns(self) -> Iterator:
         return self._merge("breakdowns", key=BREAKDOWN_KEY)
 
-    def iter_timeline(self) -> Iterator[dict]:
+    def iter_timeline(self) -> Iterator[TimelineRow]:
         """The run's timeline rows in id order: the parts' context rows
         outer-joined with the placement log, whose ordinals are ids."""
         rows = self._merge("timeline", key=TIMELINE_KEY)
@@ -190,7 +200,7 @@ class MergedTelemetry:
 
     # -- views -------------------------------------------------------------
     def records(self) -> list:
-        return list(self.iter_records())
+        return list(self._records)
 
     def spans(self) -> list:
         from ..tracing.events import derive_spans
@@ -224,14 +234,14 @@ class MergedTelemetry:
         return self._summary()[0]
 
     def _summary(self) -> tuple[dict, dict]:
-        # The merged record and breakdown lists live only for this call.
+        # The merged breakdown list lives only for this call.
         return build_summary(
             self.config,
             self.worker_names,
             # Every part's sampler ticks the same simulated grid over the
             # same horizon, so each saw the same number of rounds.
             max((p.samples for p in self._parts), default=0),
-            self.records(),
+            self._records,
             self.breakdowns(),
             dispatch=self.dispatch_info,
         )
@@ -239,8 +249,8 @@ class MergedTelemetry:
     # -- export ------------------------------------------------------------
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:
         """Write the run directory; returns {kind: path}.  The summary's
-        transient pass comes first; the record and timeline files then
-        stream straight off the merged iterators."""
+        transient pass comes first; the timeline file then streams
+        straight off the merged iterator."""
         series: dict = {}
         for part in self._parts:
             series.update(part.series)
@@ -252,7 +262,7 @@ class MergedTelemetry:
             config=self.config,
             worker_names=self.worker_names,
             series=series,
-            records=self.iter_records(),
+            records=self._records,
             registry=self._registry(),
             summary=summary,
             histograms=histograms,
@@ -263,26 +273,68 @@ class MergedTelemetry:
         )
 
 
-def _join_placements(rows: Iterator[dict], log,
-                     rpc_latency: float) -> Iterator[dict]:
+def _join_placements(rows: Iterator[TimelineRow], log,
+                     rpc_latency: float) -> Iterator[TimelineRow]:
     """Outer-join id-ordered context ``rows`` with a placement log: entry
     ``k`` (1-based) becomes invocation ``k``'s ``lb`` entry, on its context
     row or on a row of its own when no worker opened a context for it
     (the RPC hop was still in flight at the horizon)."""
     row = next(rows, None)
     for k, (t, fqdn, target) in enumerate(log, 1):
-        while row is not None and row["id"] < k:
+        while row is not None and row.id < k:
             yield row
             row = next(rows, None)
         lb = [t, fqdn, target, t + rpc_latency if rpc_latency > 0 else None]
-        if row is not None and row["id"] == k:
-            yield {**row, "lb": lb}
+        if row is not None and row.id == k:
+            yield row._replace(lb=lb)
             row = next(rows, None)
         else:
-            yield {"id": k, "lb": lb}
+            yield TimelineRow(k, lb=lb)
     if row is not None:
         yield row
         yield from rows
+
+
+def record_object(r) -> dict:
+    """A record's ``records.jsonl`` object."""
+    return {
+        "function": r.function,
+        "arrival": r.arrival,
+        "outcome": r.outcome.value,
+        "exec_time": r.exec_time,
+        "e2e_time": r.e2e_time,
+        "queue_time": r.queue_time,
+        "overhead": r.overhead,
+        "cold": r.cold,
+        "worker": r.worker,
+        "invocation_id": r.invocation_id,
+    }
+
+
+_FLOAT = {float}
+_RECORD_LINE = (
+    '{"function": %s, "arrival": %s, "outcome": %s, "exec_time": %s, '
+    '"e2e_time": %s, "queue_time": %s, "overhead": %s, "cold": %s, '
+    '"worker": %s, "invocation_id": %s}'
+)
+
+
+def encode_record(r) -> str:
+    """A record's ``records.jsonl`` line (no newline), equal to
+    ``json.dumps(record_object(r))``: filled into a template when every
+    field has its usual type and the times are finite floats, encoded by
+    ``json`` otherwise."""
+    times = (r.arrival, r.exec_time, r.e2e_time, r.queue_time, r.overhead)
+    if not (_FLOAT.issuperset(map(type, times)) and isfinite(sum(times))
+            and type(r.cold) is bool and type(r.invocation_id) is int
+            and type(r.function) is str and type(r.worker) is str):
+        return json.dumps(record_object(r))
+    arrival, exec_time, e2e_time, queue_time, overhead = map(float.__repr__, times)
+    return _RECORD_LINE % (
+        _string(r.function), arrival, _string(r.outcome.value), exec_time,
+        e2e_time, queue_time, overhead, "true" if r.cold else "false",
+        _string(r.worker), r.invocation_id,
+    )
 
 
 def write_run_dir(
@@ -307,10 +359,11 @@ def write_run_dir(
     ``summary`` and ``histograms`` come from :func:`build_summary`;
     ``health`` is the run's :class:`~repro.health.HealthCollector`
     (``None`` when health is off).  ``records`` and ``timeline`` (the
-    timeline rows, written as ``traces.jsonl``) may be any single-pass
-    iterables (each is walked exactly once, straight onto disk).  The
-    optional artifacts are written (and included in the returned paths)
-    only when supplied.
+    :class:`~repro.telemetry.timeline.TimelineRow` rows, written as
+    ``traces.jsonl`` by :func:`~repro.telemetry.timeline.encode_row`) may
+    be any single-pass iterables (each is walked exactly once, straight
+    onto disk).  The optional artifacts are written (and included in the
+    returned paths) only when supplied.
     """
     run_dir = Path(run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
@@ -320,18 +373,7 @@ def write_run_dir(
 
     with open(paths["records"], "w") as fh:
         for r in records:
-            fh.write(json.dumps({
-                "function": r.function,
-                "arrival": r.arrival,
-                "outcome": r.outcome.value,
-                "exec_time": r.exec_time,
-                "e2e_time": r.e2e_time,
-                "queue_time": r.queue_time,
-                "overhead": r.overhead,
-                "cold": r.cold,
-                "worker": r.worker,
-                "invocation_id": r.invocation_id,
-            }))
+            fh.write(encode_record(r))
             fh.write("\n")
 
     write_prometheus(registry, paths["metrics"], histograms)
@@ -342,10 +384,9 @@ def write_run_dir(
 
     if timeline is not None:
         paths["traces"] = run_dir / RUN_FILES["traces"]
-        dumps = json.JSONEncoder(separators=(",", ":")).encode
         with open(paths["traces"], "w") as fh:
             for row in timeline:
-                fh.write(dumps(row))
+                fh.write(encode_row(row))
                 fh.write("\n")
     if flight is not None:
         paths["flight"] = run_dir / RUN_FILES["flight"]

@@ -23,6 +23,7 @@ from ..metrics.spans import Span
 from .decomposition import decompose_contexts
 from .export import RECORD_KEY, RUN_FILES, MergedTelemetry, TelemetryPart
 from .sampler import TelemetryConfig, TelemetrySampler, Timeseries
+from .timeline import TimelineRow
 
 __all__ = [
     "Telemetry",
@@ -169,8 +170,10 @@ class Telemetry:
         """The attached workers' share of the run, as one
         :class:`TelemetryPart`: each stream is derived from the workers'
         records and retained contexts when it is walked.  The timeline
-        holds one row per retained context (in-flight invocations
-        included), in id order; rows carry :attr:`shard` when it is set."""
+        holds one :class:`~repro.telemetry.timeline.TimelineRow` per
+        retained context (in-flight invocations included), in id order,
+        referencing the context's stage times and intervals; rows carry
+        :attr:`shard` when it is set."""
         workers = self._workers
         shard = self.shard
 
@@ -188,15 +191,8 @@ class Telemetry:
                      for w in workers for ctx in w.lifecycle.contexts]
             owned.sort(key=itemgetter(0))
             for tid, worker, ctx in owned:
-                row = {"id": tid, "worker": worker}
-                if shard is not None:
-                    row["shard"] = shard
-                exited = ctx.exited
-                row["stage_times"] = [[name, t0, exited.get(name)]
-                                      for name, t0 in ctx.entered.items()]
-                row["intervals"] = ctx.intervals
-                row["closed"] = ctx.outcome is not None
-                yield row
+                yield TimelineRow(tid, worker, shard, ctx.entered, ctx.exited,
+                                  ctx.intervals, ctx.outcome is not None)
 
         return TelemetryPart(
             {"records": records, "breakdowns": breakdowns,

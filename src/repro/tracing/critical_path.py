@@ -129,7 +129,7 @@ def critical_path(tree: TraceTree) -> CriticalPath:
     components = tree.components()
     breakdown = _breakdown(
         str(tree.trace_id),
-        [(e.name, e.start, e.end) for e in components],
+        [x for e in components for x in (e.name, e.start, e.end)],
     ) if components else None
     worker = next((e.worker for e in chain if e.worker is not None), None)
     shard = next((e.shard for e in tree.events if e.shard is not None), None)

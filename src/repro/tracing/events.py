@@ -2,8 +2,8 @@
 
 A run's one per-invocation record is its *timeline* (``traces.jsonl``):
 one row per invocation id, the outer join of the push front end's
-placement log and the retained lifecycle contexts, in id order.  A row
-is a JSON object with
+placement log and the retained lifecycle contexts, in id order.  On disk
+a row is one JSON line, an object with
 
 * ``id`` — the invocation id (the placement ordinal on push clusters,
   the claim ordinal on pull ones);
@@ -16,10 +16,13 @@ is a JSON object with
   opened a context for it, including one cut off at the horizon;
 * ``shard`` — the owning shard index on traced sharded runs.
 
-:class:`TraceEvent` and :class:`~repro.metrics.spans.Span` lists are
-views derived from rows by :func:`derive_trace_events` and
-:func:`derive_spans`; nothing builds either while a run executes or
-while it exports.
+In memory a row is a :class:`~repro.telemetry.timeline.TimelineRow`,
+which holds the context's stage times and flat interval list as they
+are; that module writes and parses the lines.  :class:`TraceEvent` and
+:class:`~repro.metrics.spans.Span` lists are views derived from rows by
+:func:`derive_trace_events` and :func:`derive_spans`, which read rows
+from memory and from disk alike; nothing builds either while a run
+executes or while it exports.
 
 A trace is the set of events sharing an invocation's ``trace_id`` (the
 invocation id itself, already stamped on records and breakdown tags).
@@ -57,14 +60,17 @@ from ..core.lifecycle import (
     ENQUEUE,
     EXECUTE,
     WARM,
+    interval_triples,
 )
 from ..metrics.spans import Span
+from ..telemetry.timeline import TimelineRow, parse_row
 
 __all__ = [
     "TraceEvent",
     "COMPONENT_STAGE",
     "derive_trace_events",
     "derive_spans",
+    "load_timeline",
     "load_trace_jsonl",
 ]
 
@@ -114,14 +120,14 @@ class TraceEvent:
 _LB_SEQS = 2
 
 
-def derive_trace_events(rows: Iterable[dict]) -> Iterator[TraceEvent]:
+def derive_trace_events(rows: Iterable[TimelineRow]) -> Iterator[TraceEvent]:
     """Yield the trace events of timeline ``rows`` (in id order), so in
     canonical ``(trace_id, seq)`` order.
 
     An LB entry yields ``lb_pick`` and, when the hop is modelled,
     ``lb_rpc``; the stage chain hangs under the last of them.  Only a
     closed row yields its stage and component events: stages in
-    ``stage_times`` order, where a stage the pipeline never exited —
+    stage-enter order, where a stage the pipeline never exited —
     EXECUTE on the timeout path — borrows the next stage's enter time as
     its end, falling back to the terminal stamp; then the component
     intervals in recording order, each parented on its owning stage.
@@ -129,10 +135,10 @@ def derive_trace_events(rows: Iterable[dict]) -> Iterator[TraceEvent]:
     dataclass costs about 40% more.
     """
     for row in rows:
-        tid = row["id"]
+        tid = row.id
         parent = None
         seq = 0
-        lb = row.get("lb")
+        lb = row.lb
         if lb is not None:
             t, _fqdn, target, rpc_end = lb
             yield TraceEvent(tid, 0, "lb_pick", "lb", t, t)
@@ -142,13 +148,15 @@ def derive_trace_events(rows: Iterable[dict]) -> Iterator[TraceEvent]:
                                  "lb_pick", target)
                 parent = "lb_rpc"
             seq = _LB_SEQS
-        if not row.get("closed"):
+        if not row.closed:
             continue
-        worker = row["worker"]
-        shard = row.get("shard")
-        stages = row["stage_times"]
-        terminal_end = stages[-1][2]
-        for i, (name, t0, t1) in enumerate(stages):
+        worker = row.worker
+        shard = row.shard
+        exited = row.exited
+        stages = list(row.entered.items())
+        terminal_end = exited.get(stages[-1][0])
+        for i, (name, t0) in enumerate(stages):
+            t1 = exited.get(name)
             if t1 is None:
                 nxt = stages[i + 1][1] if i + 1 < len(stages) else terminal_end
                 t1 = t0 if nxt is None else nxt
@@ -156,13 +164,13 @@ def derive_trace_events(rows: Iterable[dict]) -> Iterator[TraceEvent]:
                              shard)
             parent = name
             seq += 1
-        for name, t0, t1 in row["intervals"]:
+        for name, t0, t1 in interval_triples(row.intervals):
             yield TraceEvent(tid, seq, name, "component", t0, t1,
                              COMPONENT_STAGE.get(name), worker, shard)
             seq += 1
 
 
-def derive_spans(rows: Iterable[dict], workers: Sequence[str]) -> list[Span]:
+def derive_spans(rows: Iterable[TimelineRow], workers: Sequence[str]) -> list[Span]:
     """The spans of timeline ``rows`` in ``(start, end, name)`` order.
 
     Every interval a worker finished is a span tagged with the invocation
@@ -176,11 +184,10 @@ def derive_spans(rows: Iterable[dict], workers: Sequence[str]) -> list[Span]:
     owned = []
     lb_spans = []
     for row in rows:
-        if "worker" in row:
-            owned.append((rank[row["worker"]], row["id"], row.get("shard"),
-                          row["intervals"]))
-        if "lb" in row:
-            t, fqdn, target, rpc_end = row["lb"]
+        if row.worker is not None:
+            owned.append((rank[row.worker], row.id, row.shard, row.intervals))
+        if row.lb is not None:
+            t, fqdn, target, rpc_end = row.lb
             lb_spans.append(Span("lb_pick", t, t, fqdn))
             if rpc_end is not None:
                 lb_spans.append(Span("lb_rpc", t, rpc_end, target))
@@ -189,15 +196,20 @@ def derive_spans(rows: Iterable[dict], workers: Sequence[str]) -> list[Span]:
     for _rank, tid, shard, intervals in owned:
         tag = str(tid)
         out.extend(Span(name, t0, t1, tag, shard)
-                   for name, t0, t1 in intervals)
+                   for name, t0, t1 in interval_triples(intervals))
     out.extend(lb_spans)
     out.sort(key=lambda s: (s.start, s.end, s.name))
     return out
 
 
+def load_timeline(path: Union[str, Path]) -> Iterator[TimelineRow]:
+    """The rows of a ``traces.jsonl`` timeline, read lazily."""
+    with open(path) as fh:
+        for line in fh:
+            if line.strip():
+                yield parse_row(json.loads(line))
+
+
 def load_trace_jsonl(path: Union[str, Path]) -> list[TraceEvent]:
     """The trace events of a ``traces.jsonl`` timeline."""
-    with open(path) as fh:
-        return list(derive_trace_events(
-            json.loads(line) for line in fh if line.strip()
-        ))
+    return list(derive_trace_events(load_timeline(path)))

@@ -15,12 +15,7 @@ import json
 from pathlib import Path
 
 from repro.telemetry import read_run_file
-from repro.tracing.events import derive_spans
-
-
-def _timeline(run_dir) -> list[dict]:
-    with open(Path(run_dir) / "traces.jsonl") as fh:
-        return [json.loads(line) for line in fh]
+from repro.tracing.events import derive_spans, load_timeline
 
 
 def legacy_traces_jsonl(run_dir) -> bytes:
@@ -43,7 +38,8 @@ def legacy_spans_jsonl(run_dir) -> bytes:
     """One JSON object per span, ``shard`` omitted when ``None``."""
     workers = read_run_file(run_dir, "manifest")["workers"]
     lines = []
-    for s in derive_spans(_timeline(run_dir), workers):
+    for s in derive_spans(load_timeline(Path(run_dir) / "traces.jsonl"),
+                          workers):
         row = {"name": s.name, "start": s.start, "end": s.end, "tag": s.tag}
         if s.shard is not None:
             row["shard"] = s.shard

@@ -13,7 +13,10 @@ by claim ordinal, so both runs reproduce their ids in any process.
 ``manifest.json`` (it records the package version).  The digests were
 pinned while run dirs held one ``traces.jsonl`` line per trace event and
 a ``spans.jsonl``; those two are rebuilt from the timeline rows
-(``tests/legacy_run_files.py``) and hashed.
+(``tests/legacy_run_files.py``) and hashed.  The timeline file itself is
+hashed as written too, under ``schema2/traces.jsonl``: the rebuilds parse
+it, so only this digest sees a writer that changes float formatting, key
+order or escaping but parses the same.
 ``tests/data/run_dir_digests.json`` holds the digests, and
 ``tests/test_run_dir_digests.py`` compares against them.
 
@@ -84,11 +87,13 @@ def _export(run: str, run_dir: str) -> None:
 
 def file_digests(run_dir) -> dict[str, str]:
     """sha256 of every file in ``run_dir`` except ``manifest.json``, with
-    ``traces.jsonl`` and ``spans.jsonl`` in their pre-timeline form."""
+    ``traces.jsonl`` and ``spans.jsonl`` in their pre-timeline form and
+    the timeline bytes as ``schema2/traces.jsonl``."""
     blobs = {
         path.name: path.read_bytes()
         for path in Path(run_dir).iterdir() if path.name != "manifest.json"
     }
+    blobs["schema2/traces.jsonl"] = blobs["traces.jsonl"]
     blobs["traces.jsonl"] = legacy_traces_jsonl(run_dir)
     blobs["spans.jsonl"] = legacy_spans_jsonl(run_dir)
     return {name: hashlib.sha256(blobs[name]).hexdigest()

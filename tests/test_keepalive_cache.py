@@ -255,7 +255,7 @@ cache_op = st.tuples(
 
 @settings(max_examples=100, deadline=None)
 @given(
-    ops=st.lists(cache_op, min_size=1, max_size=120),
+    ops=st.lists(cache_op, min_size=20, max_size=120),
     policy_name=st.sampled_from(["TTL", "HIST"]),
     capacity=st.floats(min_value=300.0, max_value=1500.0),
 )

@@ -183,7 +183,7 @@ def test_context_retention_and_interval_collection():
         assert ctx.registration is REG
         assert ctx.invocation_id == inv.id
         assert ctx.cold == inv.cold
-        names = [name for name, _start, _end in ctx.intervals]
+        names = ctx.intervals[0::3]
         assert "exec" in names and "invoke" in names
     # The intervals account for every control-plane second: each phase
     # sum equals the overhead the record computes from the invocation's

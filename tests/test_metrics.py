@@ -124,13 +124,13 @@ def test_breakdown_table_grouping_and_order():
 
     contexts = [
         SimpleNamespace(intervals=[
-            ("custom_component", 0.0, 0.001),
-            ("call_container", 0.001, 0.00226),
-            ("exec", 0.00226, 0.5),          # function time -> no row
+            "custom_component", 0.0, 0.001,
+            "call_container", 0.001, 0.00226,
+            "exec", 0.00226, 0.5,            # function time -> no row
         ]),
         SimpleNamespace(intervals=[
-            ("invoke", 1.0, 1.000026),
-            ("call_container", 1.0, 1.00146),
+            "invoke", 1.0, 1.000026,
+            "call_container", 1.0, 1.00146,
         ]),
     ]
     rows = component_table(contexts, scale=1000.0)

@@ -11,6 +11,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import WorkerConfig
 from repro.core.function import FunctionRegistration
+from repro.core.lifecycle import interval_triples
 from repro.core.worker import Worker
 from repro.loadbalancer.cluster import Cluster
 from repro.health import DDSketch
@@ -279,9 +280,12 @@ def test_decomposition_phases_sum_to_recorded_overhead():
 
 
 def _context(inv_id, intervals, outcome=Outcome.WARM):
-    """A stand-in for a closed InvocationContext with collected intervals."""
+    """A stand-in for a closed InvocationContext whose collected
+    ``(name, start, end)`` intervals are laid out flat, as a context
+    keeps them."""
+    flat = None if intervals is None else [x for iv in intervals for x in iv]
     return SimpleNamespace(inv=SimpleNamespace(id=inv_id),
-                           intervals=intervals, outcome=outcome)
+                           intervals=flat, outcome=outcome)
 
 
 def test_decomposition_skips_untagged_and_execless_groups():
@@ -361,7 +365,8 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
                 for ctx in w.lifecycle.contexts]
     assert len(contexts) == len(invocations)
     derived = [(name, start, end, str(ctx.inv.id))
-               for ctx in contexts for name, start, end in ctx.intervals]
+               for ctx in contexts
+               for name, start, end in interval_triples(ctx.intervals)]
     log = cluster.front.placement_log
     assert len(log) == len(invocations)
     # Log position + 1 is the placement ordinal, the invocation id.
@@ -373,7 +378,8 @@ def test_exported_spans_are_context_intervals_plus_lb_spans(tmp_path):
     assert [row["lb"] for row in rows] == \
         [[t, fqdn, target, t + rpc] for t, fqdn, target in log]
     by_id = {ctx.inv.id: ctx for ctx in contexts}
-    assert all(row["intervals"] == [list(i) for i in by_id[row["id"]].intervals]
+    assert all(row["intervals"] == [list(i) for i in
+                                    interval_triples(by_id[row["id"]].intervals)]
                for row in rows)
     lb = [row for t, fqdn, target in log
           for row in (("lb_pick", t, t, fqdn), ("lb_rpc", t, t + rpc, target))]
@@ -488,12 +494,12 @@ def test_cut_off_invocation_exports_finished_spans_but_no_breakdown():
     assert ctx.stage == COMPLETE
     assert ctx.stage_times[COMPLETE] == [entered, None]
     assert ctx.outcome is None and worker.metrics.records == []
-    names = [name for name, _start, _end in ctx.intervals]
+    names = ctx.intervals[0::3]
     assert "exec" in names and "download_result" in names
     assert "return_container" not in names
     spans = telemetry.spans()
     assert [(s.name, s.start, s.end) for s in spans] == \
-        sorted(((n, a, b) for n, a, b in ctx.intervals),
+        sorted(interval_triples(ctx.intervals),
                key=lambda t: (t[1], t[2], t[0]))
     assert all(s.tag == str(ctx.inv.id) for s in spans)
     assert telemetry.breakdowns() == []

@@ -143,7 +143,7 @@ def test_spans_recorded_for_warm_path():
     worker.lifecycle.keep_contexts = True
     env.run_process(worker.invoke("hello.1"))
     (ctx,) = worker.lifecycle.contexts
-    names = {name for name, _start, _end in ctx.intervals}
+    names = set(ctx.intervals[0::3])
     for expected in ("invoke", "enqueue_invocation", "dequeue",
                      "acquire_container", "prepare_invoke", "return_results"):
         assert expected in names
