@@ -54,7 +54,14 @@ def rows(draw):
     stages = draw(st.lists(st.tuples(names, times, st.none() | times),
                            max_size=8, unique_by=lambda s: s[0]))
     intervals = draw(st.lists(st.tuples(names, times, times), max_size=16))
-    closed = draw(st.booleans())
+    return _row(stages, intervals, lb, worker, rid, shard,
+                draw(st.booleans()))
+
+
+def _row(stages=(), intervals=(), lb=None, worker="w", rid=7, shard=None,
+         closed=True):
+    """A row with a worker, from ``(name, t0, t1|None)`` stages and
+    ``(name, t0, t1)`` intervals, and its JSON object."""
     row = TimelineRow(
         rid, worker, shard,
         {name: t0 for name, t0, _t1 in stages},
@@ -70,18 +77,6 @@ def rows(draw):
     if lb is not None:
         obj["lb"] = lb
     return row, obj
-
-
-def _row(stages=(), intervals=(), lb=None, worker="w"):
-    return TimelineRow(
-        7, worker, None,
-        {name: t0 for name, t0, _t1 in stages},
-        {name: t1 for name, _t0, t1 in stages if t1 is not None},
-        [x for iv in intervals for x in iv], True, lb,
-    ), {"id": 7, "worker": worker,
-        "stage_times": [list(s) for s in stages],
-        "intervals": [list(iv) for iv in intervals], "closed": True,
-        **({} if lb is None else {"lb": lb})}
 
 
 @settings(max_examples=400, deadline=None)
