@@ -104,15 +104,13 @@ def encode_row(row: TimelineRow) -> str:
     text = dict(zip(distinct, map(float.__repr__, distinct)))
     text[None] = "null"
     t = text.__getitem__
-    line = (f'{{"id":{row.id},"worker":{_string(row.worker)}'
-            + ("" if row.shard is None else f',"shard":{row.shard}')
-            + _template(tuple(entered), tuple(intervals[0::3]))
-            % tuple(map(t, times))
-            + (',"closed":true' if row.closed else ',"closed":false'))
-    if lb is None:
-        return line + "}"
-    return (f'{line},"lb":[{t(lb[0])},{_string(lb[1])},{_string(lb[2])},'
-            f'{t(lb[3])}]}}')
+    shard = "" if row.shard is None else f',"shard":{row.shard}'
+    members = _template(tuple(entered), tuple(intervals[0::3])) % tuple(map(t, times))
+    closed = "true" if row.closed else "false"
+    lb_member = ("" if lb is None else
+                 f',"lb":[{t(lb[0])},{_string(lb[1])},{_string(lb[2])},{t(lb[3])}]')
+    return (f'{{"id":{row.id},"worker":{_string(row.worker)}{shard}{members}'
+            f',"closed":{closed}{lb_member}}}')
 
 
 def parse_row(obj: dict) -> TimelineRow:
