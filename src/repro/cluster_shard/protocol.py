@@ -45,8 +45,8 @@ shard → coordinator:
     balancer would read live.
 ``("part", kind, chunk)``
     One bounded chunk of a terminal result stream (``kind`` in
-    ``{"summaries", "seam", "records", "breakdowns", "timeline"}``; the
-    telemetry kinds, the last three, only when the run has telemetry).
+    ``{"summaries", "seam", "records", "timeline"}``; the telemetry
+    kinds, the last two, only when the run has telemetry).
     ``timeline`` rows are the shard's per-invocation
     :class:`~repro.telemetry.timeline.TimelineRow` rows (schema in
     ``tracing/events.py``), without the LB entries the coordinator joins

@@ -4,11 +4,17 @@ A :class:`HealthCollector` folds finished invocations
 (:meth:`HealthCollector.observe_record`) into windowed sketches and
 integer counters — per function for end-to-end latency and outcome mix,
 per worker for queue time and control-plane overhead.  Both engines build
-it when they export a run, from the run's merged records; the serial live
-heartbeat keeps its own, folded at each beat.  It holds nothing that
-depends on observation order: integer counts, integer sketch buckets and
-order-independent min/max, so the same records in any order build the
-same collector.
+it when they export a run, in the one walk of the merged records that
+also writes ``records.jsonl`` and feeds the run-wide latency
+distributions (:class:`~repro.telemetry.distributions.RecordFold`): each
+completed sample's bucket key is computed once there and handed in
+through ``buckets``.  The serial live heartbeat keeps its own collector,
+folded at each beat; its latest-window p99 is the merge of that window's
+per-function e2e sketches (:meth:`HealthCollector.latest_e2e`), exact
+because a merge only adds integer bucket counts.  The collector holds
+nothing that depends on observation order: integer counts, integer
+sketch buckets and order-independent min/max, so the same records in any
+order build the same collector.
 
 The collector is deliberately ignorant of SLO targets; it only measures.
 :func:`repro.health.slo.evaluate_health` turns a collector (plus sampled
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .sketch import WindowedSketch, window_index
+from .sketch import DDSketch, WindowedSketch, window_index
 
 __all__ = ["HealthCollector", "COUNT_KEYS"]
 
@@ -27,13 +33,17 @@ __all__ = ["HealthCollector", "COUNT_KEYS"]
 # into "dropped", matching MetricsRegistry.outcomes_by_function.
 COUNT_KEYS = ("total", "completed", "cold", "dropped")
 
+# A sample whose bucket the caller did not compute.
+_UNKEYED = object()
+_UNKEYED3 = (_UNKEYED,) * 3
+
 
 class HealthCollector:
     """Windowed health accumulators; picklable and order-independent."""
 
     __slots__ = (
         "window", "relative_accuracy",
-        "e2e", "counts", "queue", "overhead", "overall",
+        "e2e", "counts", "queue", "overhead",
     )
 
     def __init__(self, window: float = 10.0, relative_accuracy: float = 0.01):
@@ -52,11 +62,17 @@ class HealthCollector:
         # worker -> WindowedSketch of queue time / control-plane overhead
         self.queue: dict[str, WindowedSketch] = {}
         self.overhead: dict[str, WindowedSketch] = {}
-        # every completed e2e sample, one stream (drives the live p99)
-        self.overall = self._sketch()
 
-    def _sketch(self) -> WindowedSketch:
-        return WindowedSketch(self.window, self.relative_accuracy)
+    def _add(self, banks: dict, owner: str, idx: int, value: float,
+             bucket) -> None:
+        """One sample into ``owner``'s window ``idx``; ``bucket`` is
+        :data:`_UNKEYED` unless the caller computed it."""
+        bank = banks.get(owner)
+        if bank is None:
+            bank = banks[owner] = WindowedSketch(self.window,
+                                                 self.relative_accuracy)
+        sketch = bank.at(idx)
+        sketch.add(value, sketch.bucket(value) if bucket is _UNKEYED else bucket)
 
     # -- recording ---------------------------------------------------------
     def observe(self, function: str, t: float, *, completed: bool,
@@ -64,8 +80,14 @@ class HealthCollector:
                 e2e_time: Optional[float] = None,
                 queue_time: Optional[float] = None,
                 overhead: Optional[float] = None,
-                worker: str = "") -> None:
-        """Fold one finished invocation in at completion time ``t``."""
+                worker: str = "",
+                buckets: Optional[tuple] = None) -> None:
+        """Fold one finished invocation in at completion time ``t``.
+
+        ``buckets`` holds the :meth:`~repro.health.sketch.DDSketch.bucket`
+        of ``e2e_time``, ``queue_time`` and ``overhead`` when the caller
+        already computed them on this collector's sketch geometry.
+        """
         idx = window_index(t, self.window)
         by_window = self.counts.get(function)
         if by_window is None:
@@ -74,32 +96,25 @@ class HealthCollector:
         if row is None:
             row = by_window[idx] = dict.fromkeys(COUNT_KEYS, 0)
         row["total"] += 1
-        if completed:
-            row["completed"] += 1
-            if cold:
-                row["cold"] += 1
-            if e2e_time is not None:
-                sketch = self.e2e.get(function)
-                if sketch is None:
-                    sketch = self.e2e[function] = self._sketch()
-                sketch.observe(t, e2e_time)
-                self.overall.observe(t, e2e_time)
-            if worker:
-                if queue_time is not None:
-                    sketch = self.queue.get(worker)
-                    if sketch is None:
-                        sketch = self.queue[worker] = self._sketch()
-                    sketch.observe(t, queue_time)
-                if overhead is not None:
-                    sketch = self.overhead.get(worker)
-                    if sketch is None:
-                        sketch = self.overhead[worker] = self._sketch()
-                    sketch.observe(t, overhead)
-        else:
+        if not completed:
             row["dropped"] += 1
+            return
+        row["completed"] += 1
+        if cold:
+            row["cold"] += 1
+        e2e_bucket, queue_bucket, overhead_bucket = buckets or _UNKEYED3
+        if e2e_time is not None:
+            self._add(self.e2e, function, idx, e2e_time, e2e_bucket)
+        if worker:
+            if queue_time is not None:
+                self._add(self.queue, worker, idx, queue_time, queue_bucket)
+            if overhead is not None:
+                self._add(self.overhead, worker, idx, overhead,
+                          overhead_bucket)
 
-    def observe_record(self, record) -> None:
-        """Fold in one :class:`~repro.metrics.registry.InvocationRecord`.
+    def observe_record(self, record, buckets: Optional[tuple] = None) -> None:
+        """Fold in one :class:`~repro.metrics.registry.InvocationRecord`
+        (``buckets`` as in :meth:`observe`).
 
         Dropped/timed-out invocations carry no useful e2e; they are folded
         in at arrival time.  Completed ones land in the window of their
@@ -116,6 +131,7 @@ class HealthCollector:
             queue_time=record.queue_time if completed else None,
             overhead=record.overhead if completed else None,
             worker=record.worker or "",
+            buckets=buckets,
         )
 
     # -- queries -----------------------------------------------------------
@@ -132,6 +148,21 @@ class HealthCollector:
         if not indices:
             return (0, -1)
         return (min(indices), max(indices))
+
+    def latest_e2e(self) -> Optional[DDSketch]:
+        """The e2e sketch of the last window with a completed sample, merged
+        over functions (what the live heartbeat's p99 reads); ``None``
+        before the first completion."""
+        indices = [idx for bank in self.e2e.values() for idx in bank.sketches]
+        if not indices:
+            return None
+        last = max(indices)
+        merged = DDSketch(self.relative_accuracy)
+        for bank in self.e2e.values():
+            sketch = bank.sketches.get(last)
+            if sketch is not None:
+                merged.merge(sketch)
+        return merged
 
     def totals(self) -> dict[str, int]:
         out = dict.fromkeys(COUNT_KEYS, 0)
@@ -151,7 +182,6 @@ class HealthCollector:
             and self.counts == other.counts
             and self.queue == other.queue
             and self.overhead == other.overhead
-            and self.overall == other.overall
         )
 
     __hash__ = None  # mutable

@@ -2,7 +2,8 @@
 
 Long runs append one JSON line per heartbeat interval to ``live.jsonl``
 in the run dir — sim time, rolling invocation counts, queue depth, and
-the recent p99 from the overall health sketch.  ``repro watch RUN_DIR``
+the p99 of the latest window, merged over the functions' e2e sketches
+(:meth:`~repro.health.HealthCollector.latest_e2e`).  ``repro watch RUN_DIR``
 tails that file as a refreshing dashboard; ``--once`` renders a single
 frame (the CI-friendly mode).
 

@@ -73,15 +73,27 @@ class DDSketch:
         ``(gamma^(k-1), gamma^k]``."""
         return math.ceil(math.log(value) / self._log_gamma)
 
-    def observe(self, value: float) -> None:
-        """Record one sample; O(1)."""
+    def bucket(self, value: float) -> Optional[int]:
+        """The bucket a sample lands in: its :meth:`key`, or ``None`` for
+        the zero bucket.  Sketches of equal geometry agree on it, so one
+        call can feed several sketches through :meth:`add`."""
         if not value >= 0.0:  # also rejects NaN
             raise ValueError(f"sketch samples must be non-negative, got {value}")
         if value <= self.min_value:
+            return None
+        return self.key(value)
+
+    def observe(self, value: float) -> None:
+        """Record one sample; O(1)."""
+        self.add(value, self.bucket(value))
+
+    def add(self, value: float, bucket: Optional[int]) -> None:
+        """Record one sample whose :meth:`bucket` (on this geometry) the
+        caller already computed."""
+        if bucket is None:
             self.zero_count += 1
         else:
-            k = self.key(value)
-            self.counts[k] = self.counts.get(k, 0) + 1
+            self.counts[bucket] = self.counts.get(bucket, 0) + 1
         self.count += 1
         if self._min is None or value < self._min:
             self._min = value
@@ -227,13 +239,16 @@ class WindowedSketch:
         self.sketches: dict[int, DDSketch] = {}
 
     def observe(self, t: float, value: float) -> None:
-        idx = window_index(t, self.window)
+        self.at(window_index(t, self.window)).observe(value)
+
+    def at(self, idx: int) -> DDSketch:
+        """Window ``idx``'s sketch, made empty on first use."""
         sketch = self.sketches.get(idx)
         if sketch is None:
             sketch = self.sketches[idx] = DDSketch(
                 self.relative_accuracy, self.min_value
             )
-        sketch.observe(value)
+        return sketch
 
     def window_indices(self) -> list[int]:
         return sorted(self.sketches)

@@ -37,7 +37,7 @@ SPAN_GROUPS: dict[str, str] = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One completed span: a named interval with optional invocation tag.
 

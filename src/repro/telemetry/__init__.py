@@ -10,8 +10,8 @@ status.  This package reproduces that stack for the simulator —
 * latency :mod:`~repro.telemetry.distributions` — sketches derived at
   export from the run's merged invocation records;
 * the overhead :mod:`~repro.telemetry.decomposition`, read off the
-  retained lifecycle contexts — the per-phase critical-path breakdown
-  behind the paper's Table 2;
+  retained lifecycle contexts' timeline rows — the per-phase
+  critical-path breakdown behind the paper's Table 2;
 * the run-directory exporter (:mod:`~repro.telemetry.export`) — the
   one writer of a run dir: it merges per-worker-set
   :class:`TelemetryPart` streams (one for a serial run, one per shard
@@ -30,12 +30,19 @@ from .decomposition import (
     PHASE_OF_SPAN,
     PHASES,
     InvocationBreakdown,
+    PhaseColumns,
     aggregate_phases,
     breakdown_rows,
     decompose_contexts,
+    decompose_rows,
     match_records,
 )
-from .distributions import LATENCY_HISTOGRAMS, Distribution, latency_distributions
+from .distributions import (
+    LATENCY_HISTOGRAMS,
+    Distribution,
+    RecordFold,
+    latency_distributions,
+)
 from .exporters import (
     dump_timeseries_csv,
     dump_timeseries_jsonl,
@@ -51,7 +58,6 @@ from .export import (
     TelemetryPart,
     build_manifest,
     build_summary,
-    write_run_dir,
 )
 from .runs import Telemetry, inspect_report, load_run, read_run_file
 from .sampler import (
@@ -67,12 +73,15 @@ __all__ = [
     "PHASES",
     "PHASE_OF_SPAN",
     "InvocationBreakdown",
+    "PhaseColumns",
     "aggregate_phases",
     "breakdown_rows",
     "decompose_contexts",
+    "decompose_rows",
     "match_records",
     "LATENCY_HISTOGRAMS",
     "Distribution",
+    "RecordFold",
     "latency_distributions",
     "dump_timeseries_csv",
     "dump_timeseries_jsonl",
@@ -90,7 +99,6 @@ __all__ = [
     "inspect_report",
     "load_run",
     "read_run_file",
-    "write_run_dir",
     "ENERGY_COLUMNS",
     "WORKER_COLUMNS",
     "TelemetryConfig",

@@ -22,11 +22,24 @@ plus ``traces.jsonl`` (the per-invocation timeline, one row per
 invocation id; schema in :mod:`repro.tracing.events`, rows and their one
 writer in :mod:`repro.telemetry.timeline`) when the run was traced, and
 ``flight.json`` and the health files when the run produced them.  Every
-distribution and the health grade are derived here from the merged
-streams, and span and trace-event views from the timeline rows; nothing
-feeds them while the simulation runs.  The merged record stream is
-walked once per export: the summary, the health fold and
-``records.jsonl`` read the same list.
+distribution, breakdown and the health grade are derived here from the
+merged streams, and span and trace-event views from the timeline rows;
+nothing feeds them while the simulation runs.
+
+An export walks each stream once:
+
+* the records, in merge order, each written as its ``records.jsonl``
+  line and folded by :class:`~repro.telemetry.distributions.RecordFold`
+  into the outcome tallies, the id → overhead map, the run-wide e2e,
+  queue and overhead distributions and (health on) the windowed health
+  collector — one bucket key per completed sample feeds both;
+* the timeline rows, in id order, written as ``traces.jsonl`` when the
+  run is traced (an untraced run walks the worker rows without writing),
+  each closed row's intervals folded into per-phase
+  :class:`~repro.telemetry.decomposition.PhaseColumns`.
+
+``summary.json`` and ``metrics.prom`` are then written from the two
+folds, and the health files graded from the collector.
 
 Each part stream is sorted by its merge key, so every merged view is a
 k-way ``heapq.merge``.  ``heapq.merge`` is stable (the earlier stream
@@ -52,8 +65,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Optional, Union
 
 from ..metrics.registry import MetricsRegistry
-from .decomposition import BREAKDOWN_KEY, breakdown_rows, match_records
-from .distributions import latency_distributions
+from .decomposition import PhaseColumns, decompose_rows
+from .distributions import RecordFold
 from .exporters import (
     dump_timeseries_jsonl,
     write_health_prometheus,
@@ -69,7 +82,6 @@ __all__ = [
     "PART_STREAMS",
     "TelemetryPart",
     "MergedTelemetry",
-    "write_run_dir",
     "build_summary",
     "build_manifest",
 ]
@@ -95,12 +107,11 @@ RUN_FILES = {
 }
 _CORE_FILES = ("timeseries", "records", "metrics", "summary")
 
-# Merge keys of the record and timeline streams; breakdowns merge under
-# decomposition.BREAKDOWN_KEY.
+# Merge keys of the record and timeline streams.
 RECORD_KEY = lambda r: (r.arrival, r.invocation_id)  # noqa: E731
 TIMELINE_KEY = attrgetter("id")
 
-PART_STREAMS = ("records", "breakdowns", "timeline")
+PART_STREAMS = ("records", "timeline")
 
 
 class TelemetryPart:
@@ -151,8 +162,7 @@ class MergedTelemetry:
     the balancer-visible load series.  ``flight`` is the sharded
     coordinator's flight log, written as ``flight.json``.  The views are
     lists; the merged records are built once and kept, and the
-    ``iter_*`` variants stream the other merges without materializing
-    them.
+    timeline is streamed off the parts on each walk.
     """
 
     def __init__(self, config: TelemetryConfig, worker_names,
@@ -167,6 +177,7 @@ class MergedTelemetry:
         self.lb_loads = lb_loads
         self.flight = flight
         self.dispatch_info = dispatch_info
+        self._fold: Optional[RecordFold] = None
 
     @functools.cached_property
     def _records(self) -> list:
@@ -174,21 +185,17 @@ class MergedTelemetry:
         every view and the export."""
         return list(self._merge("records", key=RECORD_KEY))
 
-    @functools.cached_property
+    @property
     def health(self):
         """The run's health collector, folded from the merged records on
         first use (``None`` when health is off)."""
-        config = self.config.health
-        if config is None:
+        if self.config.health is None:
             return None
-        return config.collector(self._records)
+        return self._walk_records().health
 
     # -- streams (merge-key order, never materialized) ----------------------
     def _merge(self, kind: str, key) -> Iterator:
         return heapq.merge(*(p.stream(kind) for p in self._parts), key=key)
-
-    def iter_breakdowns(self) -> Iterator:
-        return self._merge("breakdowns", key=BREAKDOWN_KEY)
 
     def iter_timeline(self) -> Iterator[TimelineRow]:
         """The run's timeline rows in id order: the parts' context rows
@@ -197,6 +204,45 @@ class MergedTelemetry:
         if not self.placement_log:
             return rows
         return _join_placements(rows, self.placement_log, self.rpc_latency)
+
+    def _walk_records(self, fh=None) -> RecordFold:
+        """The records' one walk: each record is folded into the run's
+        :class:`RecordFold` (unless an earlier walk did) and, given
+        ``fh``, written as its ``records.jsonl`` line."""
+        fold, add = self._fold, None
+        if fold is None:
+            fold = self._fold = RecordFold(self.config.health)
+            add = fold.add
+        write = None if fh is None else fh.write
+        if add is None and write is None:
+            return fold
+        for r in self._records:
+            if add is not None:
+                add(r)
+            if write is not None:
+                write(encode_record(r))
+                write("\n")
+        return fold
+
+    def _walk_timeline(self, fh=None) -> PhaseColumns:
+        """The timeline's one walk, in id order: each closed row's phase
+        sums go into the returned columns and, given ``fh`` (a traced
+        run), every row is written as its ``traces.jsonl`` line.  Without
+        ``fh`` only the worker rows are walked (no placement join)."""
+        columns = PhaseColumns()
+        add = columns.add
+        if fh is None:
+            for row in self._merge("timeline", key=TIMELINE_KEY):
+                if row.closed:
+                    add(row.id, row.intervals)
+            return columns
+        write = fh.write
+        for row in self.iter_timeline():
+            write(encode_row(row))
+            write("\n")
+            if row.closed:
+                add(row.id, row.intervals)
+        return columns
 
     # -- views -------------------------------------------------------------
     def records(self) -> list:
@@ -208,7 +254,9 @@ class MergedTelemetry:
         return derive_spans(self.iter_timeline(), self.worker_names)
 
     def breakdowns(self) -> list:
-        return list(self.iter_breakdowns())
+        """Per-invocation phase breakdowns of the completed invocations,
+        derived from the timeline rows."""
+        return decompose_rows(self._merge("timeline", key=TIMELINE_KEY))
 
     def trace_events(self) -> list:
         """The run's causal trace events in ``(trace_id, seq)`` order;
@@ -231,46 +279,83 @@ class MergedTelemetry:
         return merged
 
     def summary(self) -> dict:
-        return self._summary()[0]
+        return self._summary(self._walk_records(), self._walk_timeline())[0]
 
-    def _summary(self) -> tuple[dict, dict]:
-        # The merged breakdown list lives only for this call.
+    def _summary(self, fold: RecordFold, columns: PhaseColumns) -> tuple[dict, dict]:
         return build_summary(
             self.config,
             self.worker_names,
             # Every part's sampler ticks the same simulated grid over the
             # same horizon, so each saw the same number of rounds.
             max((p.samples for p in self._parts), default=0),
-            self._records,
-            self.breakdowns(),
+            fold,
+            columns,
             dispatch=self.dispatch_info,
         )
 
     # -- export ------------------------------------------------------------
     def export(self, run_dir: Union[str, Path]) -> dict[str, Path]:
-        """Write the run directory; returns {kind: path}.  The summary's
-        transient pass comes first; the timeline file then streams
-        straight off the merged iterator."""
+        """Write the run directory; returns {kind: path}.
+
+        Each stream is walked once, straight onto disk: the records (into
+        ``records.jsonl``, folded on the way into the outcome tallies,
+        distributions and health collector), then the timeline (into
+        ``traces.jsonl`` when traced, its phase sums collected on the way);
+        ``summary.json`` and ``metrics.prom`` are written from the two
+        folds, and the health files are graded from the collector.
+        """
+        run_dir = Path(run_dir)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        paths = {k: run_dir / RUN_FILES[k] for k in _CORE_FILES}
+        config = self.config
+
         series: dict = {}
         for part in self._parts:
             series.update(part.series)
         if self.lb_loads is not None and len(self.lb_loads):
             series["lb"] = self.lb_loads
-        summary, histograms = self._summary()
-        return write_run_dir(
-            run_dir,
-            config=self.config,
-            worker_names=self.worker_names,
-            series=series,
-            records=self._records,
-            registry=self._registry(),
-            summary=summary,
-            histograms=histograms,
-            health=self.health,
-            timeline=self.iter_timeline() if self.config.trace else None,
-            flight=self.flight,
-            shards=len(self._parts),
-        )
+        dump_timeseries_jsonl(series, paths["timeseries"])
+
+        with open(paths["records"], "w") as fh:
+            fold = self._walk_records(fh)
+        if config.trace:
+            paths["traces"] = run_dir / RUN_FILES["traces"]
+            with open(paths["traces"], "w") as fh:
+                columns = self._walk_timeline(fh)
+        else:
+            columns = self._walk_timeline()
+
+        summary, histograms = self._summary(fold, columns)
+        write_prometheus(self._registry(), paths["metrics"], histograms)
+        _dump_json(summary, paths["summary"])
+
+        if self.flight is not None:
+            paths["flight"] = run_dir / RUN_FILES["flight"]
+            _dump_json(self.flight, paths["flight"])
+        if fold.health is not None:
+            from ..health.slo import evaluate_health
+
+            report = evaluate_health(fold.health, series=series,
+                                     config=config.health)
+            paths["health"] = run_dir / RUN_FILES["health"]
+            _dump_json(report.health, paths["health"])
+            paths["slo"] = run_dir / RUN_FILES["slo"]
+            with open(paths["slo"], "w") as fh:
+                for row in report.rows:
+                    fh.write(json.dumps(row, separators=(",", ":")))
+                    fh.write("\n")
+            paths["health_prom"] = run_dir / RUN_FILES["health_prom"]
+            write_health_prometheus(report.health, paths["health_prom"])
+        paths["manifest"] = run_dir / RUN_FILES["manifest"]
+        _dump_json(build_manifest(config, self.worker_names, len(self._parts)),
+                   paths["manifest"])
+        return paths
+
+
+def _dump_json(obj, path: Path) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2)
+        fh.write("\n")
 
 
 def _join_placements(rows: Iterator[TimelineRow], log,
@@ -337,102 +422,20 @@ def encode_record(r) -> str:
     )
 
 
-def write_run_dir(
-    run_dir: Union[str, Path],
-    *,
-    config: TelemetryConfig,
-    worker_names: list,
-    series: dict,
-    records,
-    registry: MetricsRegistry,
-    summary: dict,
-    histograms: dict,
-    health=None,
-    timeline=None,
-    flight: Optional[dict] = None,
-    shards: int = 1,
-) -> dict[str, Path]:
-    """Write the canonical run-directory layout from merged streams,
-    grading ``health`` and stamping the manifest on the way; called by
-    :meth:`MergedTelemetry.export` alone.
-
-    ``summary`` and ``histograms`` come from :func:`build_summary`;
-    ``health`` is the run's :class:`~repro.health.HealthCollector`
-    (``None`` when health is off).  ``records`` and ``timeline`` (the
-    :class:`~repro.telemetry.timeline.TimelineRow` rows, written as
-    ``traces.jsonl`` by :func:`~repro.telemetry.timeline.encode_row`) may
-    be any single-pass iterables (each is walked exactly once, straight
-    onto disk).  The optional artifacts are written (and included in the
-    returned paths) only when supplied.
-    """
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    paths = {k: run_dir / RUN_FILES[k] for k in _CORE_FILES}
-
-    dump_timeseries_jsonl(series, paths["timeseries"])
-
-    with open(paths["records"], "w") as fh:
-        for r in records:
-            fh.write(encode_record(r))
-            fh.write("\n")
-
-    write_prometheus(registry, paths["metrics"], histograms)
-
-    with open(paths["summary"], "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
-
-    if timeline is not None:
-        paths["traces"] = run_dir / RUN_FILES["traces"]
-        with open(paths["traces"], "w") as fh:
-            for row in timeline:
-                fh.write(encode_row(row))
-                fh.write("\n")
-    if flight is not None:
-        paths["flight"] = run_dir / RUN_FILES["flight"]
-        with open(paths["flight"], "w") as fh:
-            json.dump(flight, fh, indent=2)
-            fh.write("\n")
-    if health is not None:
-        from ..health.slo import evaluate_health
-
-        report = evaluate_health(health, series=series, config=config.health)
-        paths["health"] = run_dir / RUN_FILES["health"]
-        with open(paths["health"], "w") as fh:
-            json.dump(report.health, fh, indent=2)
-            fh.write("\n")
-        paths["slo"] = run_dir / RUN_FILES["slo"]
-        with open(paths["slo"], "w") as fh:
-            for row in report.rows:
-                fh.write(json.dumps(row, separators=(",", ":")))
-                fh.write("\n")
-        paths["health_prom"] = run_dir / RUN_FILES["health_prom"]
-        write_health_prometheus(report.health, paths["health_prom"])
-    paths["manifest"] = run_dir / RUN_FILES["manifest"]
-    with open(paths["manifest"], "w") as fh:
-        json.dump(build_manifest(config, worker_names, shards), fh, indent=2)
-        fh.write("\n")
-    return paths
-
-
 def build_summary(
     config: TelemetryConfig,
     worker_names: list,
     samples: int,
-    records: list,
-    breakdowns: list,
+    fold: RecordFold,
+    columns: PhaseColumns,
     dispatch: Optional[dict] = None,
 ) -> tuple[dict, dict]:
-    """The ``summary.json`` structure from the merged records and
-    breakdowns, and the :func:`latency_distributions` it summarizes
-    (``metrics.prom`` renders them); called by
-    :class:`MergedTelemetry` alone.  The export calls this before it
-    walks the timeline, so the lists need not outlive it."""
-    histograms = latency_distributions(records, breakdowns)
-    outcomes: dict[str, int] = {}
-    for r in records:
-        outcomes[r.outcome.value] = outcomes.get(r.outcome.value, 0) + 1
-    matched, compared = match_records(breakdowns, records)
+    """The ``summary.json`` structure from the folded records and the
+    timeline's phase columns, and the distributions it summarizes
+    (``metrics.prom`` renders them); called by :class:`MergedTelemetry`
+    alone."""
+    histograms = fold.distributions(columns.claimed)
+    matched, compared = columns.match(fold.overheads)
     cfg = {
         "interval": config.interval,
         "sample_energy": config.sample_energy,
@@ -446,16 +449,16 @@ def build_summary(
         "config": cfg,
         "workers": list(worker_names),
         "samples": samples,
-        "invocations": len(records),
-        "outcomes": outcomes,
+        "invocations": fold.count,
+        "outcomes": dict(fold.outcomes),
         "histograms": {
             name: dist.summary() for name, dist in histograms.items()
         },
         "decomposition": {
-            "invocations": len(breakdowns),
+            "invocations": len(columns),
             "matched_records": matched,
             "compared_records": compared,
-            "rows": breakdown_rows(breakdowns),
+            "rows": columns.rows(),
         },
     }
     # Only present for cluster runs (the telemetry pipeline learned the

@@ -20,7 +20,6 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..metrics.spans import Span
-from .decomposition import decompose_contexts
 from .export import RECORD_KEY, RUN_FILES, MergedTelemetry, TelemetryPart
 from .sampler import TelemetryConfig, TelemetrySampler, Timeseries
 from .timeline import TimelineRow
@@ -130,10 +129,10 @@ class Telemetry:
         totals = health.totals()
         queue_depth = sum(len(w.queue) for w in self._workers)
         running = sum(w.load.running for w in self._workers)
-        indices = sorted(health.overall.sketches)
+        latest = health.latest_e2e()
         p99 = None
-        if indices:
-            value = health.overall.sketches[indices[-1]].quantile(99.0)
+        if latest is not None:
+            value = latest.quantile(99.0)
             p99 = value if value == value else None
         return {
             "t": self.env.now,
@@ -182,10 +181,6 @@ class Telemetry:
             out.sort(key=RECORD_KEY)
             yield from out
 
-        def breakdowns():
-            yield from decompose_contexts(
-                [ctx for w in workers for ctx in w.lifecycle.contexts])
-
         def timeline():
             owned = [(ctx.inv.id, w.name, ctx)
                      for w in workers for ctx in w.lifecycle.contexts]
@@ -195,8 +190,7 @@ class Telemetry:
                                   ctx.intervals, ctx.outcome is not None)
 
         return TelemetryPart(
-            {"records": records, "breakdowns": breakdowns,
-             "timeline": timeline},
+            {"records": records, "timeline": timeline},
             metrics=[(w.name, w.metrics.counters, w.metrics.gauges)
                      for w in workers],
             series=dict(self.sampler.series),
@@ -226,7 +220,7 @@ class Telemetry:
 
     def breakdowns(self) -> list:
         """Per-invocation phase breakdowns of the completed invocations,
-        read off the retained lifecycle contexts."""
+        read off the timeline rows."""
         return self._merged().breakdowns()
 
     def trace_events(self) -> list:

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -96,7 +97,7 @@ COMPONENT_STAGE: dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One span of an invocation's causal trace tree."""
 
@@ -198,7 +199,11 @@ def derive_spans(rows: Iterable[TimelineRow], workers: Sequence[str]) -> list[Sp
         out.extend(Span(name, t0, t1, tag, shard)
                    for name, t0, t1 in interval_triples(intervals))
     out.extend(lb_spans)
-    out.sort(key=lambda s: (s.start, s.end, s.name))
+    # Three stable sorts, least significant key first: the order of the
+    # (start, end, name) key without a tuple per span.
+    out.sort(key=attrgetter("name"))
+    out.sort(key=attrgetter("end"))
+    out.sort(key=attrgetter("start"))
     return out
 
 

@@ -51,7 +51,9 @@ def _golden_export(run_dir) -> None:
     telemetry.export(run_dir)
 
 
-def _pull_export(run_dir) -> None:
+def pull_run(config=None):
+    """The pull scenario, replayed with telemetry attached (``config``,
+    or the pinned runs' config); returns the stopped :class:`Telemetry`."""
     from repro.core.config import WorkerConfig
     from repro.loadbalancer.cluster import Cluster
     from repro.sim.core import Environment
@@ -62,7 +64,7 @@ def _pull_export(run_dir) -> None:
     cluster = Cluster(env, num_workers=3, lb_policy="pull_local",
                       config=WorkerConfig(cores=2, memory_mb=4096, seed=13,
                                           backend="containerd"))
-    telemetry = Telemetry(env, _config())
+    telemetry = Telemetry(env, config or _config())
     cluster.attach_telemetry(telemetry)
     telemetry.start()
     cluster.start()
@@ -78,7 +80,11 @@ def _pull_export(run_dir) -> None:
     env.run(until=120.0)
     cluster.stop()
     telemetry.stop()
-    telemetry.export(run_dir)
+    return telemetry
+
+
+def _pull_export(run_dir) -> None:
+    pull_run().export(run_dir)
 
 
 def _export(run: str, run_dir: str) -> None:
