@@ -14,13 +14,20 @@ a build without this package.
 
 from __future__ import annotations
 
+import heapq
 import json
-from operator import itemgetter
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional, Union
 
 from ..metrics.spans import Span
-from .export import RECORD_KEY, RUN_FILES, MergedTelemetry, TelemetryPart
+from .export import (
+    RECORD_KEY,
+    RUN_FILES,
+    TIMELINE_KEY,
+    MergedTelemetry,
+    TelemetryPart,
+)
 from .sampler import TelemetryConfig, TelemetrySampler, Timeseries
 from .timeline import TimelineRow
 
@@ -30,6 +37,9 @@ __all__ = [
     "load_run",
     "inspect_report",
 ]
+
+# A retained context's sort key: its invocation id.
+_CONTEXT_ID = attrgetter("inv.id")
 
 
 class Telemetry:
@@ -181,13 +191,17 @@ class Telemetry:
             out.sort(key=RECORD_KEY)
             yield from out
 
+        def worker_rows(w):
+            for ctx in sorted(w.lifecycle.contexts, key=_CONTEXT_ID):
+                yield TimelineRow(ctx.inv.id, w.name, shard, ctx.entered,
+                                  ctx.exited, ctx.intervals,
+                                  ctx.outcome is not None)
+
         def timeline():
-            owned = [(ctx.inv.id, w.name, ctx)
-                     for w in workers for ctx in w.lifecycle.contexts]
-            owned.sort(key=itemgetter(0))
-            for tid, worker, ctx in owned:
-                yield TimelineRow(tid, worker, shard, ctx.entered, ctx.exited,
-                                  ctx.intervals, ctx.outcome is not None)
+            # Each worker's rows in id order, merged stably in worker
+            # order: the stable sort of all rows, with no per-context
+            # sort key kept for the whole walk.
+            return heapq.merge(*map(worker_rows, workers), key=TIMELINE_KEY)
 
         return TelemetryPart(
             {"records": records, "timeline": timeline},
