@@ -106,7 +106,6 @@ class ShardedOutcome:
     placements: int
     per_worker_records: dict
     telemetry: Optional[object] = None   # MergedTelemetry when opted in
-    seam_log: Optional[list] = None      # (k, pick_t, deliver_t) when collected
     seam_stats: Optional[dict] = None    # epoch/message accounting of the run
     flight_log: Optional[dict] = None    # FlightRecorder.finish() when opted in
 
@@ -209,27 +208,6 @@ def _chunk_descs(
             ca = cb
 
 
-def _assemble_seam_log(timestamps, seam_parts) -> list:
-    """Merge per-shard seam entries into ``(k, pick_t, deliver_t)`` rows.
-
-    ``seam_parts`` is one iterable of ``(arrival_index, delivery_time)``
-    entries per shard; empty shards (no deliveries before the horizon)
-    and an empty plan both reduce to an empty log.  A standalone helper
-    with its own locals — the arrival index here must never alias the
-    dispatch loop's variables (the PR-6 inline version shadowed them).
-    """
-    deliveries: dict[int, float] = {}
-    for part in seam_parts:
-        if not part:
-            continue
-        for arrival, delivered_at in part:
-            deliveries[arrival] = delivered_at
-    return [
-        (arrival, float(timestamps[arrival]), deliveries[arrival])
-        for arrival in sorted(deliveries)
-    ]
-
-
 def run_sharded_replay(
     plan,
     *,
@@ -244,7 +222,6 @@ def run_sharded_replay(
     grace: float = 120.0,
     horizon: Optional[float] = None,
     telemetry_config=None,
-    collect_seam: bool = False,
     start_method: Optional[str] = None,
     chunk_size: Optional[int] = None,
     flight_recorder: bool = False,
@@ -325,7 +302,6 @@ def run_sharded_replay(
             horizon=float(horizon),
             fqdn_vocab=fqdn_vocab,
             telemetry=telemetry_config,
-            collect_seam=collect_seam,
         )
         for s, rng in enumerate(parts)
     ]
@@ -469,7 +445,6 @@ def run_sharded_replay(
         if fr is not None:
             _m0 = perf_counter()
         summaries_parts: list[list] = [[] for _ in specs]
-        seam_parts: list[list] = [[] for _ in specs]
         per_worker: dict[str, int] = {}
         tele_parts = None
         tele_kinds: tuple = ()
@@ -485,8 +460,6 @@ def run_sharded_replay(
                     kind, chunk_items = msg[1], msg[2]
                     if kind == "summaries":
                         summaries_parts[s].extend(chunk_items)
-                    elif kind == "seam":
-                        seam_parts[s].extend(chunk_items)
                     elif kind in tele_chunks:
                         tele_chunks[kind].append(chunk_items)
                     else:  # pragma: no cover - defensive
@@ -517,10 +490,6 @@ def run_sharded_replay(
         (row for rows in summaries_parts for row in rows),
         key=lambda row: row[0],
     )
-
-    seam_log = None
-    if collect_seam:
-        seam_log = _assemble_seam_log(ts_arr, seam_parts)
 
     seam_stats = {
         "epochs": len(segments),
@@ -567,7 +536,6 @@ def run_sharded_replay(
         placements=front.placements,
         per_worker_records=per_worker,
         telemetry=telemetry,
-        seam_log=seam_log,
         seam_stats=seam_stats,
         flight_log=flight_log,
     )

@@ -45,8 +45,8 @@ shard → coordinator:
     balancer would read live.
 ``("part", kind, chunk)``
     One bounded chunk of a terminal result stream (``kind`` in
-    ``{"summaries", "seam", "records", "timeline"}``; the telemetry
-    kinds, the last two, only when the run has telemetry).
+    ``{"summaries", "records", "timeline"}``; the telemetry kinds, the
+    last two, only when the run has telemetry).
     ``timeline`` rows are the shard's per-invocation
     :class:`~repro.telemetry.timeline.TimelineRow` rows (schema in
     ``tracing/events.py``), without the LB entries the coordinator joins
@@ -113,7 +113,6 @@ class ShardSpec:
     horizon: float                 # absolute sim time to run until
     fqdn_vocab: tuple = ()         # fqdn strings, indexed by dispatch codes
     telemetry: Optional[object] = None   # TelemetryConfig or None
-    collect_seam: bool = False     # record (k, delivery time) per dispatch
 
 
 def resolve_shards(shards: Optional[int] = None) -> int:

@@ -10,8 +10,8 @@ breaks ties by ``(time, priority, seq)``, preserving the *relative*
 scheduling order of the shard's own events is sufficient for bit-identical
 records — the determinism argument is spelled out in ``docs/SHARDING.md``.
 The forward process is the serial cluster's own
-:func:`~repro.loadbalancer.frontend.forward_hop`, with the seam log
-attached; the pick side (the placement log) lives in the coordinator.
+:func:`~repro.loadbalancer.frontend.forward_hop`; the pick side (the
+placement log) lives in the coordinator.
 
 Epoch messages arrive columnar (parallel arrays of arrival index,
 timestamp, fqdn code, local worker index — schema in ``protocol.py``);
@@ -82,7 +82,6 @@ def _run_shard(conn, spec: ShardSpec) -> None:
             w.register_sync(reg)
 
     pending: list = []                       # (k, done event)
-    seam: list = [] if spec.collect_seam else None
     latency = spec.rpc_latency
     load = load_signal(workers)
 
@@ -113,7 +112,7 @@ def _run_shard(conn, spec: ShardSpec) -> None:
                 done = event()
                 process(
                     forward_hop(env, latency, by_local[loc], fqdn, None,
-                                k + 1, done, seam),
+                                k + 1, done),
                     name=f"lb-forward-{fqdn}",
                 )
                 append((k, done))
@@ -144,8 +143,6 @@ def _run_shard(conn, spec: ShardSpec) -> None:
                 inv.overhead,
             ))
     _stream_parts(conn, "summaries", summaries)
-    if seam is not None:
-        _stream_parts(conn, "seam", seam)
     payload: dict = {
         "per_worker_records": {
             name: len(w.metrics.records) for name, w in workers.items()

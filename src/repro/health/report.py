@@ -138,9 +138,12 @@ def health_report(run_dir: Union[str, Path]) -> str:
 
 
 def health_section(run_dir: Union[str, Path]) -> list[str]:
-    """The condensed health block for ``repro inspect`` (empty-safe)."""
-    health, _rows = load_health(run_dir)
-    if health is None:
+    """The condensed health block for ``repro inspect`` (empty-safe):
+    read from ``health.json`` alone, pointing at the full report."""
+    from ..telemetry.runs import read_run_file
+
+    health = read_run_file(run_dir, "health")
+    if not health:
         return ["health: (not enabled for this run)"]
     totals = health.get("totals", {})
     worst = health.get("worst_burn", {})
@@ -161,4 +164,5 @@ def health_section(run_dir: Union[str, Path]) -> list[str]:
     ]
     for count, fn in sorted(bad, reverse=True)[:3]:
         lines.append(f"  {fn}: {count} violating windows")
+    lines.append(f"  (full report: `repro health {run_dir}`)")
     return lines

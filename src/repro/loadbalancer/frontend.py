@@ -36,14 +36,10 @@ def load_signal(workers: dict) -> Callable[[str], float]:
     return load
 
 
-def forward_hop(env, latency, worker, fqdn, args, invocation_id, done,
-                seam=None):
+def forward_hop(env, latency, worker, fqdn, args, invocation_id, done):
     """The LB→worker RPC hop: deliver after ``latency``, then succeed
-    ``done`` with the finished invocation.  ``seam``, when given, gets a
-    ``(arrival index, delivery time)`` entry (the shard's seam log)."""
+    ``done`` with the finished invocation."""
     yield env.timeout(latency)
-    if seam is not None:
-        seam.append((invocation_id - 1, env.now))
     inv = yield worker.async_invoke(fqdn, args, invocation_id=invocation_id)
     done.succeed(inv)
 

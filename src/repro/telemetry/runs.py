@@ -305,6 +305,21 @@ def load_run(run_dir: Union[str, Path]) -> dict:
     return out
 
 
+def _trace_counts(path: Path) -> tuple[int, int]:
+    """``(trace events, traced invocations)`` of a timeline file, derived
+    one row at a time; ``(0, 0)`` when the run was not traced."""
+    if not path.exists():
+        return 0, 0
+    from ..tracing.events import derive_trace_events, load_timeline
+
+    events = traced = 0
+    for row in load_timeline(path):
+        n = sum(1 for _ in derive_trace_events((row,)))
+        events += n
+        traced += n > 0
+    return events, traced
+
+
 def _table(rows: list[dict], columns: list[tuple[str, str]]) -> list[str]:
     """Minimal fixed-width text table: columns = [(key, header), ...]."""
     def fmt(v):
@@ -324,13 +339,13 @@ def _table(rows: list[dict], columns: list[tuple[str, str]]) -> list[str]:
 def inspect_report(run_dir: Union[str, Path]) -> str:
     """Render a telemetry run directory as a human-readable report:
     run overview, outcome tallies, latency percentiles, the Table-2-style
-    overhead decomposition, and a timeseries digest."""
+    overhead decomposition, and a timeseries digest.  Reads only the files
+    it reports on, and counts trace events one timeline row at a time."""
     run_dir = Path(run_dir)
-    data = load_run(run_dir)
-    summary = data["summary"]
+    summary = read_run_file(run_dir, "summary")
     lines: list[str] = [f"telemetry run: {run_dir}", ""]
 
-    manifest = data["manifest"]
+    manifest = read_run_file(run_dir, "manifest")
     if manifest:
         lines.append(
             f"manifest: version={manifest.get('version')}  "
@@ -402,7 +417,7 @@ def inspect_report(run_dir: Union[str, Path]) -> str:
         ]))
         lines.append("")
 
-    flight = data["flight"]
+    flight = read_run_file(run_dir, "flight")
     if flight:
         seam = flight.get("seam_stats") or {}
         totals = flight.get("totals") or {}
@@ -427,11 +442,10 @@ def inspect_report(run_dir: Union[str, Path]) -> str:
             )
         lines.append("")
 
-    traces = data["traces"]
-    if traces:
-        ids = {e.trace_id for e in traces}
+    events, traced = _trace_counts(run_dir / RUN_FILES["traces"])
+    if events:
         lines.append(
-            f"causal traces: {len(traces)} events over {len(ids)} "
+            f"causal traces: {events} events over {traced} "
             f"invocations (render with `repro trace {run_dir}`)"
         )
         lines.append("")
@@ -439,11 +453,9 @@ def inspect_report(run_dir: Union[str, Path]) -> str:
     from ..health.report import health_section
 
     lines.extend(health_section(run_dir))
-    if data["health"]:
-        lines.append(f"  (full report: `repro health {run_dir}`)")
     lines.append("")
 
-    ts = data["timeseries"]
+    ts = read_run_file(run_dir, "timeseries")
     if ts:
         per_series: dict[str, int] = {}
         for row in ts:

@@ -1,13 +1,16 @@
-"""Causal invocation tracing: trace trees, critical paths, flight data.
+"""Causal invocation tracing: trace events, critical paths, flight data.
 
-Every invocation gets a trace tree — LB pick/RPC spans rooting the
-lifecycle's stage chain, component intervals hanging off their stages —
-derived (:func:`derive_trace_events`) from the run's per-invocation
-timeline rows: the retained lifecycle contexts joined with the push front
-end's placement log.  Nothing is recorded for tracing while the run
-executes, so tracing perturbs nothing and adds no work to the replay
-(the golden fixture and the serial-vs-sharded byte-identity gates hold
-with tracing enabled *or* disabled).
+Every invocation's trace — LB pick/RPC spans rooting the lifecycle's
+stage chain, component intervals hanging off their stages — is derived
+(:func:`derive_trace_events`) from its row of the run's per-invocation
+timeline: the retained lifecycle context joined with the push front
+end's placement log.  :func:`critical_path` reads one row: its spine
+comes from the row's trace events and its phase breakdown from the row's
+intervals, so it equals ``Telemetry.breakdowns()`` by construction.
+Nothing is recorded for tracing while the run executes, so tracing
+perturbs nothing and adds no work to the replay (the golden fixture and
+the serial-vs-sharded byte-identity gates hold with tracing enabled *or*
+disabled).
 
 Enable with ``TelemetryConfig(trace=True)`` (CLI:
 ``repro --telemetry DIR cluster-study --trace``); read back with
@@ -17,12 +20,9 @@ Enable with ``TelemetryConfig(trace=True)`` (CLI:
 from .critical_path import (
     CriticalPath,
     PathSegment,
-    TraceTree,
     aggregate_rows,
-    build_traces,
     critical_path,
     render_critical_path,
-    verify_against_breakdowns,
 )
 from .events import (
     COMPONENT_STAGE,
@@ -36,16 +36,13 @@ from .report import trace_report
 
 __all__ = [
     "TraceEvent",
-    "TraceTree",
     "CriticalPath",
     "PathSegment",
     "COMPONENT_STAGE",
     "derive_trace_events",
     "derive_spans",
-    "build_traces",
     "critical_path",
     "aggregate_rows",
-    "verify_against_breakdowns",
     "render_critical_path",
     "load_trace_jsonl",
     "chrome_trace",

@@ -1,64 +1,37 @@
-"""Critical-path analysis over causal trace trees.
+"""Critical-path analysis, one timeline row at a time.
 
 The critical path of an invocation is its longest causal chain: the LB
 spans, the stage spine, and the instrumentation gaps between consecutive
 chain spans (queue wait being the canonical one — the time an enqueued
-invocation sits between queue insertion and dispatch).  Per-invocation
-phase attribution reuses :func:`repro.telemetry.decomposition._breakdown`
-over the trace's component events in recording order — the *same* floats
-accumulated in the *same* order as ``decompose_contexts``, so the two
-pipelines agree bit-for-bit (the acceptance gate this PR pins at 1 and 4
-shards).  The one thing the trace adds on top of the breakdown is the LB
-seam: pick + RPC time spent before the worker ever saw the invocation.
+invocation sits between queue insertion and dispatch).  The chain is the
+row's lb and stage events (:func:`~.events.derive_trace_events`).
+Per-invocation phase attribution is
+:func:`repro.telemetry.decomposition._breakdown` over the row's own
+interval list — the breakdown :meth:`Telemetry.breakdowns` reads off the
+same row, so the two are equal by construction.  The one thing the path
+adds on top of the breakdown is the LB seam: pick + RPC time spent
+before the worker ever saw the invocation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.lifecycle import DISPATCH
 from ..telemetry.decomposition import PHASES, InvocationBreakdown, _breakdown
-from .events import TraceEvent
+from ..telemetry.timeline import TimelineRow
+from .events import derive_trace_events
 
 __all__ = [
-    "TraceTree",
     "PathSegment",
     "CriticalPath",
-    "build_traces",
     "critical_path",
     "aggregate_rows",
-    "verify_against_breakdowns",
     "render_critical_path",
 ]
-
-
-@dataclass(frozen=True)
-class TraceTree:
-    """One invocation's events, in ``seq`` order."""
-
-    trace_id: int
-    events: tuple
-
-    def chain(self) -> list[TraceEvent]:
-        """The causal spine: lb + stage events (components hang off it)."""
-        return [e for e in self.events if e.kind != "component"]
-
-    def components(self) -> list[TraceEvent]:
-        return [e for e in self.events if e.kind == "component"]
-
-    def rooted(self) -> bool:
-        """True when the spine is one unbroken parent chain from a root
-        event (``parent is None``) to the terminal stage."""
-        chain = self.chain()
-        if not chain or chain[0].parent is not None:
-            return False
-        for prev, e in zip(chain, chain[1:]):
-            if e.parent != prev.name:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -90,29 +63,23 @@ class CriticalPath:
     shard: Optional[int]
     segments: tuple
     breakdown: Optional[InvocationBreakdown]   # None for drops/timeouts
+    events: int                    # trace events the row yields
 
     @property
     def span(self) -> float:
         return self.end - self.start
 
 
-def build_traces(events: Iterable[TraceEvent]) -> list[TraceTree]:
-    """Group a flat event stream into per-invocation trees, ``trace_id``
-    ascending, events in ``seq`` order within each."""
-    grouped: dict[int, list[TraceEvent]] = {}
-    for e in events:
-        grouped.setdefault(e.trace_id, []).append(e)
-    return [
-        TraceTree(trace_id=tid, events=tuple(
-            sorted(grouped[tid], key=lambda e: e.seq)
-        ))
-        for tid in sorted(grouped)
-    ]
-
-
-def critical_path(tree: TraceTree) -> CriticalPath:
-    """Walk the tree's spine into critical-path segments + a breakdown."""
-    chain = tree.chain()
+def critical_path(row: TimelineRow) -> Optional[CriticalPath]:
+    """Walk ``row``'s spine into critical-path segments + a breakdown;
+    ``None`` when the row yields no trace event (an unclosed row without
+    an LB entry).  ``rooted`` is True when the spine is one unbroken
+    parent chain from a root event (``parent is None``) to its last
+    stage."""
+    events = list(derive_trace_events((row,)))
+    if not events:
+        return None
+    chain = [e for e in events if e.kind != "component"]
     segments: list[PathSegment] = []
     seam = 0.0
     prev_end: Optional[float] = None
@@ -126,26 +93,20 @@ def critical_path(tree: TraceTree) -> CriticalPath:
         if e.kind == "lb":
             seam += e.end - e.start
         prev_end = e.end if prev_end is None else max(prev_end, e.end)
-    components = tree.components()
-    breakdown = _breakdown(
-        str(tree.trace_id),
-        [x for e in components for x in (e.name, e.start, e.end)],
-    ) if components else None
-    worker = next((e.worker for e in chain if e.worker is not None), None)
-    shard = next((e.shard for e in tree.events if e.shard is not None), None)
-    start = min((e.start for e in chain), default=0.0)
-    end = max((e.end for e in chain), default=0.0)
     return CriticalPath(
-        trace_id=tree.trace_id,
-        terminal=chain[-1].name if chain else "?",
-        rooted=tree.rooted(),
-        start=start,
-        end=end,
+        trace_id=row.id,
+        terminal=chain[-1].name,
+        rooted=chain[0].parent is None and all(
+            e.parent == prev.name for prev, e in zip(chain, chain[1:])),
+        start=min(e.start for e in chain),
+        end=max(e.end for e in chain),
         seam=seam,
-        worker=worker,
-        shard=shard,
+        worker=next((e.worker for e in chain if e.worker is not None), None),
+        shard=next((e.shard for e in events if e.shard is not None), None),
         segments=tuple(segments),
-        breakdown=breakdown,
+        breakdown=(_breakdown(str(row.id), row.intervals)
+                   if row.closed else None),
+        events=len(events),
     )
 
 
@@ -177,30 +138,6 @@ def aggregate_rows(paths: Sequence[CriticalPath],
         "share_pct": 0.0,
     })
     return rows
-
-
-def verify_against_breakdowns(paths: Sequence[CriticalPath],
-                              breakdowns: Iterable[InvocationBreakdown],
-                              ) -> tuple[int, int]:
-    """Cross-check trace-derived phase sums against the telemetry
-    decomposition: ``(matched, compared)`` where matched counts exact
-    float equality on every phase, exec time, and overhead."""
-    by_id = {b.invocation_id: b for b in breakdowns
-             if b.invocation_id is not None}
-    matched = compared = 0
-    for p in paths:
-        if p.breakdown is None:
-            continue
-        b = by_id.get(p.trace_id)
-        if b is None:
-            continue
-        compared += 1
-        mine = p.breakdown
-        if (all(mine.phases[k] == b.phases[k] for k in PHASES)
-                and mine.exec_time == b.exec_time
-                and mine.overhead == b.overhead):
-            matched += 1
-    return matched, compared
 
 
 def render_critical_path(path: CriticalPath, label: Optional[str] = None,

@@ -1,7 +1,8 @@
 """The ``repro trace`` report: aggregate attribution + slowest paths.
 
-Reads a traced run directory (``traces.jsonl`` + ``records.jsonl``) back
-into trace trees and renders what the aggregate histograms cannot show:
+Streams a traced run directory's timeline rows (``traces.jsonl``) into
+one critical path per row, labels them from ``records.jsonl``, and
+renders what the aggregate histograms cannot show:
 *where along its causal path* each slow invocation paid its latency —
 queue wait vs cold start vs exec vs the LB seam — with a percentile
 drill-down into the e2e distribution.
@@ -12,12 +13,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional, Union
 
-from .critical_path import (
-    aggregate_rows,
-    build_traces,
-    critical_path,
-    render_critical_path,
-)
+from .critical_path import aggregate_rows, critical_path, render_critical_path
+from .events import load_timeline
 
 __all__ = ["trace_report"]
 
@@ -46,23 +43,24 @@ def trace_report(run_dir: Union[str, Path], top: int = 5,
     from ..telemetry.runs import RUN_FILES, _table, read_run_file
 
     run_dir = Path(run_dir)
-    if not (run_dir / RUN_FILES["traces"]).exists():
+    traces = run_dir / RUN_FILES["traces"]
+    if not traces.exists():
         return (
             f"no traces.jsonl under {run_dir} — this run was not traced.\n"
             "Re-run with tracing enabled, e.g.:\n"
             "  repro --telemetry DIR cluster-study --trace\n"
         )
-    events = read_run_file(run_dir, "traces")
-    trees = build_traces(events)
-    paths = [critical_path(t) for t in trees]
     labels = _record_labels(read_run_file(run_dir, "records"))
+    paths = [p for p in map(critical_path, load_timeline(traces))
+             if p is not None]
     completed = [p for p in paths if p.breakdown is not None]
     rooted = sum(1 for p in paths if p.rooted)
 
     lines = [
         f"causal traces: {run_dir}",
         f"{len(paths)} traces ({len(completed)} completed, "
-        f"{rooted}/{len(paths)} rooted), {len(events)} events",
+        f"{rooted}/{len(paths)} rooted), "
+        f"{sum(p.events for p in paths)} events",
         "",
     ]
 

@@ -17,8 +17,17 @@ a ``spans.jsonl``; those two are rebuilt from the timeline rows
 hashed as written too, under ``schema2/traces.jsonl``: the rebuilds parse
 it, so only this digest sees a writer that changes float formatting, key
 order or escaping but parses the same.
-``tests/data/run_dir_digests.json`` holds the digests, and
-``tests/test_run_dir_digests.py`` compares against them.
+
+:func:`report_digests` pins the text ``repro trace --top 5 --percentile
+99`` and ``repro inspect`` print for ``golden``, ``pull`` and ``sharded``
+(the golden scenario on 1 coordinator and 2 shards, traced and
+health-graded).  Before hashing, the run-dir path becomes ``<run-dir>``
+and the manifest line's ``version`` and ``cpu_count``, which name the
+package build and the host, become ``<version>`` and ``<cpu_count>``.
+
+``tests/data/run_dir_digests.json`` holds the digests (the reports under
+``"reports"``), and ``tests/test_run_dir_digests.py`` compares against
+them.
 
 Regenerate the fixture with ``PYTHONPATH=src python -m
 tests.run_dir_digests`` — only when an export is meant to change.
@@ -28,6 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -35,6 +45,7 @@ from tests.legacy_run_files import legacy_spans_jsonl, legacy_traces_jsonl
 
 DIGESTS_PATH = Path(__file__).parent / "data" / "run_dir_digests.json"
 RUNS = ("golden", "pull")
+REPORT_RUNS = (*RUNS, "sharded")
 
 
 def _config():
@@ -87,8 +98,15 @@ def _pull_export(run_dir) -> None:
     pull_run().export(run_dir)
 
 
+def _sharded_export(run_dir) -> None:
+    from tests.test_cluster_shard import sharded_golden
+
+    sharded_golden(2, telemetry_config=_config()).telemetry.export(run_dir)
+
+
 def _export(run: str, run_dir: str) -> None:
-    {"golden": _golden_export, "pull": _pull_export}[run](run_dir)
+    {"golden": _golden_export, "pull": _pull_export,
+     "sharded": _sharded_export}[run](run_dir)
 
 
 def file_digests(run_dir) -> dict[str, str]:
@@ -113,7 +131,31 @@ def run_digests(run: str) -> dict[str, str]:
         return file_digests(tmp)
 
 
+def report_texts(run_dir) -> dict[str, str]:
+    """The ``trace`` and ``inspect`` reports of ``run_dir``, with the
+    run-dir path and the manifest's host-specific values replaced."""
+    from repro.telemetry import inspect_report
+    from repro.tracing import trace_report
+
+    texts = {"inspect": inspect_report(run_dir),
+             "trace": trace_report(run_dir, top=5, percentile=99)}
+    return {
+        name: re.sub(r"\b(version|cpu_count)=\S+", r"\1=<\1>",
+                     text.replace(str(run_dir), "<run-dir>"))
+        for name, text in texts.items()
+    }
+
+
+def report_digests(run: str) -> dict[str, str]:
+    """Export ``run``; the digests of its :func:`report_texts`."""
+    with tempfile.TemporaryDirectory(prefix="repro-digest-") as tmp:
+        _export(run, tmp)
+        return {name: hashlib.sha256(text.encode()).hexdigest()
+                for name, text in report_texts(tmp).items()}
+
+
 if __name__ == "__main__":  # pragma: no cover - fixture (re)generation
-    DIGESTS_PATH.write_text(json.dumps(
-        {run: run_digests(run) for run in RUNS}, indent=2) + "\n")
+    fixture = {run: run_digests(run) for run in RUNS}
+    fixture["reports"] = {run: report_digests(run) for run in REPORT_RUNS}
+    DIGESTS_PATH.write_text(json.dumps(fixture, indent=2) + "\n")
     print(f"wrote {DIGESTS_PATH}")

@@ -201,52 +201,45 @@ def test_chunked_epochs_stay_bit_identical():
     )
 
 
-# ---------------------------------------------------------------- seam log
-def test_empty_plan_with_collect_seam():
-    """Satellite regression: seam-log assembly on a plan with no arrivals
-    must return an empty log, not trip over unbound locals."""
+# ---------------------------------------------------------------- empty plan
+def test_empty_plan_replays_to_an_empty_outcome():
+    """Regression: a plan with no arrivals replays to an empty outcome,
+    not a trip over unbound locals."""
     plan = InvocationPlan(np.empty(0), [], 1.0)
     try:
         outcome = run_sharded_replay(
             plan, num_workers=3, shards=2, registrations=FUNCTIONS,
             config=GOLDEN_CONFIG, status_interval=2.0, horizon=5.0,
-            collect_seam=True,
         )
     except ShardingUnavailable as exc:  # pragma: no cover - sandbox dependent
         pytest.skip(f"shard processes unavailable here: {exc}")
     assert outcome.summaries == []
-    assert outcome.seam_log == []
     assert outcome.placements == 0
     assert outcome.seam_stats["epochs"] == 0
-
-
-def test_assemble_seam_log_merges_and_orders():
-    from repro.cluster_shard.coordinator import _assemble_seam_log
-
-    ts = np.array([1.0, 2.0, 3.0])
-    parts = [[(2, 3.5), (0, 1.5)], [], None, [(1, 2.5)]]
-    assert _assemble_seam_log(ts, parts) == [
-        (0, 1.0, 1.5), (1, 2.0, 2.5), (2, 3.0, 3.5),
-    ]
-    assert _assemble_seam_log(ts, []) == []
-    assert _assemble_seam_log(np.empty(0), [[], []]) == []
 
 
 # ---------------------------------------------------------------- lookahead
 def test_seam_never_beats_the_lookahead():
     """Conservative-epoch soundness: no cross-seam message is delivered
-    to a worker earlier than its pick time plus the seam latency."""
+    to a worker earlier than its pick time plus the seam latency.  A
+    worker stamps a record's ``arrival`` at delivery; the placement log
+    holds the pick time at position ``invocation_id - 1``."""
     latency = 0.0005
-    outcome = sharded_golden(2, rpc_latency=latency, collect_seam=True)
-    assert outcome.seam_log, "collect_seam produced no entries"
-    assert len(outcome.seam_log) == len(ARRIVALS)
-    for k, pick_t, deliver_t in outcome.seam_log:
-        assert deliver_t >= pick_t + latency - 1e-12, (
-            f"arrival {k} delivered at {deliver_t}, "
+    telemetry = sharded_golden(
+        2, rpc_latency=latency,
+        telemetry_config=TelemetryConfig(interval=1.0),
+    ).telemetry
+    records = telemetry.records()
+    picks = telemetry.placement_log
+    assert len(records) == len(picks) == len(ARRIVALS)
+    for r in records:
+        pick_t = picks[r.invocation_id - 1][0]
+        assert r.arrival >= pick_t + latency - 1e-12, (
+            f"invocation {r.invocation_id} delivered at {r.arrival}, "
             f"before pick {pick_t} + lookahead {latency}"
         )
         # With a frozen-clock seam the delivery is exactly the lookahead.
-        assert deliver_t == pytest.approx(pick_t + latency, abs=1e-12)
+        assert r.arrival == pytest.approx(pick_t + latency, abs=1e-12)
 
 
 # ---------------------------------------------------------------- study path

@@ -1,23 +1,23 @@
-"""Causal tracing: trace trees, critical paths, flight recorder, exports.
+"""Causal tracing: trace events, critical paths, flight recorder, exports.
 
-The contract under test, in the order the PR's acceptance gates state it:
+The contract under test:
 
 * **Zero overhead when off** — with ``TelemetryConfig(trace=False)`` the
   golden reduction is exactly what it was before tracing existed, and
   the run dir holds no per-invocation timeline.
-* **Rooted trees when on** — every invocation in the golden scenario
-  yields one trace tree whose spine is an unbroken parent chain from the
-  LB root to its terminal stage, serial and sharded alike; a pull run
-  (no placement log) roots the chain at ``admit``.
-* **Built on demand** — trace trees are views of the timeline rows (the
+* **Rooted traces when on** — every invocation in the golden scenario
+  yields one trace whose spine is an unbroken parent chain from the LB
+  root to its terminal stage, serial and sharded alike; a pull run (no
+  placement log) roots the chain at ``admit``.
+* **Built on demand** — trace events are views of the timeline rows (the
   retained contexts joined with the placement log): neither a traced
   replay nor its export builds a ``TraceEvent`` or ``Span``, the export
-  writes one ``traces.jsonl`` row per invocation, and the old per-event
-  and per-span files rebuilt from those rows equal the pinned digests
-  in ``tests/data/trace_digests.json``.
-* **Float-exact attribution** — the critical-path analyzer's per-phase
-  sums equal ``Telemetry.breakdowns()`` (the ``decompose_contexts``
-  pipeline) with exact float equality, at 1 and 4 shards.
+  writes one ``traces.jsonl`` row per invocation (its bytes are pinned
+  by ``tests/test_run_dir_digests.py``), and ``repro trace`` and
+  ``repro inspect`` read the run dir one row at a time.
+* **Float-exact attribution** — a row's critical-path breakdown equals
+  its ``Telemetry.breakdowns()`` entry (exact dataclass equality),
+  serially and at 1 and 4 shards.
 * **Seam-transparent** — the sharded engine's merged trace stream
   reduces to the serial one (ids normalized, shard attribution dropped).
 * **Flight recorder + manifest + Perfetto** — the coordinator's
@@ -26,15 +26,14 @@ The contract under test, in the order the PR's acceptance gates state it:
 """
 
 import gc
-import hashlib
 import json
 import sys
-from pathlib import Path
+from itertools import groupby
+from operator import attrgetter
 
 import pytest
 
 from tests.golden_scenario import GOLDEN_PATH, normalized, reduce_run, run_scenario
-from tests.legacy_run_files import legacy_spans_jsonl, legacy_traces_jsonl
 from tests.test_cluster_shard import sharded_golden
 from repro.core.lifecycle import COMPLETE
 from repro.metrics import Span
@@ -42,18 +41,17 @@ from repro.telemetry import PHASES, TelemetryConfig, inspect_report, load_run
 from repro.tracing import (
     COMPONENT_STAGE,
     TraceEvent,
-    build_traces,
     chrome_trace,
     critical_path,
+    derive_trace_events,
     export_perfetto,
     load_trace_jsonl,
     render_critical_path,
     trace_report,
-    verify_against_breakdowns,
 )
+from repro.tracing.events import load_timeline
 
 TRACED = TelemetryConfig(interval=1.0, sample_energy=True, trace=True)
-TRACE_DIGESTS = Path(__file__).parent / "data" / "trace_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +71,28 @@ def sharded_traced():
     return sharded_golden(2, telemetry_config=TRACED, flight_recorder=True)
 
 
-def _paths(telemetry):
-    return [critical_path(t) for t in build_traces(telemetry.trace_events())]
+def _paths(telemetry, run_dir):
+    """Export ``telemetry`` to ``run_dir``; one critical path per
+    timeline row that yields trace events, as ``repro trace`` reads them."""
+    telemetry.export(run_dir)
+    rows = load_timeline(run_dir / "traces.jsonl")
+    return [p for p in map(critical_path, rows) if p is not None]
+
+
+def _traces(events) -> dict:
+    """``trace_id -> [events]`` of a ``(trace_id, seq)``-ordered stream."""
+    return {tid: list(group)
+            for tid, group in groupby(events, key=attrgetter("trace_id"))}
+
+
+def _rooted_chain(events) -> list:
+    """The trace's spine (lb + stage events), asserted to be one parent
+    chain from a root event."""
+    chain = [e for e in events if e.kind != "component"]
+    assert chain[0].parent is None
+    for prev, e in zip(chain, chain[1:]):
+        assert e.parent == prev.name
+    return chain
 
 
 # ------------------------------------------------------- zero perturbation
@@ -87,18 +105,22 @@ def test_tracing_off_is_the_untraced_pipeline(golden):
     assert normalized(run_scenario()) == golden
 
 
-# ------------------------------------------------------------ trace trees
-def test_every_invocation_yields_a_rooted_tree(traced):
+# ------------------------------------------------------------ trace roots
+def test_every_invocation_yields_a_rooted_tree(tmp_path, traced):
     _, telemetry = traced
-    trees = build_traces(telemetry.trace_events())
-    assert len(trees) == len(telemetry.records())
-    assert all(t.rooted() for t in trees)
+    traces = _traces(telemetry.trace_events())
+    assert len(traces) == len(telemetry.records())
     # The spine roots at the LB pick and runs pick -> rpc -> admit -> ...
-    for t in trees:
-        chain = t.chain()
+    for events in traces.values():
+        chain = _rooted_chain(events)
         assert chain[0].name == "lb_pick" and chain[0].parent is None
         assert chain[1].name == "lb_rpc" and chain[1].parent == "lb_pick"
         assert chain[2].parent == "lb_rpc"
+    # The critical paths read the same rows and agree.
+    paths = _paths(telemetry, tmp_path / "run")
+    assert [p.trace_id for p in paths] == list(traces)
+    assert all(p.rooted for p in paths)
+    assert [p.events for p in paths] == [len(ev) for ev in traces.values()]
 
 
 def test_no_rpc_hop_roots_trees_at_the_pick():
@@ -130,12 +152,11 @@ def test_no_rpc_hop_roots_trees_at_the_pick():
     telemetry.stop()
 
     assert not any(s.name == "lb_rpc" for s in telemetry.spans())
-    trees = build_traces(telemetry.trace_events())
-    assert sorted(t.trace_id for t in trees) == \
-        list(range(1, len(ARRIVALS) + 1))
-    for t in trees:
-        chain = t.chain()
-        assert chain[0].name == "lb_pick" and chain[0].parent is None
+    traces = _traces(telemetry.trace_events())
+    assert list(traces) == list(range(1, len(ARRIVALS) + 1))
+    for events in traces.values():
+        chain = _rooted_chain(events)
+        assert chain[0].name == "lb_pick"
         assert chain[1].parent == "lb_pick"
 
 
@@ -172,26 +193,15 @@ def test_pull_traces_root_at_admit(tmp_path):
     """Pull dispatch keeps no placement log, so each stage chain roots
     itself: ``admit`` has no parent and takes seq 0."""
     telemetry = _pull_cluster_run(TRACED)
-    trees = build_traces(telemetry.trace_events())
-    assert len(trees) == len(telemetry.records()) == 42
-    assert all(t.rooted() for t in trees)
-    for t in trees:
-        first = t.events[0]
+    traces = _traces(telemetry.trace_events())
+    assert len(traces) == len(telemetry.records()) == 42
+    for events in traces.values():
+        _rooted_chain(events)
+        first = events[0]
         assert (first.name, first.seq, first.parent) == ("admit", 0, None)
-        assert [e.seq for e in t.events] == list(range(len(t.events)))
+        assert [e.seq for e in events] == list(range(len(events)))
     telemetry.export(tmp_path / "run")
     assert "42/42 rooted" in trace_report(tmp_path / "run")
-
-
-def test_traced_export_matches_pinned_digests(tmp_path, traced):
-    _, telemetry = traced
-    run_dir = tmp_path / "run"
-    telemetry.export(run_dir)
-    digests = json.loads(TRACE_DIGESTS.read_text())["digests"]
-    assert {
-        "traces.jsonl": hashlib.sha256(legacy_traces_jsonl(run_dir)).hexdigest(),
-        "spans.jsonl": hashlib.sha256(legacy_spans_jsonl(run_dir)).hexdigest(),
-    } == digests
 
 
 def _live_views() -> int:
@@ -229,9 +239,46 @@ def test_export_writes_one_row_per_invocation_and_builds_no_views(
     assert set(ids) == {r.invocation_id for r in telemetry.records()}
 
 
+def test_reports_hold_no_event_list(tmp_path, traced):
+    """``repro trace`` and ``repro inspect`` walk the timeline one row at
+    a time: sampled as each row is parsed and as each critical path
+    returns, no more TraceEvent objects are alive than one row yields."""
+    _, telemetry = traced
+    run_dir = tmp_path / "run"
+    telemetry.export(run_dir)
+    one_row = max(len(list(derive_trace_events((row,))))
+                  for row in load_timeline(run_dir / "traces.jsonl"))
+
+    def live_events():
+        return sum(isinstance(o, TraceEvent) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_events()
+    peak = [before]
+    samples = [0]
+
+    def probe(frame, event, arg):
+        name = frame.f_code.co_name
+        if ((event == "call" and name == "parse_row")
+                or (event == "return" and name == "critical_path")):
+            samples[0] += 1
+            peak[0] = max(peak[0], live_events())
+
+    sys.setprofile(probe)
+    try:
+        trace_report(run_dir, top=5, percentile=99)
+        inspect_report(run_dir)
+    finally:
+        sys.setprofile(None)
+    rows = len(telemetry.records())
+    assert samples[0] == 3 * rows
+    # A returning critical_path still holds its row's events.
+    assert before < peak[0] <= before + one_row
+
+
 def test_traced_replay_holds_no_trace_events():
     """Tracing adds nothing to the replay: until export, no TraceEvent
-    exists; the trees are derived afterwards from the same run."""
+    exists; the traces are derived afterwards from the same run."""
     def live_events():
         gc.collect()
         return sum(isinstance(o, TraceEvent) for o in gc.get_objects())
@@ -240,15 +287,15 @@ def test_traced_replay_holds_no_trace_events():
     before = live_events()
     _, telemetry = run_scenario(TRACED, return_telemetry=True)
     assert live_events() == before
-    assert len(build_traces(telemetry.trace_events())) == 42
+    assert len(_traces(telemetry.trace_events())) == 42
 
 
-def test_completed_traces_terminate_in_complete(traced):
+def test_completed_traces_terminate_in_complete(tmp_path, traced):
     _, telemetry = traced
-    paths = _paths(telemetry)
+    paths = _paths(telemetry, tmp_path / "run")
     completed = [p for p in paths if p.breakdown is not None]
     assert completed and all(p.terminal == COMPLETE for p in completed)
-    # The scenario's delta function always times out; those trees exist
+    # The scenario's delta function always times out; those traces exist
     # too, just without an exec interval to decompose.
     assert any(p.terminal == "timeout" for p in paths)
 
@@ -262,23 +309,26 @@ def test_component_events_parent_on_their_stage(traced):
 
 # -------------------------------------------------- critical-path analysis
 @pytest.mark.parametrize("shards", [None, 1, 4])
-def test_critical_path_matches_decomposition_exactly(shards, traced):
-    """The acceptance gate: trace-derived phase sums == decompose_contexts
-    to float precision, serial and at 1 and 4 shards."""
+def test_critical_path_matches_decomposition_exactly(shards, tmp_path,
+                                                     traced):
+    """Each completed path's breakdown equals the row's
+    ``Telemetry.breakdowns()`` entry, every float exact, serially and at
+    1 and 4 shards."""
     if shards is None:
         _, telemetry = traced
     else:
         telemetry = sharded_golden(shards, telemetry_config=TRACED).telemetry
-    paths = _paths(telemetry)
     breakdowns = telemetry.breakdowns()
-    matched, compared = verify_against_breakdowns(paths, breakdowns)
-    assert compared == len(breakdowns) > 0
-    assert matched == compared
+    assert breakdowns
+    paths = _paths(telemetry, tmp_path / "run")
+    assert {p.trace_id: p.breakdown for p in paths
+            if p.breakdown is not None} == \
+        {b.invocation_id: b for b in breakdowns}
 
 
-def test_critical_path_covers_e2e_and_finds_queue_wait(traced):
+def test_critical_path_covers_e2e_and_finds_queue_wait(tmp_path, traced):
     _, telemetry = traced
-    paths = _paths(telemetry)
+    paths = _paths(telemetry, tmp_path / "run")
     # Segments tile the path: first starts at path.start, last ends at end.
     for p in paths:
         assert p.segments[0].start == p.start
@@ -291,9 +341,9 @@ def test_critical_path_covers_e2e_and_finds_queue_wait(traced):
     )
 
 
-def test_render_critical_path_lines(traced):
+def test_render_critical_path_lines(tmp_path, traced):
     _, telemetry = traced
-    p = _paths(telemetry)[0]
+    p = _paths(telemetry, tmp_path / "run")[0]
     lines = render_critical_path(p, label="alpha--0-1 (success)")
     assert lines[0].startswith(f"trace {p.trace_id}")
     assert "e2e" in lines[0] and "(UNROOTED)" not in lines[0]
