@@ -66,7 +66,7 @@ def main() -> None:
     colds = sum(1 for i in done if i.cold)
     print(f"\ncompleted {len(done)}/{len(invocations)} invocations, "
           f"{colds} cold starts ({100 * colds / max(len(done), 1):.1f}%)")
-    print(f"load balancer: {cluster.balancer.placements} placements, "
+    print(f"load balancer: {cluster.placements} placements, "
           f"{cluster.balancer.forwards} spillover forwards")
 
     rows = []

@@ -532,7 +532,7 @@ def run_sharded_replay(
 
     return ShardedOutcome(
         summaries=summaries,
-        forwards=getattr(front.balancer, "forwards", 0),
+        forwards=front.balancer.forwards,
         placements=front.placements,
         per_worker_records=per_worker,
         telemetry=telemetry,

@@ -47,6 +47,8 @@ shard → coordinator:
     One bounded chunk of a terminal result stream (``kind`` in
     ``{"summaries", "records", "timeline"}``; the telemetry kinds, the
     last two, only when the run has telemetry).
+    ``summaries`` rows are :func:`summary_row` tuples, one per triggered
+    invocation in plan order.
     ``timeline`` rows are the shard's per-invocation
     :class:`~repro.telemetry.timeline.TimelineRow` rows (schema in
     ``tracing/events.py``), without the LB entries the coordinator joins
@@ -62,7 +64,6 @@ shard → coordinator:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,6 +71,7 @@ import numpy as np
 
 from ..dispatch.registry import is_pull_policy
 from ..loadbalancer.policies import balancer_class, snap_to_grid
+from ..parallel.pool import resolve_count
 
 __all__ = [
     "SHARDS_ENV_VAR",
@@ -78,6 +80,7 @@ __all__ = [
     "ShardingUnavailable",
     "ShardSpec",
     "resolve_shards",
+    "summary_row",
     "partition_workers",
     "sync_indices",
     "plan_epochs",
@@ -115,25 +118,18 @@ class ShardSpec:
     telemetry: Optional[object] = None   # TelemetryConfig or None
 
 
-def resolve_shards(shards: Optional[int] = None) -> int:
-    """Resolve the shard count: explicit arg > ``REPRO_SHARDS`` env > 1.
+def summary_row(k: int, inv) -> tuple:
+    """Invocation ``inv`` (plan index ``k``) as an outcome summary row,
+    ``(k, dropped, completed, cold, e2e, overhead)``: the row a shard
+    streams and a serial replay reduces the same way."""
+    return (k, bool(inv.dropped), inv.completed_at is not None,
+            bool(inv.cold), inv.e2e_time, inv.overhead)
 
-    ``0`` or a negative value (either source) means "all cores".
-    """
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR, "").strip()
-        if not raw:
-            return 1
-        try:
-            shards = int(raw)
-        except ValueError:
-            raise ValueError(
-                f"{SHARDS_ENV_VAR} must be an integer, got {raw!r}"
-            ) from None
-    shards = int(shards)
-    if shards <= 0:
-        return max(os.cpu_count() or 1, 1)
-    return shards
+
+def resolve_shards(shards: Optional[int] = None) -> int:
+    """Resolve the shard count: explicit arg > ``REPRO_SHARDS`` env > 1
+    (see :func:`~repro.parallel.pool.resolve_count`)."""
+    return resolve_count(shards, SHARDS_ENV_VAR)
 
 
 def partition_workers(num_workers: int, shards: int) -> list[range]:

@@ -40,7 +40,7 @@ from typing import Generator, Iterable
 from ..core.worker import Worker
 from ..loadbalancer.frontend import forward_hop, load_signal
 from ..sim.core import Environment
-from .protocol import RESULT_CHUNK, ShardSpec
+from .protocol import RESULT_CHUNK, ShardSpec, summary_row
 
 __all__ = ["shard_main"]
 
@@ -130,18 +130,8 @@ def _run_shard(conn, spec: ShardSpec) -> None:
     if telemetry is not None:
         telemetry.stop()
 
-    summaries = []
-    for k, done in pending:
-        if done.triggered:
-            inv = done.value
-            summaries.append((
-                k,
-                bool(inv.dropped),
-                inv.completed_at is not None,
-                bool(inv.cold),
-                inv.e2e_time,
-                inv.overhead,
-            ))
+    summaries = [summary_row(k, done.value) for k, done in pending
+                 if done.triggered]
     _stream_parts(conn, "summaries", summaries)
     payload: dict = {
         "per_worker_records": {

@@ -16,13 +16,13 @@ from typing import Optional, Sequence
 
 from ..cache import CacheLike
 from ..cluster_shard import ShardingUnavailable, resolve_shards, run_sharded_replay
+from ..cluster_shard.protocol import summary_row
 from ..core.config import WorkerConfig
 from ..core.function import FunctionRegistration
 from ..loadbalancer.cluster import Cluster
 from ..loadgen.openloop import plan_from_trace, replay_plan
 from ..metrics.stats import percentile
 from ..parallel.pool import run_parallel
-from ..parallel.tasks import cluster_study_cell
 from ..sim.core import Environment
 from ..trace.model import Trace
 from ..trace.scaling import little_load, scale_to_load
@@ -93,15 +93,11 @@ def trace_registrations(trace: Trace) -> list[FunctionRegistration]:
 
 
 def summary_rows(invocations) -> list[tuple]:
-    """A serial replay's invocations as the sharded engine's summary rows,
-    ``(k, dropped, completed, cold, e2e, overhead)``.  ``replay_plan``
+    """A serial replay's invocations as the sharded engine's summary rows
+    (:func:`~repro.cluster_shard.protocol.summary_row`).  ``replay_plan``
     returns triggered invocations in plan order, so the enumeration index
     is the plan index whenever nothing was left untriggered."""
-    return [
-        (k, bool(i.dropped), i.completed_at is not None, bool(i.cold),
-         i.e2e_time, i.overhead)
-        for k, i in enumerate(invocations)
-    ]
+    return [summary_row(k, i) for k, i in enumerate(invocations)]
 
 
 def reduce_summaries(rows) -> dict:
@@ -304,6 +300,13 @@ def run_cluster_study(
     )
 
 
+def _lb_sweep_row(study: dict, lb_policy: str) -> ClusterStudyResult:
+    """One policy's study (top-level for pool workers); ``study`` holds
+    the scale, the trace, the cluster shape and the shard count every
+    policy shares."""
+    return run_cluster_study(lb_policy=lb_policy, **study)
+
+
 def run_cluster_lb_sweep(
     scale: Scale = MEDIUM,
     lb_policies: Sequence[str] = ("ch_bl", "round_robin", "least_loaded"),
@@ -332,28 +335,18 @@ def run_cluster_lb_sweep(
     if trace is None:
         trace = make_traces(scale, cache=cache)["representative"]
     shards = resolve_shards(shards)
-    if shards > 1:
-        rows = []
-        for policy in lb_policies:
-            result = run_cluster_study(
-                scale,
-                trace=trace,
-                num_workers=num_workers,
-                cores_per_worker=cores_per_worker,
-                memory_per_worker_mb=memory_per_worker_mb,
-                target_load_fraction=target_load_fraction,
-                duration_cap=duration_cap,
-                lb_policy=policy,
-                shards=shards,
-            )
-            rows.append({"lb_policy": policy, **result.as_dict()})
-        return rows
-    cells = [
-        (policy, num_workers, cores_per_worker, memory_per_worker_mb,
-         target_load_fraction, duration_cap)
-        for policy in lb_policies
-    ]
-    results = run_parallel(cluster_study_cell, cells, n_jobs=n_jobs, shared=trace)
+    study = dict(
+        scale=scale,
+        trace=trace,
+        num_workers=num_workers,
+        cores_per_worker=cores_per_worker,
+        memory_per_worker_mb=memory_per_worker_mb,
+        target_load_fraction=target_load_fraction,
+        duration_cap=duration_cap,
+        shards=shards,
+    )
+    results = run_parallel(_lb_sweep_row, [(p,) for p in lb_policies],
+                           n_jobs=1 if shards > 1 else n_jobs, shared=study)
     return [
         {"lb_policy": policy, **result.as_dict()}
         for policy, result in zip(lb_policies, results)

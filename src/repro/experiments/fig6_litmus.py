@@ -21,7 +21,6 @@ from ..baselines.openwhisk import OpenWhiskConfig, OpenWhiskWorker
 from ..loadgen.openloop import FunctionMix, InvocationPlan, build_plan, replay_plan
 from ..metrics.registry import Outcome
 from ..parallel.pool import run_parallel
-from ..parallel.tasks import litmus_cell
 from ..sim.core import Environment
 from ..sim.distributions import Constant, Exponential
 from ..workloads.functionbench import FUNCTIONBENCH, registration_for
@@ -201,7 +200,7 @@ def run_litmus(
         for workload, system in pairs
         for rep in range(repeats)
     ]
-    cell_results = run_parallel(litmus_cell, cells, n_jobs=n_jobs)
+    cell_results = run_parallel(_run_one, cells, n_jobs=n_jobs)
     results = []
     for k, (workload, system) in enumerate(pairs):
         runs = cell_results[k * repeats:(k + 1) * repeats]

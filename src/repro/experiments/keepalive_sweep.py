@@ -20,9 +20,8 @@ from typing import Optional, Sequence
 
 from ..cache import CacheLike
 from ..keepalive.policies import POLICY_NAMES
-from ..keepalive.simulator import KeepAliveResult
+from ..keepalive.simulator import KeepAliveResult, simulate
 from ..parallel.pool import run_parallel
-from ..parallel.tasks import keepalive_cell
 from ..trace.azure import AzureTraceConfig, generate_dataset
 from ..trace.model import Trace
 from ..trace.sampling import standard_samples
@@ -55,6 +54,13 @@ def make_traces(scale: Scale = MEDIUM, cache: CacheLike = None) -> dict[str, Tra
     )
 
 
+def _keepalive_row(traces: dict, trace_name: str, policy: str,
+                   cache_size_mb: float) -> tuple[str, KeepAliveResult]:
+    """One grid cell (top-level for pool workers): replay
+    ``traces[trace_name]`` under one policy and cache size."""
+    return trace_name, simulate(traces[trace_name], policy, cache_size_mb)
+
+
 def run_keepalive_sweep(
     scale: Scale = MEDIUM,
     policies: Sequence[str] = POLICY_NAMES,
@@ -77,7 +83,7 @@ def run_keepalive_sweep(
         for policy in policies
         for size_gb in scale.cache_sizes_gb
     ]
-    return run_parallel(keepalive_cell, cells, n_jobs=n_jobs, shared=traces)
+    return run_parallel(_keepalive_row, cells, n_jobs=n_jobs, shared=traces)
 
 
 def fig4_rows(results: Sequence[tuple[str, KeepAliveResult]]) -> list[dict]:

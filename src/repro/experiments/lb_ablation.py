@@ -28,7 +28,6 @@ from ..loadbalancer.cluster import Cluster
 from ..loadgen.openloop import FunctionMix, InvocationPlan, build_plan, replay_plan
 from ..metrics.stats import percentile
 from ..parallel.pool import run_parallel
-from ..parallel.tasks import dispatch_race_cell, lb_bound_cell, lb_policy_cell
 from ..sim.core import Environment
 from ..sim.distributions import Exponential
 from ..workloads.lookbusy import lookbusy_function
@@ -93,7 +92,7 @@ def run_lb_policy_comparison(
     sized so no single worker can hold the whole function population —
     the regime in which placement locality decides the warm-hit rate."""
     cells = [(policy, num_workers, duration, seed) for policy in policies]
-    return run_parallel(lb_policy_cell, cells, n_jobs=n_jobs)
+    return run_parallel(_lb_policy_row, cells, n_jobs=n_jobs)
 
 
 def _bound_factor_row(
@@ -148,7 +147,7 @@ def run_lb_ablation(
 ) -> list[dict]:
     """One row per bound factor: locality/latency outcomes of CH-BL."""
     cells = [(factor, num_workers, duration, seed) for factor in bound_factors]
-    return run_parallel(lb_bound_cell, cells, n_jobs=n_jobs)
+    return run_parallel(_bound_factor_row, cells, n_jobs=n_jobs)
 
 
 # ------------------------------------------------------- dispatch race
@@ -290,4 +289,4 @@ def run_dispatch_race(
         for scenario in scenarios
         for policy in policies
     ]
-    return run_parallel(dispatch_race_cell, cells, n_jobs=n_jobs)
+    return run_parallel(_dispatch_race_row, cells, n_jobs=n_jobs)

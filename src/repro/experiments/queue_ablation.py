@@ -23,7 +23,6 @@ from ..core.worker import Worker
 from ..loadgen.openloop import FunctionMix, build_plan, replay_plan
 from ..metrics.stats import percentile
 from ..parallel.pool import run_parallel
-from ..parallel.tasks import queue_policy_cell
 from ..sim.core import Environment
 from ..sim.distributions import Exponential
 from ..workloads.lookbusy import lookbusy_function
@@ -100,7 +99,7 @@ def run_queue_policy_ablation(
     n_jobs: Optional[int] = None,
 ) -> list[dict]:
     cells = [(policy, duration, cores) for policy in policies]
-    return run_parallel(queue_policy_cell, cells, n_jobs=n_jobs)
+    return run_parallel(_queue_policy_row, cells, n_jobs=n_jobs)
 
 
 def run_bypass_ablation(duration: float = 120.0, cores: int = 4) -> list[dict]:

@@ -24,6 +24,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+from ..parallel.pool import run_parallel
 from ..trace.model import Trace
 from .cache import KeepAliveCache
 from .policies import HistogramPolicy, KeepAlivePolicy, make_policy
@@ -282,12 +283,9 @@ def sweep_cache_sizes(
     fans out over ``n_jobs`` worker processes (default serial), shipping
     the trace to each worker once; results come back in grid order.
     """
-    from ..parallel.pool import run_parallel
-    from ..parallel.tasks import cache_size_cell
-
     cells = [
         (name, size_gb * 1024.0)
         for name in policy_names
         for size_gb in cache_sizes_gb
     ]
-    return run_parallel(cache_size_cell, cells, n_jobs=n_jobs, shared=trace)
+    return run_parallel(simulate, cells, n_jobs=n_jobs, shared=trace)

@@ -1,6 +1,6 @@
 """Load balancing: CH-BL and the cluster front end."""
 
-from .chbl import BoundedLoadBalancer, ConsistentHashRing, hash_point
+from .chbl import ConsistentHashRing, hash_point
 from .cluster import Cluster
 from .policies import (
     CHBLPolicy,
@@ -12,7 +12,6 @@ from .policies import (
 )
 
 __all__ = [
-    "BoundedLoadBalancer",
     "ConsistentHashRing",
     "hash_point",
     "Cluster",

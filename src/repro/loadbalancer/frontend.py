@@ -28,7 +28,7 @@ __all__ = ["PushFrontEnd", "forward_hop", "load_signal"]
 
 def load_signal(workers: dict) -> Callable[[str], float]:
     """The balancer's load signal over ``workers`` (name -> worker): queue
-    length plus running invocations (see ``chbl.py``)."""
+    length plus running invocations (see :class:`~.policies.CHBLPolicy`)."""
     def load(name: str) -> float:
         w = workers[name]
         return len(w.queue) + w.load.running
@@ -70,8 +70,8 @@ class PushFrontEnd:
         )
         self.balancer = make_balancer(
             lb_policy, self.status_board.load, bound_factor=bound_factor,
+            load_epoch=self.status_board.epoch,
         )
-        self.balancer.follow_epochs(self.status_board.epoch)
         for name in workers:
             self.balancer.add_worker(name)
         self.rpc_latency = float(rpc_latency)

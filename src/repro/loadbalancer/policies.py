@@ -1,12 +1,14 @@
-"""Load-balancing policies beyond CH-BL, and the worker-status board.
+"""The push load-balancing policies and the worker-status board.
 
-The paper argues for locality-aware CH-BL over locality-blind schemes;
-to make that comparison runnable this module provides the classic
-baselines (round-robin, least-loaded) behind one interface, plus a
-:class:`StatusBoard` that models the *staleness* of load information —
-workers push status snapshots periodically, and the balancer decides on
-the last snapshot rather than live state (the reality the paper's
-queue-length-based load signal is meant to improve on).
+The paper argues for locality-aware CH-BL over locality-blind schemes.
+This module holds CH-BL itself (:class:`CHBLPolicy`, the bounded-load
+walk over :mod:`~repro.loadbalancer.chbl`'s ring) and the classic
+baselines (round-robin, least-loaded) behind one interface, which keeps
+the worker list, plus a :class:`StatusBoard` that models the *staleness*
+of load information: workers push status snapshots periodically, and the
+balancer decides on the last snapshot rather than live state (the
+reality the paper's queue-length-based load signal is meant to improve
+on).  :func:`make_balancer` builds a policy by name.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 from typing import Callable, Optional
 
 from ..dispatch.registry import PULL_POLICIES
-from .chbl import BoundedLoadBalancer
+from .chbl import ConsistentHashRing
 
 __all__ = [
     "LoadBalancingPolicy",
@@ -57,25 +59,37 @@ class LoadBalancingPolicy:
     """Maps an invocation's function to a worker name.
 
     ``reads_load`` says whether ``pick`` consults worker loads; the shard
-    seam synchronizes loads only for policies that do.
+    seam synchronizes loads only for policies that do.  ``forwards``
+    counts placements that left the function's home worker (only CH-BL
+    has a home).  The base class keeps the registered workers in
+    registration order.
     """
 
     name = "base"
     reads_load = True
+    forwards = 0
+
+    def __init__(self):
+        self._workers: list[str] = []
 
     def add_worker(self, name: str) -> None:
-        raise NotImplementedError
+        if name in self._workers:
+            raise ValueError(f"worker {name!r} already registered")
+        self._workers.append(name)
 
     def remove_worker(self, name: str) -> None:
-        raise NotImplementedError
+        if name not in self._workers:
+            raise ValueError(f"worker {name!r} not registered")
+        self._workers.remove(name)
+
+    def _registered(self) -> list[str]:
+        """The registered workers; raises when there are none."""
+        if not self._workers:
+            raise RuntimeError("no workers registered")
+        return self._workers
 
     def pick(self, fqdn: str) -> str:
         raise NotImplementedError
-
-    def follow_epochs(self, epoch: Callable[[], Optional[int]]) -> None:
-        """Learn when the load signal changes: ``epoch()`` returns a token
-        that stays equal while loads are frozen (None when live).  Policies
-        with nothing to reuse across picks ignore it."""
 
 
 class RoundRobinBalancer(LoadBalancingPolicy):
@@ -85,23 +99,12 @@ class RoundRobinBalancer(LoadBalancingPolicy):
     reads_load = False
 
     def __init__(self):
-        self._workers: list[str] = []
+        super().__init__()
         self._cursor = itertools.count()
 
-    def add_worker(self, name: str) -> None:
-        if name in self._workers:
-            raise ValueError(f"worker {name!r} already registered")
-        self._workers.append(name)
-
-    def remove_worker(self, name: str) -> None:
-        if name not in self._workers:
-            raise ValueError(f"worker {name!r} not registered")
-        self._workers.remove(name)
-
     def pick(self, fqdn: str) -> str:
-        if not self._workers:
-            raise RuntimeError("no workers registered")
-        return self._workers[next(self._cursor) % len(self._workers)]
+        workers = self._registered()
+        return workers[next(self._cursor) % len(workers)]
 
 
 class LeastLoadedBalancer(LoadBalancingPolicy):
@@ -110,58 +113,88 @@ class LeastLoadedBalancer(LoadBalancingPolicy):
     name = "least_loaded"
 
     def __init__(self, load_fn: Callable[[str], float]):
-        self._workers: list[str] = []
+        super().__init__()
         self.load_fn = load_fn
 
-    def add_worker(self, name: str) -> None:
-        if name in self._workers:
-            raise ValueError(f"worker {name!r} already registered")
-        self._workers.append(name)
-
-    def remove_worker(self, name: str) -> None:
-        if name not in self._workers:
-            raise ValueError(f"worker {name!r} not registered")
-        self._workers.remove(name)
-
     def pick(self, fqdn: str) -> str:
-        if not self._workers:
-            raise RuntimeError("no workers registered")
-        return min(self._workers, key=self.load_fn)
+        return min(self._registered(), key=self.load_fn)
 
 
 class CHBLPolicy(LoadBalancingPolicy):
-    """The paper's scheme, adapted to the shared policy interface."""
+    """CH-BL: consistent hashing with bounded loads (Section 3.1).
+
+    An invocation goes to the first worker on its function's ring order
+    (:class:`~repro.loadbalancer.chbl.ConsistentHashRing`) whose load is
+    at most the bound ``ceil(c * mean load)``, forwarding clockwise
+    otherwise, and to the least-loaded worker when every one is over it.
+    ``load_fn(worker)`` is the load signal: queue length plus running
+    invocations, which the paper argues is less stale and noisy than load
+    averages.  ``bound_factor`` is the paper's *c*; the bound is at least
+    1, so an idle cluster still places work.  Locality (same function,
+    same worker, warm start) holds until a worker saturates, and then
+    spillover shares the burst.
+
+    ``load_epoch()``, when given, returns a token that stays equal while
+    ``load_fn``'s answers are frozen (a status board's snapshot epoch)
+    and None while they are live; the bound is computed once per epoch
+    and membership, and on every pick while loads are live.
+    """
 
     name = "ch_bl"
 
     def __init__(self, load_fn: Callable[[str], float], bound_factor: float = 1.2,
-                 vnodes: int = 64):
-        self._inner = BoundedLoadBalancer(load_fn, bound_factor=bound_factor,
-                                          vnodes=vnodes)
-
-    @property
-    def forwards(self) -> int:
-        return self._inner.forwards
-
-    @property
-    def placements(self) -> int:
-        return self._inner.placements
+                 vnodes: int = 64,
+                 load_epoch: Optional[Callable[[], object]] = None):
+        if bound_factor < 1.0:
+            raise ValueError("bound_factor must be >= 1.0")
+        self.ring = ConsistentHashRing(vnodes=vnodes)
+        self.load_fn = load_fn
+        self.bound_factor = bound_factor
+        self.load_epoch = load_epoch
+        self.forwards = 0
+        self._bound_key: tuple = (None, None)   # (epoch, members) of _bound
+        self._bound = 1.0
 
     def add_worker(self, name: str) -> None:
-        self._inner.add_worker(name)
+        self.ring.add(name)
 
     def remove_worker(self, name: str) -> None:
-        # Uniform error contract across every policy (the ring's own
-        # message talks about "members", which leaks the implementation).
-        if name not in self._inner.ring.members():
+        if name not in self.ring.members():
             raise ValueError(f"worker {name!r} not registered")
-        self._inner.remove_worker(name)
+        self.ring.remove(name)
 
-    def follow_epochs(self, epoch: Callable[[], Optional[int]]) -> None:
-        self._inner.load_epoch = epoch
+    def bound(self) -> float:
+        members = self.ring.members()
+        if not members:
+            raise RuntimeError("no workers registered")
+        epoch = None if self.load_epoch is None else self.load_epoch()
+        # Same epoch and the same members tuple (the ring replaces it on
+        # every membership change): every load below would read the same
+        # frozen value, so the sum is the one computed last time.
+        key = self._bound_key
+        if epoch is not None and key[0] == epoch and key[1] is members:
+            return self._bound
+        mean_load = sum(self.load_fn(m) for m in members) / len(members)
+        limit = max(math.ceil(self.bound_factor * mean_load), 1.0)
+        if epoch is not None:
+            self._bound_key = (epoch, members)
+            self._bound = limit
+        return limit
 
     def pick(self, fqdn: str) -> str:
-        return self._inner.pick(fqdn)
+        """Worker for this invocation: home node unless over the bound."""
+        order = self.ring.order(fqdn)
+        if not order:
+            raise RuntimeError("no workers registered")
+        limit = self.bound()
+        load = self.load_fn
+        for i, member in enumerate(order):
+            if load(member) <= limit:
+                self.forwards += i and 1
+                return member
+        # Everyone over the bound: fall back to the least-loaded worker.
+        self.forwards += 1
+        return min(order, key=load)
 
 
 class StatusBoard:
@@ -265,9 +298,11 @@ def make_balancer(
     name: str,
     load_fn: Callable[[str], float],
     bound_factor: float = 1.2,
+    load_epoch: Optional[Callable[[], object]] = None,
 ) -> LoadBalancingPolicy:
-    """Factory by policy name."""
+    """Factory by policy name; ``load_epoch`` is the status board's epoch
+    token (see :class:`CHBLPolicy`), which only CH-BL reads."""
     cls = balancer_class(name)
     if cls is CHBLPolicy:
-        return cls(load_fn, bound_factor=bound_factor)
+        return cls(load_fn, bound_factor=bound_factor, load_epoch=load_epoch)
     return cls(load_fn) if cls.reads_load else cls()

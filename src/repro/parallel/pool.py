@@ -1,23 +1,26 @@
 """Process-pool sweep runner.
 
-``run_parallel`` executes one top-level task function over a list of
-argument tuples.  The contract that keeps parallel runs interchangeable
-with serial ones:
+``run_parallel`` executes one top-level row function over a list of
+argument tuples: ``func(*args)`` per task, or ``func(shared, *args)``
+when a ``shared`` payload is given.  The contract that keeps parallel
+runs interchangeable with serial ones:
 
 * **Determinism** — results are keyed by task index and returned in
   submission order; completion order never leaks into the output.
 * **Pickle-once shipping** — the ``shared`` payload (typically the dict
   of NumPy-backed traces) is serialized a single time in the parent and
-  rehydrated once per worker by the pool initializer.  Tasks reference
-  it through a module global, so per-task messages carry only small
+  rehydrated once per worker by the pool initializer, which binds it as
+  the function's first argument, so per-task messages carry only small
   argument tuples.
 * **Graceful fallback** — ``n_jobs=1`` (or a pool that cannot start:
   missing semaphores, sandboxed /dev/shm, restricted fork) runs the
-  exact same task function in-process.
+  exact same function in-process.
 
-Task functions must be importable top-level callables
+Row functions must be importable top-level callables
 (``module.function``), so they survive both ``fork`` and ``spawn``
-start methods.
+start methods.  :func:`resolve_count` is the one rule for a process
+count (``--jobs``/``REPRO_JOBS`` here, ``--shards``/``REPRO_SHARDS`` in
+the cluster-shard engine).
 """
 
 from __future__ import annotations
@@ -25,10 +28,12 @@ from __future__ import annotations
 import os
 import pickle
 import warnings
+from functools import partial
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
     "ParallelUnavailable",
+    "resolve_count",
     "resolve_jobs",
     "effective_jobs",
     "run_parallel",
@@ -40,10 +45,9 @@ class ParallelUnavailable(RuntimeError):
     """Raised internally when a process pool cannot be started."""
 
 
-# Per-worker state installed by the pool initializer (also set on the
-# serial path so task functions see one environment everywhere).
+# Per-worker row function installed by the pool initializer, with the
+# shared payload bound as its first argument when there is one.
 _WORKER_FUNC: Optional[Callable] = None
-_WORKER_SHARED: Any = None
 
 # How the most recent run_parallel call actually executed.  Benchmarks
 # record this next to their timings: a "parallel" number measured on the
@@ -81,25 +85,34 @@ def _note_run(jobs: int, tasks: int, pool_used: bool,
     )
 
 
-def resolve_jobs(n_jobs: Optional[int] = None) -> int:
-    """Resolve the worker count: explicit arg > ``REPRO_JOBS`` env > 1.
+def resolve_count(value: Optional[int], env_var: str) -> int:
+    """Resolve a process count: explicit ``value`` > the ``env_var``
+    environment variable > 1.
 
-    ``0`` or a negative value (either source) means "all cores".
+    ``0`` or a negative value (either source) means "all cores"; a
+    non-integer environment value raises a ``ValueError`` naming
+    ``env_var``.
     """
-    if n_jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
+    if value is None:
+        raw = os.environ.get(env_var, "").strip()
         if not raw:
             return 1
         try:
-            n_jobs = int(raw)
+            value = int(raw)
         except ValueError:
             raise ValueError(
-                f"REPRO_JOBS must be an integer, got {raw!r}"
+                f"{env_var} must be an integer, got {raw!r}"
             ) from None
-    n_jobs = int(n_jobs)
-    if n_jobs <= 0:
+    value = int(value)
+    if value <= 0:
         return max(os.cpu_count() or 1, 1)
-    return n_jobs
+    return value
+
+
+def resolve_jobs(n_jobs: Optional[int] = None) -> int:
+    """Resolve the worker count: explicit arg > ``REPRO_JOBS`` env > 1
+    (see :func:`resolve_count`)."""
+    return resolve_count(n_jobs, "REPRO_JOBS")
 
 
 def effective_jobs(n_jobs: Optional[int], num_tasks: int) -> int:
@@ -107,17 +120,21 @@ def effective_jobs(n_jobs: Optional[int], num_tasks: int) -> int:
     return max(1, min(resolve_jobs(n_jobs), num_tasks))
 
 
+def _bind(func: Callable, shared: Any) -> Callable:
+    """``func`` with the shared payload, if any, as its first argument."""
+    return func if shared is None else partial(func, shared)
+
+
 def _init_worker(func: Callable, payload: Optional[bytes]) -> None:
     """Pool initializer: rehydrate the shared payload once per worker."""
-    global _WORKER_FUNC, _WORKER_SHARED
-    _WORKER_FUNC = func
-    _WORKER_SHARED = pickle.loads(payload) if payload is not None else None
+    global _WORKER_FUNC
+    _WORKER_FUNC = _bind(func, None if payload is None else pickle.loads(payload))
 
 
 def _run_cell(item: tuple) -> tuple:
     """Execute one task in a worker; results ride home with their index."""
     index, args = item
-    return index, _WORKER_FUNC(_WORKER_SHARED, *args)
+    return index, _WORKER_FUNC(*args)
 
 
 def _default_chunksize(num_tasks: int, jobs: int) -> int:
@@ -126,13 +143,8 @@ def _default_chunksize(num_tasks: int, jobs: int) -> int:
 
 
 def _run_serial(func: Callable, tasks: Sequence[tuple], shared: Any) -> list:
-    global _WORKER_FUNC, _WORKER_SHARED
-    prev = (_WORKER_FUNC, _WORKER_SHARED)
-    _WORKER_FUNC, _WORKER_SHARED = func, shared
-    try:
-        return [func(shared, *args) for args in tasks]
-    finally:
-        _WORKER_FUNC, _WORKER_SHARED = prev
+    call = _bind(func, shared)
+    return [call(*args) for args in tasks]
 
 
 def run_parallel(
@@ -143,7 +155,8 @@ def run_parallel(
     chunksize: Optional[int] = None,
     start_method: Optional[str] = None,
 ) -> list:
-    """Run ``func(shared, *args)`` for every args-tuple in ``tasks``.
+    """Run ``func(*args)`` for every args-tuple in ``tasks``, or
+    ``func(shared, *args)`` when ``shared`` is not None.
 
     Returns the results in task order.  ``n_jobs`` resolves through
     :func:`resolve_jobs`; with one worker (the default) everything runs

@@ -14,7 +14,9 @@ disabled).
 
 Enable with ``TelemetryConfig(trace=True)`` (CLI:
 ``repro --telemetry DIR cluster-study --trace``); read back with
-``repro trace DIR`` or export to ``ui.perfetto.dev`` via ``--perfetto``.
+``repro trace DIR`` or export to ``ui.perfetto.dev`` via ``--perfetto``
+(:func:`export_perfetto`, which streams the timeline one row at a
+time).
 """
 
 from .critical_path import (
@@ -31,7 +33,7 @@ from .events import (
     derive_trace_events,
     load_trace_jsonl,
 )
-from .perfetto import chrome_trace, dump_chrome_trace, export_perfetto
+from .perfetto import export_perfetto
 from .report import trace_report
 
 __all__ = [
@@ -45,8 +47,6 @@ __all__ = [
     "aggregate_rows",
     "render_critical_path",
     "load_trace_jsonl",
-    "chrome_trace",
-    "dump_chrome_trace",
     "export_perfetto",
     "trace_report",
 ]

@@ -5,76 +5,61 @@ Any run directory with a ``traces.jsonl`` opens in ``ui.perfetto.dev``
 load balancer, one thread row per invocation, every trace event a
 complete-duration ("X") slice.  Simulated seconds map to microseconds —
 the trace-event format's native unit — so durations read directly.
+
+The export streams: it walks the timeline twice, one row at a time,
+and never holds the run's event list.  The first walk collects the
+worker names (the process rows), the second writes each event's slice
+as :func:`~repro.tracing.events.derive_trace_events` yields it.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Union
 
-from .events import TraceEvent
+from .events import TraceEvent, derive_trace_events, load_timeline
 
-__all__ = ["chrome_trace", "dump_chrome_trace", "export_perfetto"]
+__all__ = ["export_perfetto"]
 
 _LB_PROCESS = "load-balancer"
 _US = 1e6   # simulated seconds -> trace-event microseconds
 
 
-def chrome_trace(events: Iterable[TraceEvent]) -> dict:
-    """Build the Chrome trace-event JSON document for ``events``."""
-    events = list(events)
-    # pid 0 is the LB; workers get stable pids in name order.
-    workers = sorted({e.worker for e in events if e.worker is not None})
-    pid_of = {name: i + 1 for i, name in enumerate(workers)}
-    trace_events = [
-        {"ph": "M", "name": "process_name", "pid": 0, "tid": 0,
-         "args": {"name": _LB_PROCESS}},
-    ]
-    for name, pid in pid_of.items():
-        trace_events.append(
-            {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-             "args": {"name": name}}
-        )
-    for e in events:
-        args = {"seq": e.seq, "kind": e.kind}
-        if e.parent is not None:
-            args["parent"] = e.parent
-        if e.worker is not None:
-            args["worker"] = e.worker
-        if e.shard is not None:
-            args["shard"] = e.shard
-        trace_events.append({
-            "ph": "X",
-            "name": e.name,
-            "cat": e.kind,
-            # lb events stay on the LB track even when they name the
-            # worker the RPC targets; the target is still in args/worker.
-            "pid": 0 if e.kind == "lb" else pid_of.get(e.worker, 0),
-            "tid": e.trace_id,
-            "ts": e.start * _US,
-            "dur": (e.end - e.start) * _US,
-            "args": args,
-        })
-    return {"traceEvents": trace_events, "displayTimeUnit": "ms"}
-
-
-def dump_chrome_trace(events: Iterable[TraceEvent],
-                      path: Union[str, Path]) -> int:
-    """Write the trace-event document; returns the number of "X" slices."""
-    doc = chrome_trace(events)
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
-    return sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
+def _slice(e: TraceEvent, pid_of: dict) -> dict:
+    args = {"seq": e.seq, "kind": e.kind}
+    if e.parent is not None:
+        args["parent"] = e.parent
+    if e.worker is not None:
+        args["worker"] = e.worker
+    if e.shard is not None:
+        args["shard"] = e.shard
+    return {
+        "ph": "X",
+        "name": e.name,
+        "cat": e.kind,
+        # lb events stay on the LB track even when they name the worker
+        # the RPC targets; the target is still in args/worker.
+        "pid": 0 if e.kind == "lb" else pid_of.get(e.worker, 0),
+        "tid": e.trace_id,
+        "ts": e.start * _US,
+        "dur": (e.end - e.start) * _US,
+        "args": args,
+    }
 
 
 def export_perfetto(run_dir: Union[str, Path],
                     out_path: Union[str, Path]) -> int:
     """Convert a run directory's ``traces.jsonl`` into a Perfetto-openable
     JSON file; raises :class:`FileNotFoundError` when the run was not
-    traced.  Returns the number of exported slices."""
-    from ..telemetry.runs import RUN_FILES, read_run_file   # deferred
+    traced.  Returns the number of exported slices.
+
+    The file is the ``{"traceEvents": [...], "displayTimeUnit": "ms"}``
+    document as ``json.dump`` writes it, plus a newline: the metadata
+    slices (pid 0 is the LB, workers get pids in name order), then one
+    slice per event in ``(trace_id, seq)`` order.
+    """
+    from ..telemetry.runs import RUN_FILES   # deferred
 
     traces_path = Path(run_dir) / RUN_FILES["traces"]
     if not traces_path.exists():
@@ -82,4 +67,22 @@ def export_perfetto(run_dir: Union[str, Path],
             f"{traces_path} does not exist — re-run with tracing enabled "
             "(e.g. repro --telemetry DIR cluster-study --trace)"
         )
-    return dump_chrome_trace(read_run_file(run_dir, "traces"), out_path)
+    events = derive_trace_events(load_timeline(traces_path))
+    workers = sorted({e.worker for e in events if e.worker is not None})
+    pid_of = {name: i + 1 for i, name in enumerate(workers)}
+    meta = [(0, _LB_PROCESS), *((pid, name) for name, pid in pid_of.items())]
+    encode = json.JSONEncoder().encode   # json.dump's defaults
+    slices = 0
+    with open(out_path, "w") as fh:
+        fh.write('{"traceEvents": [')
+        fh.write(", ".join(
+            encode({"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+                    "args": {"name": name}})
+            for pid, name in meta
+        ))
+        for e in derive_trace_events(load_timeline(traces_path)):
+            fh.write(", ")
+            fh.write(encode(_slice(e, pid_of)))
+            slices += 1
+        fh.write('], "displayTimeUnit": "ms"}\n')
+    return slices

@@ -19,11 +19,13 @@ it, so only this digest sees a writer that changes float formatting, key
 order or escaping but parses the same.
 
 :func:`report_digests` pins the text ``repro trace --top 5 --percentile
-99`` and ``repro inspect`` print for ``golden``, ``pull`` and ``sharded``
-(the golden scenario on 1 coordinator and 2 shards, traced and
-health-graded).  Before hashing, the run-dir path becomes ``<run-dir>``
-and the manifest line's ``version`` and ``cpu_count``, which name the
-package build and the host, become ``<version>`` and ``<cpu_count>``.
+99`` and ``repro inspect`` print, and the file ``repro trace --perfetto``
+writes, for ``golden``, ``pull`` and ``sharded`` (the golden scenario on
+1 coordinator and 2 shards, traced and health-graded).  Before hashing
+the texts, the run-dir path becomes ``<run-dir>`` and the manifest
+line's ``version`` and ``cpu_count``, which name the package build and
+the host, become ``<version>`` and ``<cpu_count>``; the Perfetto file is
+hashed as written.
 
 ``tests/data/run_dir_digests.json`` holds the digests (the reports under
 ``"reports"``), and ``tests/test_run_dir_digests.py`` compares against
@@ -147,11 +149,18 @@ def report_texts(run_dir) -> dict[str, str]:
 
 
 def report_digests(run: str) -> dict[str, str]:
-    """Export ``run``; the digests of its :func:`report_texts`."""
+    """Export ``run``; the digests of its :func:`report_texts` and of its
+    Perfetto export."""
+    from repro.tracing import export_perfetto
+
     with tempfile.TemporaryDirectory(prefix="repro-digest-") as tmp:
         _export(run, tmp)
-        return {name: hashlib.sha256(text.encode()).hexdigest()
-                for name, text in report_texts(tmp).items()}
+        digests = {name: hashlib.sha256(text.encode()).hexdigest()
+                   for name, text in report_texts(tmp).items()}
+        out = Path(tmp) / "perfetto.json"
+        export_perfetto(tmp, out)
+        digests["perfetto"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        return digests
 
 
 if __name__ == "__main__":  # pragma: no cover - fixture (re)generation

@@ -16,7 +16,9 @@ This guard walks every source file's AST and fails on upward imports, so
 god-object regressions — the exact failure mode the lifecycle refactor
 unwinds — break CI instead of accreting silently.  In-function (deferred)
 imports are exempt: they are the documented escape hatch for optional,
-late-bound wiring and cannot create import cycles.
+late-bound wiring and cannot create import cycles.  Two stricter checks
+cover deferred imports too: ``loadbalancer``/``dispatch`` never import
+``cluster_shard``, and ``parallel`` imports nothing above layer 1.
 
 Documented exemptions (shared *model* types, not behaviour):
 
@@ -166,6 +168,25 @@ def all_imports(tree: ast.Module):
             yield node, None
 
 
+def repro_imports(path: Path):
+    """Yield (node, repro-dotted target) for every import of a repro
+    module in ``path``, deferred (in-function) ones included."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    for node, dotted in all_imports(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level > 0:
+                target = resolve_relative(path, node)
+            elif node.module and node.module.startswith("repro"):
+                target = node.module.removeprefix("repro").lstrip(".")
+            else:
+                continue
+        else:
+            if not dotted.startswith("repro"):
+                continue
+            target = dotted.removeprefix("repro").lstrip(".")
+        yield node, target
+
+
 def test_loadbalancer_never_imports_cluster_shard():
     """The LB/dispatch layers must stay runnable without the shard engine.
 
@@ -174,27 +195,29 @@ def test_loadbalancer_never_imports_cluster_shard():
     back-edge, however late-bound, would couple the placement layer to
     the multiprocess harness.
     """
-    offenders = []
-    for package in ("loadbalancer", "dispatch"):
-        for path in sorted((SRC / package).rglob("*.py")):
-            tree = ast.parse(path.read_text(), filename=str(path))
-            for node, dotted in all_imports(tree):
-                if isinstance(node, ast.ImportFrom):
-                    if node.level > 0:
-                        target = resolve_relative(path, node)
-                    elif node.module and node.module.startswith("repro"):
-                        target = node.module.removeprefix("repro").lstrip(".")
-                    else:
-                        continue
-                else:
-                    if not dotted.startswith("repro"):
-                        continue
-                    target = dotted.removeprefix("repro").lstrip(".")
-                if target.split(".")[0] == "cluster_shard":
-                    offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for package in ("loadbalancer", "dispatch")
+        for path in sorted((SRC / package).rglob("*.py"))
+        for node, target in repro_imports(path)
+        if target.split(".")[0] == "cluster_shard"
+    ]
     assert not offenders, (
         f"loadbalancer/dispatch must not import cluster_shard: {offenders}"
     )
+
+
+def test_pool_imports_nothing_above_its_layer():
+    """The process pool runs the row functions its callers hand it, so it
+    imports no experiment.  Stricter than the generic guard: deferred
+    (in-function) imports above layer 1 fail too."""
+    offenders = [
+        f"{path.relative_to(SRC)}:{node.lineno}: repro.{target}"
+        for path in sorted((SRC / "parallel").rglob("*.py"))
+        for node, target in repro_imports(path)
+        if LAYERS.get(target.split(".")[0], 0) > LAYERS["parallel"]
+    ]
+    assert not offenders, f"repro.parallel imports above layer 1: {offenders}"
 
 
 def test_exemptions_are_minimal():

@@ -12,10 +12,11 @@ from repro.parallel import (
     run_parallel,
 )
 
-# Task functions must be top-level so pool workers can import them.
+# Task functions must be top-level so pool workers can import them.  They
+# take the shared payload as their first argument only when one is given.
 
 
-def _identity(shared, x):
+def _identity(x):
     return x
 
 
@@ -27,13 +28,13 @@ def _scaled(shared, x):
     return shared * x
 
 
-def _boom(shared, x):
+def _boom(x):
     if x == 3:
         raise ValueError("cell 3 exploded")
     return x
 
 
-def _reverse_sleeper(shared, index, count):
+def _reverse_sleeper(index, count):
     # Later-submitted cells finish first: exposes completion-order leaks.
     time.sleep(0.02 * (count - index))
     return index

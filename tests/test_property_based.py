@@ -11,12 +11,8 @@ from hypothesis import strategies as st
 from repro.keepalive.cache import KeepAliveCache
 from repro.keepalive.policies import make_policy
 from repro.keepalive.simulator import simulate
-from repro.loadbalancer.chbl import (
-    BoundedLoadBalancer,
-    ConsistentHashRing,
-    hash_point,
-)
-from repro.loadbalancer.policies import StatusBoard
+from repro.loadbalancer.chbl import ConsistentHashRing, hash_point
+from repro.loadbalancer.policies import CHBLPolicy, StatusBoard
 from repro.metrics.stats import OnlineStats, bin_timeseries
 from repro.sim import Environment, Gauge
 from repro.trace.model import Trace, TraceFunction
@@ -204,9 +200,8 @@ def test_memoised_chbl_matches_uncached_reference(
 
     got_pub, want_pub = [], []
     got_board, want_board = board(got_pub), board(want_pub)
-    lb = BoundedLoadBalancer(got_board.load, bound_factor=bound_factor,
-                             vnodes=vnodes)
-    lb.load_epoch = got_board.epoch
+    lb = CHBLPolicy(got_board.load, bound_factor=bound_factor, vnodes=vnodes,
+                    load_epoch=got_board.epoch)
     ref = _ReferenceCHBL(want_board.load, bound_factor, vnodes)
     members = []
     for i in initial:

@@ -2,8 +2,9 @@
 
 Serial and sharded exports share one writer, so the serial-vs-sharded
 diffs cannot catch a change that moves both engines the same way; these
-pinned digests can.  The ``trace`` and ``inspect`` reports of the serial
-runs and of a 2-shard golden run are pinned the same way.
+pinned digests can.  The ``trace`` and ``inspect`` reports and the
+Perfetto export of the serial runs and of a 2-shard golden run are
+pinned the same way.
 """
 
 import json
@@ -27,6 +28,7 @@ def test_run_dir_matches_pinned_digests(run):
 
 @pytest.mark.parametrize("run", REPORT_RUNS)
 def test_reports_match_pinned_digests(run):
-    """``repro trace`` and ``repro inspect`` print the pinned text."""
+    """``repro trace`` and ``repro inspect`` print the pinned text, and
+    ``repro trace --perfetto`` writes the pinned bytes."""
     pinned = json.loads(DIGESTS_PATH.read_text())["reports"][run]
     assert report_digests(run) == pinned

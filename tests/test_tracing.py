@@ -41,7 +41,6 @@ from repro.telemetry import PHASES, TelemetryConfig, inspect_report, load_run
 from repro.tracing import (
     COMPONENT_STAGE,
     TraceEvent,
-    chrome_trace,
     critical_path,
     derive_trace_events,
     export_perfetto,
@@ -484,10 +483,14 @@ def test_trace_jsonl_omits_none_fields(tmp_path, traced, sharded_traced):
 
 
 # ---------------------------------------------------------------- perfetto
-def test_chrome_trace_schema(traced):
+def test_chrome_trace_schema(tmp_path, traced):
     _, telemetry = traced
     events = telemetry.trace_events()
-    doc = chrome_trace(events)
+    run_dir = tmp_path / "run"
+    telemetry.export(run_dir)
+    out = tmp_path / "trace.json"
+    export_perfetto(run_dir, out)
+    doc = json.loads(out.read_text())
     assert set(doc) == {"traceEvents", "displayTimeUnit"}
     rows = doc["traceEvents"]
     meta = [r for r in rows if r["ph"] == "M"]
@@ -515,6 +518,45 @@ def test_export_perfetto_round_trip(tmp_path, traced):
     assert slices == len(telemetry.trace_events())
     doc = json.loads(out.read_text())     # parses as strict JSON
     assert len([r for r in doc["traceEvents"] if r["ph"] == "X"]) == slices
+
+
+def test_export_perfetto_holds_no_event_list(tmp_path, traced):
+    """The Perfetto export streams the timeline: sampled as each row is
+    parsed and at every 16th file write, no more TraceEvent objects are
+    alive than one row yields."""
+    _, telemetry = traced
+    run_dir = tmp_path / "run"
+    telemetry.export(run_dir)
+    one_row = max(len(list(derive_trace_events((row,))))
+                  for row in load_timeline(run_dir / "traces.jsonl"))
+
+    def live_events():
+        return sum(isinstance(o, TraceEvent) for o in gc.get_objects())
+
+    gc.collect()
+    before = live_events()
+    peak = [before]
+    samples = [0]
+    writes = [0]
+
+    def probe(frame, event, arg):
+        if event == "c_call" and getattr(arg, "__name__", "") == "write":
+            writes[0] += 1
+            if writes[0] % 16:
+                return
+        elif not (event == "call" and frame.f_code.co_name == "parse_row"):
+            return
+        samples[0] += 1
+        peak[0] = max(peak[0], live_events())
+
+    sys.setprofile(probe)
+    try:
+        slices = export_perfetto(run_dir, tmp_path / "trace.json")
+    finally:
+        sys.setprofile(None)
+    assert writes[0] > 2 * slices
+    assert samples[0] > 2 * len(telemetry.records())
+    assert peak[0] <= before + one_row
 
 
 def test_export_perfetto_requires_traces(tmp_path):
