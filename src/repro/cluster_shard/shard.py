@@ -9,8 +9,8 @@ event-processing slots.  Because workers share nothing and the DES kernel
 breaks ties by ``(time, priority, seq)``, preserving the *relative*
 scheduling order of the shard's own events is sufficient for bit-identical
 records — the determinism argument is spelled out in ``docs/SHARDING.md``.
-The forward process is the serial cluster's own
-:func:`~repro.loadbalancer.frontend.forward_hop`; the pick side (the
+The forward process is started by the serial cluster's own
+:func:`~repro.loadbalancer.frontend.start_forward`; the pick side (the
 placement log) lives in the coordinator.
 
 Epoch messages arrive columnar (parallel arrays of arrival index,
@@ -38,7 +38,7 @@ from itertools import islice
 from typing import Generator, Iterable
 
 from ..core.worker import Worker
-from ..loadbalancer.frontend import forward_hop, load_signal
+from ..loadbalancer.frontend import load_signal, start_forward
 from ..sim.core import Environment
 from .protocol import RESULT_CHUNK, ShardSpec, summary_row
 
@@ -90,8 +90,6 @@ def _run_shard(conn, spec: ShardSpec) -> None:
 
     def injector() -> Generator:
         timeout = env.timeout
-        process = env.process
-        event = env.event
         append = pending.append
         while True:
             msg = conn.recv()                # env frozen while we wait
@@ -108,13 +106,8 @@ def _run_shard(conn, spec: ShardSpec) -> None:
                 delay = t - env.now
                 if delay > 0:
                     yield timeout(delay)
-                fqdn = vocab[code]
-                done = event()
-                process(
-                    forward_hop(env, latency, by_local[loc], fqdn, None,
-                                k + 1, done),
-                    name=f"lb-forward-{fqdn}",
-                )
+                done = start_forward(env, latency, by_local[loc],
+                                     vocab[code], None, k + 1)
                 append((k, done))
             if sync is not None:
                 sync_k, sync_t = sync

@@ -95,6 +95,9 @@ class KeepAliveCache:
         self.policy = policy
         self.capacity_mb = float(capacity_mb)
         self.used_mb = 0.0
+        # The most memory the store may hold: the budget, or more after a
+        # shrink that busy containers kept it over (see check_invariants).
+        self._ceiling_mb = self.capacity_mb
         self.stats = CacheStats()
         self._containers: dict[str, list[WarmContainer]] = {}
         self._count = 0
@@ -131,12 +134,18 @@ class KeepAliveCache:
 
     def set_capacity(self, capacity_mb: float, now: float) -> None:
         """Resize the cache (dynamic provisioning); shrink evicts idle
-        containers immediately to get under the new budget."""
+        containers immediately to get under the new budget.
+
+        Busy containers cannot be evicted, so a shrink may leave the store
+        over the new budget.  Nothing evicts them once they go idle; the
+        excess only falls as memory leaves (see :meth:`check_invariants`).
+        """
         if capacity_mb <= 0:
             raise ValueError(f"capacity_mb must be positive, got {capacity_mb}")
         self.capacity_mb = float(capacity_mb)
         if self.used_mb > self.capacity_mb:
             self.evict_for(self.used_mb - self.capacity_mb, now)
+        self._ceiling_mb = max(self.used_mb, self.capacity_mb)
 
     # -- heap plumbing -------------------------------------------------------
     def _push_heap(self, container: WarmContainer) -> None:
@@ -356,6 +365,10 @@ class KeepAliveCache:
         self.used_mb -= container.memory_mb
         if self.used_mb < 1e-9:
             self.used_mb = 0.0
+        if self._ceiling_mb > self.capacity_mb:
+            # A shrink's excess: memory that leaves never comes back above
+            # the budget.
+            self._ceiling_mb = max(self.used_mb, self.capacity_mb)
         self._count -= 1
 
     def _remove(self, container: WarmContainer, expired_eviction: bool) -> None:
@@ -372,14 +385,18 @@ class KeepAliveCache:
     def check_invariants(self, now: Optional[float] = None) -> None:
         """Assert internal consistency; raises AssertionError on violation.
 
-        The memory budget is a *soft* bound under capacity shrinks: busy
-        containers cannot be evicted, so overflow is allowed up to the
-        total busy footprint (checked when ``now`` is provided).  Every
-        resident container has one live heap tuple, keyed at or below
-        its current key.
+        The memory budget is a *soft* bound under capacity shrinks.  Only
+        :meth:`insert` raises ``used_mb``, and never past ``capacity_mb``;
+        a shrink evicts what is idle, so the busy containers it cannot
+        evict may leave the store over the new budget, and they stay
+        resident once idle.  The bound the store keeps is that this excess
+        never grows: ``used_mb`` stays at or below a ceiling that each
+        resize sets to ``max(used_mb, capacity_mb)`` and each departure
+        lowers the same way, until it meets the budget (checked when
+        ``now`` is provided).  Every resident container has one live heap
+        tuple, keyed at or below its current key.
         """
         total = 0.0
-        busy = 0.0
         count = 0
         for fqdn, containers in self._containers.items():
             assert containers, f"empty list retained for {fqdn}"
@@ -388,13 +405,13 @@ class KeepAliveCache:
                 assert not c.evicted, f"evicted container resident: {c!r}"
                 assert c.fqdn == fqdn
                 total += c.memory_mb
-                if now is not None and not c.is_idle(now):
-                    busy += c.memory_mb
         assert abs(total - self.used_mb) < 1e-6, (total, self.used_mb)
         assert count == self._count, (count, self._count)
         self._check_heap()
+        assert self.capacity_mb <= self._ceiling_mb
         if now is not None:
-            assert self.used_mb <= self.capacity_mb + busy + 1e-6
+            assert self.used_mb <= self._ceiling_mb + 1e-6, (
+                self.used_mb, self._ceiling_mb, self.capacity_mb)
 
     def _check_heap(self) -> None:
         live = set()

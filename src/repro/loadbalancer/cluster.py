@@ -25,7 +25,7 @@ from ..core.worker import Worker
 from ..dispatch import PullEngine, is_pull_policy, make_dispatch
 from ..errors import FunctionNotRegistered
 from ..sim.core import Environment, Event
-from .frontend import PushFrontEnd, forward_hop, load_signal
+from .frontend import PushFrontEnd, load_signal, start_forward
 
 __all__ = ["Cluster"]
 
@@ -148,12 +148,7 @@ class Cluster:
         if self.rpc_latency <= 0:
             return worker.async_invoke(fqdn, args, invocation_id=k)
         # Model the LB->worker RPC hop without blocking the caller.
-        done = env.event()
-        env.process(
-            forward_hop(env, self.rpc_latency, worker, fqdn, args, k, done),
-            name=f"lb-forward-{fqdn}",
-        )
-        return done
+        return start_forward(env, self.rpc_latency, worker, fqdn, args, k)
 
     def invoke(self, fqdn: str, args=None):
         done = self.async_invoke(fqdn, args)

@@ -13,8 +13,9 @@ the two engines cannot drift apart on any of them.
 when observed, appends one ``(t, fqdn, target)`` entry to the placement
 log.  That log is the LB's only record: it supplies the ``lb`` entry of
 each invocation's timeline row at export, from which the ``lb_pick``/
-``lb_rpc`` spans and trace events are derived.  :func:`forward_hop` is
-the LB→worker RPC hop both engines start after a placement.
+``lb_rpc`` spans and trace events are derived.  :func:`start_forward`
+starts the LB→worker RPC hop (:func:`forward_hop`) after a placement, in
+both engines.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterable, Optional
 
 from .policies import StatusBoard, make_balancer
 
-__all__ = ["PushFrontEnd", "forward_hop", "load_signal"]
+__all__ = ["PushFrontEnd", "forward_hop", "load_signal", "start_forward"]
 
 
 def load_signal(workers: dict) -> Callable[[str], float]:
@@ -42,6 +43,17 @@ def forward_hop(env, latency, worker, fqdn, args, invocation_id, done):
     yield env.timeout(latency)
     inv = yield worker.async_invoke(fqdn, args, invocation_id=invocation_id)
     done.succeed(inv)
+
+
+def start_forward(env, latency, worker, fqdn, args, invocation_id):
+    """Start the ``lb-forward`` process for one placement; the returned
+    event succeeds with the finished invocation."""
+    done = env.event()
+    env.process(
+        forward_hop(env, latency, worker, fqdn, args, invocation_id, done),
+        name=f"lb-forward-{fqdn}",
+    )
+    return done
 
 
 class PushFrontEnd:

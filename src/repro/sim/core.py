@@ -30,6 +30,17 @@ Fast-path design (the per-invocation cost of the kernel itself):
 * **Lambda-free stepping** — a process's ``send``/``throw`` are bound once
   at creation and passed with the value to ``_step``, instead of allocating
   a closure per resume.
+* **Retirement by reference count** — a process ends by returning, by an
+  uncaught :class:`Interrupt` or by an exception, and on each path
+  ``_step`` drops the references that would keep it in a cycle: its
+  resume callback (a bound method of itself) and, for a failure, the
+  ``_step`` frame (which holds the process) from the stored exception's
+  traceback.  A finished process is
+  then freed as soon as nothing holds it, without waiting for the cyclic
+  garbage collector, whose passes otherwise grow with every invocation a
+  replay runs.  A waiter's frame that catches the failure joins its
+  traceback, so a waiter that keeps the failed process in a local still
+  makes a cycle; the kernel cannot cut that one.
 """
 
 from __future__ import annotations
@@ -203,20 +214,19 @@ class Process(Event):
     """
 
     __slots__ = (
-        "_generator",
         "_send",
         "_throw",
         "_target",
         "_target_index",
         "_resume_cb",
         "name",
+        "__weakref__",
     )
 
     def __init__(self, env: "Environment", generator: Generator, name: str = ""):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise TypeError(f"process requires a generator, got {generator!r}")
         super().__init__(env)
-        self._generator = generator
         # Bind the generator's entry points once: every resume otherwise
         # pays a bound-method (or closure) allocation on the hot path.
         self._send = generator.send
@@ -228,7 +238,8 @@ class Process(Event):
         self._target_index: Optional[int] = None
         # One bound-method object reused for every wait: saves an
         # allocation per yield and gives interrupt() a stable identity
-        # to find in callback lists.
+        # to find in callback lists.  It refers back to the process, so
+        # _step drops it when the process ends (see module docstring).
         self._resume_cb = self._resume
         env._start_process(self)
 
@@ -282,15 +293,23 @@ class Process(Event):
             target = advance(arg)
         except StopIteration as exc:
             env._active_process = None
+            self._resume_cb = None
             self.succeed(exc.value)
             return
         except Interrupt as exc:
             # An un-caught interrupt terminates the process with a failure.
+            # The stored failure's traceback starts below this frame: the
+            # frame holds ``self`` (and the thrown value), so keeping it
+            # would make the failure a cycle through this process.
             env._active_process = None
+            self._resume_cb = None
+            exc.__traceback__ = exc.__traceback__.tb_next
             self.fail(exc)
             return
         except BaseException as exc:
             env._active_process = None
+            self._resume_cb = None
+            exc.__traceback__ = exc.__traceback__.tb_next
             self.fail(exc)
             env._note_failure(self, exc)
             return

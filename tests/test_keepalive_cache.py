@@ -130,6 +130,23 @@ def test_set_capacity_shrink_evicts_idle():
     c.check_invariants(now=10.0)
 
 
+def test_shrink_excess_never_grows_once_busy_containers_go_idle():
+    c = lru_cache(capacity=1000.0)
+    busy = [c.insert(f"f{i}", 200.0, 1.0, 0.1, now=0.0) for i in range(4)]
+    for container in busy:
+        c.finish(container, 5.0)
+    c.set_capacity(300.0, now=1.0)    # nothing idle: 800 MB stay resident
+    assert c.used_mb == 800.0
+    c.check_invariants(now=1.0)
+    c.check_invariants(now=6.0)       # idle now, still over the budget
+    c.discard(busy[0])
+    assert c.used_mb == 600.0
+    # An insert fits only under the budget, so it first evicts down to it.
+    assert c.insert("g", 100.0, 1.0, 0.1, now=7.0) is not None
+    assert c.used_mb <= 300.0
+    c.check_invariants(now=7.0)
+
+
 def test_set_capacity_grow():
     c = lru_cache(capacity=100.0)
     c.set_capacity(500.0, now=0.0)
@@ -443,10 +460,8 @@ def test_lazy_heap_evicts_like_the_eager_reference(ops, policy_name, capacity):
         assert (lazy.apply(kind, fqdn, amount, pick, now)
                 == eager.apply(kind, fqdn, amount, pick, now))
         assert lazy.state() == eager.state()
-        # Without ``now``: after a shrink, containers busy at the time stay
-        # over the budget once idle, until an insert evicts them.
-        lazy.cache.check_invariants()
-        eager.cache.check_invariants()
+        lazy.cache.check_invariants(now)
+        eager.cache.check_invariants(now)
 
 
 @pytest.mark.parametrize("policy_name", POLICY_NAMES)

@@ -1,5 +1,9 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
+import gc
+import traceback
+import weakref
+
 import pytest
 
 from repro.sim import Environment, Interrupt, SimulationError
@@ -442,3 +446,142 @@ def test_interrupt_twice_is_idempotent_on_callbacks():
     env.process(driver())
     env.run(until=50.0)
     assert causes == ["a", "b"]
+
+
+# -- retirement by reference count ---------------------------------------
+# A finished process keeps no reference to itself, so it is freed as soon
+# as nothing outside the kernel holds it: these run with the cyclic
+# collector off, and a weakref that survives means a reference cycle.
+
+
+@pytest.fixture
+def no_cyclic_gc():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_returned_process_is_freed_by_refcount(no_cyclic_gc):
+    env = Environment()
+
+    def quick():
+        yield env.timeout(1.0)
+        return "done"
+
+    proc = env.process(quick())
+    ref = weakref.ref(proc)
+    del proc
+    env.run()
+    assert ref() is None
+
+
+def test_interrupted_process_is_freed_by_refcount(no_cyclic_gc):
+    env = Environment()
+    ended = []
+
+    def sleeper():
+        yield env.timeout(100.0)
+
+    proc = env.process(sleeper())
+    proc.callbacks.append(lambda e: ended.append((e.ok, type(e.value))))
+    ref = weakref.ref(proc)
+    env.run(until=1.0)
+    proc.interrupt("stop")
+    del proc
+    env.run()
+    assert ended == [(False, Interrupt)]
+    assert ref() is None
+
+
+def test_failed_child_is_freed_after_delivery_to_its_parent(no_cyclic_gc):
+    env = Environment()
+    refs = []
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("inner")
+
+    def spawn():
+        child = env.process(bad())
+        refs.append(weakref.ref(child))
+        return child
+
+    def parent():
+        # The child is yielded, not kept in a local: a waiter's own
+        # frame lands in the failure's traceback, and a local there
+        # would hold the child again.
+        try:
+            yield spawn()
+        except ValueError as exc:
+            return str(exc)
+
+    assert env.run_process(parent()) == "inner"
+    assert refs[0]() is None
+
+
+def _finished(env, how):
+    """A process that has ended by ``how``: an uncaught interrupt, or an
+    exception caught by a waiting parent.  (The return path has its own
+    tests above.)"""
+    def body():
+        yield env.timeout(1.0)
+        raise ValueError("inner")
+
+    proc = env.process(body())
+    if how == "interrupt":
+        env.run(until=0.5)
+        proc.interrupt("stop")
+    else:
+        def parent():
+            try:
+                yield proc
+            except ValueError:
+                pass
+
+        env.process(parent())
+    env.run()
+    assert not proc.is_alive
+    return proc
+
+
+@pytest.mark.parametrize("how", ["interrupt", "exception"])
+def test_interrupting_a_finished_process_still_raises(how):
+    env = Environment()
+    proc = _finished(env, how)
+    with pytest.raises(SimulationError):
+        proc.interrupt()
+
+
+@pytest.mark.parametrize("how", ["interrupt", "exception"])
+def test_yielding_a_finished_process_still_returns_its_outcome(how):
+    env = Environment()
+    proc = _finished(env, how)
+
+    def late():
+        try:
+            return (yield proc)
+        except (Interrupt, ValueError) as exc:
+            return type(exc)
+
+    expected = Interrupt if how == "interrupt" else ValueError
+    assert env.run_process(late()) == expected
+
+
+def test_failure_traceback_starts_in_the_process_body():
+    env = Environment()
+
+    def bad():
+        yield env.timeout(1.0)
+        raise ValueError("broken process")
+
+    env.process(bad())
+    with pytest.raises(ValueError) as info:
+        env.run()
+    names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
+    assert names[-1] == "bad"
+    assert "_step" not in names
