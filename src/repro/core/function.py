@@ -47,18 +47,20 @@ class FunctionRegistration:
         # fqdn() sits on the per-invocation path several times over; the
         # registration is frozen, so compute it once.
         object.__setattr__(self, "_fqdn", f"{self.name}.{self.version}")
-        if self.memory_mb <= 0:
+        # Written as ``not x > 0`` so that NaN (every comparison False) is
+        # refused too: a NaN time reaches the kernel as a NaN heap key.
+        if not self.memory_mb > 0:
             raise ValueError(f"memory_mb must be positive, got {self.memory_mb}")
-        if self.cpus <= 0:
+        if not self.cpus > 0:
             raise ValueError(f"cpus must be positive, got {self.cpus}")
-        if self.warm_time < 0 or self.cold_time < 0:
+        if not (self.warm_time >= 0 and self.cold_time >= 0):
             raise ValueError("execution times must be non-negative")
         if self.cold_time < self.warm_time:
             raise ValueError(
                 f"cold_time ({self.cold_time}) must be >= warm_time "
                 f"({self.warm_time}); cold includes initialization"
             )
-        if self.timeout is not None and self.timeout <= 0:
+        if self.timeout is not None and not self.timeout > 0:
             raise ValueError(f"timeout must be positive, got {self.timeout}")
 
     @property

@@ -17,8 +17,13 @@ and all randomness in higher layers flows through seeded
 
 Fast-path design (the per-invocation cost of the kernel itself):
 
-* **Event pooling** — processed :class:`Timeout` and :class:`Initialize`
-  events are recycled through per-environment free lists instead of being
+* **One loop** — :meth:`Environment.run` and :meth:`Environment.run_process`
+  both drive ``_loop``, the only place the calendar is popped; ``run_process``
+  passes its process as the event whose triggering ends the loop.  Wall-clock
+  pacing (``sim/realtime.py``) is a process in the calendar, not a second
+  loop.
+* **Event pooling** — processed :class:`Timeout` events (process starts
+  included) are recycled through per-environment free lists instead of being
   reallocated.  Recycling is gated on the CPython reference count: an event
   is only returned to the pool when nothing outside the dispatch loop still
   holds it, so user code that keeps a timeout (e.g. inside an ``AnyOf``)
@@ -177,32 +182,14 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that fires after a fixed delay."""
+    """An event that fires after a fixed delay.
 
-    __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay!r}")
-        super().__init__(env)
-        self.delay = delay
-        self._ok = True
-        self._value = value
-        self._state = TRIGGERED
-        env._schedule(self, delay=delay)
-
-
-class Initialize(Event):
-    """Immediate event used to start a freshly created process."""
+    Built only by :meth:`Environment.timeout`, :meth:`Environment.timeout_at`
+    and, for the zero-delay event that starts a new process,
+    ``Environment._start_process``.
+    """
 
     __slots__ = ()
-
-    def __init__(self, env: "Environment", process: "Process"):
-        super().__init__(env)
-        self._waiter = process
-        self._ok = True
-        self._state = TRIGGERED
-        env._schedule(self, priority=0)
 
 
 class Process(Event):
@@ -251,11 +238,20 @@ class Process(Event):
         """Throw :class:`Interrupt` into the process at the current time."""
         if self._state != PENDING:
             raise SimulationError("cannot interrupt a terminated process")
-        # Detach from the waited-on event by swapping a tombstone into
-        # our recorded callback slot — O(1) where ``list.remove`` is
-        # O(n) per interrupt (O(n^2) when many waiters on one event all
-        # get interrupted).  Valid because callback lists are append-only
-        # until the event is processed, so recorded indices never shift.
+        self._detach()
+        event = Event(self.env)
+        event.callbacks.append(self._resume_interrupt(cause))
+        event.succeed()
+
+    def _detach(self) -> None:
+        """Stop waiting on the current target.
+
+        Swaps a tombstone into our recorded callback slot — O(1) where
+        ``list.remove`` is O(n) per interrupt (O(n^2) when many waiters on
+        one event all get interrupted).  Valid because callback lists are
+        append-only until the event is processed, so recorded indices never
+        shift.
+        """
         target = self._target
         if target is not None:
             index = self._target_index
@@ -266,14 +262,15 @@ class Process(Event):
                 callbacks = target.callbacks
                 if index < len(callbacks) and callbacks[index] is self._resume_cb:
                     callbacks[index] = _tombstone
-        event = Event(self.env)
-        event.callbacks.append(self._resume_interrupt(cause))
-        event.succeed()
 
     def _resume_interrupt(self, cause: Any) -> Callable[[Event], None]:
         def callback(_event: Event) -> None:
             if self._state != PENDING:
                 return  # terminated before the interrupt was delivered
+            # Something may have resumed us since interrupt() detached us
+            # (our start event, or an earlier interrupt); whatever we wait
+            # on now must not resume us a second time.
+            self._detach()
             self._step(self._throw, Interrupt(cause))
 
         return callback
@@ -311,7 +308,7 @@ class Process(Event):
             self._resume_cb = None
             exc.__traceback__ = exc.__traceback__.tb_next
             self.fail(exc)
-            env._note_failure(self, exc)
+            env._failures.append((self, exc))
             return
         env._active_process = None
         if type(target) is Timeout and target._state == TRIGGERED:
@@ -418,7 +415,6 @@ class Environment:
         self._failures: deque[tuple[Process, BaseException]] = deque()
         # Free lists of processed, unreferenced events (see module docstring).
         self._timeout_pool: list[Timeout] = []
-        self._init_pool: list[Initialize] = []
 
     # -- clock -----------------------------------------------------------
     @property
@@ -430,19 +426,17 @@ class Environment:
         return Event(self)
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
+        # The hottest factory: timeout_at's body, inlined.  ``not >=``
+        # refuses NaN too, which would otherwise corrupt the heap order.
+        if not delay >= 0:
+            raise ValueError(f"timeout delay must be >= 0, got {delay!r}")
         pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise ValueError(f"negative timeout delay: {delay!r}")
-            event = pool.pop()
-            event.delay = delay
-            event._ok = True
-            event._value = value
-            event._state = TRIGGERED
-            seq = self._seq = self._seq + 1
-            _heappush(self._queue, (self.now + delay, 1, seq, event))
-            return event
-        return Timeout(self, delay, value)
+        event = pool.pop() if pool else Timeout(self)
+        event._value = value
+        event._state = TRIGGERED
+        seq = self._seq = self._seq + 1
+        _heappush(self._queue, (self.now + delay, 1, seq, event))
+        return event
 
     def timeout_at(self, when: float, value: Any = None) -> Timeout:
         """A timeout firing at an *absolute* simulated time.
@@ -452,18 +446,10 @@ class Environment:
         hit an exact precomputed instant (e.g. a polling grid) use this.
         """
         when = float(when)
-        if when < self.now:
-            raise ValueError(f"timeout_at({when}) lies in the past (now={self.now})")
+        if not when >= self.now:
+            raise ValueError(f"timeout_at({when}) is not at or after now={self.now}")
         pool = self._timeout_pool
-        if pool:
-            event = pool.pop()
-        else:
-            event = Timeout.__new__(Timeout)
-            event.env = self
-            event.callbacks = []
-            event._waiter = None
-        event.delay = when - self.now
-        event._ok = True
+        event = pool.pop() if pool else Timeout(self)
         event._value = value
         event._state = TRIGGERED
         seq = self._seq = self._seq + 1
@@ -480,84 +466,32 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling ------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _schedule(self, event: Event) -> None:
         seq = self._seq = self._seq + 1
-        _heappush(self._queue, (self.now + delay, priority, seq, event))
+        _heappush(self._queue, (self.now, 1, seq, event))
 
     def _start_process(self, process: Process) -> None:
-        """Schedule the immediate event that starts a new process."""
-        pool = self._init_pool
-        if pool:
-            event = pool.pop()
-            event._ok = True
-            event._state = TRIGGERED
-            event._waiter = process
-            seq = self._seq = self._seq + 1
-            _heappush(self._queue, (self.now, 0, seq, event))
-        else:
-            Initialize(self, process)
+        """Schedule the zero-delay timeout that starts ``process``.
 
-    def _note_failure(self, process: Process, exc: BaseException) -> None:
-        self._failures.append((process, exc))
+        Calendar slot 0 runs it ahead of the ordinary (slot 1) events due at
+        the same instant.
+        """
+        pool = self._timeout_pool
+        event = pool.pop() if pool else Timeout(self)
+        event._state = TRIGGERED
+        event._waiter = process
+        seq = self._seq = self._seq + 1
+        _heappush(self._queue, (self.now, 0, seq, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
 
-    def _dispatch(self, event: Event) -> None:
-        """Run one popped event's waiter/callbacks and recycle it.
-
-        The caller has already advanced the clock.  Mirrored inline inside
-        :meth:`run` — keep the two in sync.
-        """
-        event._state = PROCESSED
-        waiter = event._waiter
-        if waiter is not None:
-            event._waiter = None
-            if event._ok:
-                waiter._step(waiter._send, event._value)
-            else:
-                waiter._step(waiter._throw, event._value)
-        callbacks = event.callbacks
-        if callbacks:
-            event.callbacks = []
-            for callback in callbacks:
-                callback(event)
-            # A failed event with no real waiters (tombstones left by
-            # interrupts don't count) propagates — silent failure would
-            # corrupt experiments.
-            if (
-                waiter is None
-                and not event._ok
-                and not isinstance(event, Process)
-                and all(cb is _tombstone for cb in callbacks)
-            ):
-                raise event._value
-        elif waiter is None and not event._ok and not isinstance(event, Process):
-            raise event._value
-        # Recycle: only when nothing outside this frame still references
-        # the event (2 == the local + getrefcount's argument).
-        cls = type(event)
-        if cls is Timeout:
-            pool = self._timeout_pool
-            if len(pool) < _POOL_CAP and _getrefcount(event) <= 2:
-                event._value = None
-                pool.append(event)
-        elif cls is Initialize:
-            pool = self._init_pool
-            if len(pool) < _POOL_CAP and _getrefcount(event) <= 2:
-                event._value = None
-                pool.append(event)
-
-    def step(self) -> None:
-        """Process the single next event."""
-        if not self._queue:
-            raise SimulationError("no more events")
-        when, _prio, _seq, event = _heappop(self._queue)
-        if when < self.now:  # pragma: no cover - internal invariant
-            raise SimulationError("event scheduled in the past")
-        self.now = when
-        self._dispatch(event)
+    def _limit(self, until: Optional[float]) -> float:
+        limit = float("inf") if until is None else float(until)
+        if not limit >= self.now:
+            raise ValueError(f"until={limit} is not at or after now={self.now}")
+        return limit
 
     def run(self, until: Optional[float] = None) -> None:
         """Run until the calendar drains or simulated time reaches ``until``.
@@ -565,20 +499,38 @@ class Environment:
         Uncaught exceptions in processes that nobody waits on propagate out
         of this call — silent failure would corrupt experiments.
         """
-        limit = float("inf") if until is None else float(until)
-        if limit < self.now:
-            raise ValueError(f"until={limit} lies in the past (now={self.now})")
-        if type(self).step is not Environment.step:
-            # Subclasses (e.g. RealtimeEnvironment) hook step(); honour it.
-            self._run_via_step(limit)
-            return
-        # The dispatch body is inlined (instead of calling self.step) —
-        # this loop runs once per event and the call/attribute overhead is
-        # measurable at cluster scale.  Mirror of _dispatch.
+        limit = self._limit(until)
+        self._loop(limit, None)
+        if self.now < limit and limit != float("inf"):
+            self.now = limit
+
+    def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
+        """Start ``generator`` as a process and run until *it* completes
+        (or the time limit passes), then return its value.
+
+        Unlike :meth:`run`, this stops at the process's completion even if
+        background processes keep the calendar populated indefinitely.
+        """
+        limit = self._limit(until)
+        proc = self.process(generator)
+        self._loop(limit, proc)
+        if not proc._state:
+            raise SimulationError("process did not finish before the time limit")
+        if not proc._ok:
+            raise proc._value
+        return proc._value
+
+    def _loop(self, limit: float, stop: Optional[Event]) -> None:
+        """The dispatch loop: run every event due at or before ``limit``.
+
+        Returns early, right after the dispatch that triggers ``stop``, so no
+        later event at that instant runs.  The body is inlined (no per-event
+        method call): it runs once per event, and the call and attribute
+        overhead is measurable at cluster scale.
+        """
         queue = self._queue
         failures = self._failures
         timeout_pool = self._timeout_pool
-        init_pool = self._init_pool
         while queue and queue[0][0] <= limit:
             when, _prio, _seq, event = _heappop(queue)
             self.now = when
@@ -595,6 +547,9 @@ class Environment:
                 event.callbacks = []
                 for callback in callbacks:
                     callback(event)
+                # A failed event with no real waiters (tombstones left by
+                # interrupts don't count) propagates — silent failure would
+                # corrupt experiments.
                 if (
                     waiter is None
                     and not event._ok
@@ -604,61 +559,17 @@ class Environment:
                     raise event._value
             elif waiter is None and not event._ok and not isinstance(event, Process):
                 raise event._value
-            cls = type(event)
-            if cls is Timeout:
+            # Recycle: only when nothing outside this frame still references
+            # the event (2 == the local + getrefcount's argument).
+            if type(event) is Timeout:
                 if len(timeout_pool) < _POOL_CAP and _getrefcount(event) <= 2:
                     event._value = None
                     timeout_pool.append(event)
-            elif cls is Initialize:
-                if len(init_pool) < _POOL_CAP and _getrefcount(event) <= 2:
-                    event._value = None
-                    init_pool.append(event)
-            if failures:
-                while failures:
-                    process, exc = failures.popleft()
-                    # A waited-on process delivers the exception to its
-                    # waiters instead; only orphan failures propagate.
-                    if not process.callbacks:
-                        raise exc
-        if self.now < limit and limit != float("inf"):
-            self.now = limit
-
-    def _run_via_step(self, limit: float) -> None:
-        """run() body for subclasses that override step()."""
-        queue = self._queue
-        step = self.step
-        failures = self._failures
-        while queue and queue[0][0] <= limit:
-            step()
             while failures:
                 process, exc = failures.popleft()
+                # A waited-on process delivers the exception to its
+                # waiters instead; only orphan failures propagate.
                 if not process.callbacks:
                     raise exc
-        if self.now < limit and limit != float("inf"):
-            self.now = limit
-
-    def run_process(self, generator: Generator, until: Optional[float] = None) -> Any:
-        """Start ``generator`` as a process and run until *it* completes
-        (or the time limit passes), then return its value.
-
-        Unlike :meth:`run`, this stops at the process's completion even if
-        background processes keep the calendar populated indefinitely.
-        """
-        proc = self.process(generator)
-        limit = float("inf") if until is None else float(until)
-        if limit < self.now:
-            raise ValueError(f"until={limit} lies in the past (now={self.now})")
-        queue = self._queue
-        step = self.step
-        failures = self._failures
-        while not proc.triggered and queue and queue[0][0] <= limit:
-            step()
-            while failures:
-                process, exc = failures.popleft()
-                if not process.callbacks:
-                    raise exc
-        if not proc.triggered:
-            raise SimulationError("process did not finish before the time limit")
-        if not proc.ok:
-            raise proc.value
-        return proc.value
+            if stop is not None and stop._state:
+                return

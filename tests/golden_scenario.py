@@ -100,7 +100,7 @@ def reduce_run(records, spans, breakdowns) -> dict:
 
 def run_scenario(telemetry_config: TelemetryConfig = None,
                  return_telemetry: bool = False,
-                 live_path=None):
+                 live_path=None, env=None):
     """Replay the fixed workload; return the JSON-stable reduction.
 
     ``telemetry_config`` overrides the default pipeline config (tests use
@@ -108,9 +108,10 @@ def run_scenario(telemetry_config: TelemetryConfig = None,
     ``return_telemetry`` additionally returns the live :class:`Telemetry`
     object as ``(reduction, telemetry)`` so callers can read views the
     reduction drops (trace events, contexts); ``live_path`` turns on the
-    health heartbeat file (requires a health-enabled config).
+    health heartbeat file (requires a health-enabled config); ``env``
+    replays on a given environment (default: a fresh :class:`Environment`).
     """
-    env = Environment()
+    env = Environment() if env is None else env
     cluster = Cluster(
         env,
         num_workers=3,

@@ -26,6 +26,11 @@ def test_registration_versioned_fqdn():
         {"name": "f", "cpus": 0},
         {"name": "f", "warm_time": -1.0},
         {"name": "f", "warm_time": 2.0, "cold_time": 1.0},
+        {"name": "f", "warm_time": float("nan")},
+        {"name": "f", "cold_time": float("nan")},
+        {"name": "f", "memory_mb": float("nan")},
+        {"name": "f", "cpus": float("nan")},
+        {"name": "f", "timeout": float("nan")},
     ],
 )
 def test_registration_validation(kwargs):

@@ -1,9 +1,12 @@
 """Tests for the wall-clock (live) execution mode."""
 
+import json
+
 import pytest
 
 from repro.sim import Environment, SimulationError
 from repro.sim.realtime import RealtimeEnvironment
+from tests.golden_scenario import GOLDEN_PATH, normalized, run_scenario
 
 
 class FakeClock:
@@ -132,3 +135,14 @@ def test_realtime_smoke_with_actual_clock():
         return "done"
 
     assert env.run_process(proc()) == "done"
+
+
+def test_paced_golden_replay_matches_the_fixture():
+    """Live mode runs the same code: the golden scenario, paced against a
+    fake wall clock at 100x, reduces bit-for-bit to the committed fixture
+    without ever falling behind (strict, zero tolerance)."""
+    env, fake = make_env(factor=0.01, strict=True, tolerance=0.0)
+    reduction = run_scenario(env=env)
+    assert normalized(reduction) == json.loads(GOLDEN_PATH.read_text())
+    assert sum(fake.sleeps) == pytest.approx(1.2)  # 120 simulated s at 100x
+    assert env.max_lag == 0.0

@@ -1,12 +1,16 @@
 """Unit tests for the DES kernel (repro.sim.core)."""
 
 import gc
+import math
 import traceback
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, SimulationError
+from repro.sim.realtime import RealtimeEnvironment
 
 
 def test_clock_starts_at_zero():
@@ -306,12 +310,6 @@ def test_peek_empty_is_inf():
     assert env.peek() == float("inf")
 
 
-def test_step_on_empty_raises():
-    env = Environment()
-    with pytest.raises(SimulationError):
-        env.step()
-
-
 def test_run_process_unfinished_raises():
     env = Environment()
 
@@ -585,3 +583,188 @@ def test_failure_traceback_starts_in_the_process_body():
     names = [frame.name for frame in traceback.extract_tb(info.value.__traceback__)]
     assert names[-1] == "bad"
     assert "_step" not in names
+
+
+# -- NaN times -------------------------------------------------------------
+# Every comparison with NaN is False, so a NaN time slips past a ``< 0`` or
+# ``< now`` guard and then breaks the calendar's heap order.
+
+
+def test_timeout_nan_delay_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+
+
+def test_timeout_at_nan_rejected():
+    env = Environment()
+    with pytest.raises(ValueError):
+        env.timeout_at(float("nan"))
+
+
+def test_run_until_nan_rejected():
+    env = Environment()
+    env.timeout(1.0)
+    with pytest.raises(ValueError):
+        env.run(until=float("nan"))
+
+
+def test_run_process_until_nan_rejected():
+    env = Environment()
+
+    def proc():
+        yield env.timeout(1.0)
+
+    with pytest.raises(ValueError):
+        env.run_process(proc(), until=float("nan"))
+
+
+# -- one loop, four drivers --------------------------------------------------
+# ``run()``, ``run(until=...)`` in chunks, ``run_process`` and the paced
+# wall-clock environment all drive the same dispatch loop; a drawn workload
+# must produce the same (tag, now, value) log under each of them.
+
+_DELAYS = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 2.0])
+_OPS = st.one_of(
+    st.tuples(st.just("sleep"), _DELAYS),
+    st.tuples(st.just("at"), st.integers(0, 3)),
+    st.tuples(st.just("any"), _DELAYS, _DELAYS),
+    st.tuples(st.just("all"), _DELAYS, _DELAYS),
+    st.tuples(st.just("fail"), _DELAYS),
+    st.tuples(st.just("interrupt"), st.integers(0, 7)),
+)
+_WORKLOADS = st.lists(st.lists(_OPS, min_size=2, max_size=6), min_size=3, max_size=6)
+
+
+def _spawn(env, workload, log):
+    """Start one process per op list; return them in creation order."""
+    procs = []
+
+    def child(tag, delay):
+        yield env.timeout(delay)
+        raise ValueError(tag)
+
+    def body(tag, ops):
+        for i, op in enumerate(ops):
+            kind = op[0]
+            try:
+                if kind == "sleep":
+                    value = yield env.timeout(op[1], value=(tag, i))
+                elif kind == "at":
+                    value = yield env.timeout_at(math.ceil(env.now) + op[1], value=i)
+                elif kind in ("any", "all"):
+                    both = [env.timeout(op[1], value="a"), env.timeout(op[2], value="b")]
+                    join = env.any_of if kind == "any" else env.all_of
+                    value = sorted((yield join(both)).values())
+                elif kind == "fail":
+                    try:
+                        yield env.process(child(f"{tag}.{i}", op[1]))
+                    except ValueError as exc:
+                        value = ("caught", str(exc))
+                else:
+                    victim = procs[op[1] % len(procs)]
+                    if victim.is_alive and victim is not env.active_process:
+                        victim.interrupt((tag, i))
+                    value = "sent"
+            except Interrupt as intr:
+                value = ("interrupted", intr.cause)
+            log.append((tag, env.now, kind, value))
+        return tag
+
+    for k, ops in enumerate(workload):
+        procs.append(env.process(body(k, ops)))
+    return procs
+
+
+def _log_of(drive, env, workload):
+    log = []
+    drive(env, lambda: _spawn(env, workload, log))
+    return log
+
+
+def _whole(env, spawn):
+    spawn()
+    env.run()
+
+
+def _chunked(cuts):
+    def drive(env, spawn):
+        spawn()
+        for cut in sorted(cuts):
+            env.run(until=max(cut, env.now))
+        env.run()
+    return drive
+
+
+def _driven(env, spawn):
+    def driver():
+        for proc in spawn():
+            yield proc
+        return "done"
+
+    assert env.run_process(driver()) == "done"
+    env.run()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    workload=_WORKLOADS,
+    cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5]), min_size=1, max_size=5),
+)
+def test_every_driver_dispatches_the_same_order(workload, cuts):
+    reference = _log_of(_whole, Environment(), workload)
+    assert len(reference) == sum(len(ops) for ops in workload)
+    assert _log_of(_chunked(cuts), Environment(), workload) == reference
+    assert _log_of(_driven, Environment(), workload) == reference
+
+    wall = [0.0]
+
+    def sleep(seconds):
+        wall[0] += seconds
+
+    paced = RealtimeEnvironment(
+        factor=0.5, strict=True, tolerance=0.0, sleep=sleep, clock=lambda: wall[0]
+    )
+    assert _log_of(_whole, paced, workload) == reference
+    assert wall[0] == pytest.approx(paced.now * 0.5)
+
+
+def test_interrupt_before_start_resumes_the_process_once():
+    """interrupt() on a process whose start is still pending is delivered
+    at its first wait, and that wait's event no longer resumes it."""
+    env = Environment()
+    log = []
+
+    def victim():
+        try:
+            yield env.timeout(0.0, value="first")
+        except Interrupt as intr:
+            log.append(intr.cause)
+        log.append((yield env.timeout(5.0, value="second")))
+
+    env.process(victim()).interrupt("early")
+    env.run()
+    assert log == ["early", "second"]
+
+
+def test_second_interrupt_detaches_from_the_wait_in_between():
+    env = Environment()
+    log = []
+
+    def victim():
+        for _ in range(3):
+            try:
+                log.append((yield env.timeout(1.0, value=env.now)))
+            except Interrupt as intr:
+                log.append(intr.cause)
+
+    proc = env.process(victim())
+
+    def interrupter():
+        yield env.timeout(0.5)
+        proc.interrupt("a")
+        proc.interrupt("b")
+
+    env.process(interrupter())
+    env.run()
+    assert log == ["a", "b", 0.5]
