@@ -44,13 +44,12 @@ from ..core.lifecycle import (
     ENQUEUE,
     EXECUTE,
     WARM,
-    DROP,
     InvocationContext,
     StageTracker,
 )
 from ..errors import DuplicateRegistration, FunctionNotRegistered
 from ..keepalive.policies import make_policy
-from ..metrics.registry import InvocationRecord, MetricsRegistry, Outcome
+from ..metrics.registry import MetricsRegistry, Outcome
 from ..sim.core import Environment, Event
 from ..sim.resources import Gauge
 from .components import ControllerModel, CouchDBModel, GCModel, KafkaModel, NginxModel
@@ -119,14 +118,14 @@ class OpenWhiskWorker:
 
         self.characteristics = CharacteristicsMap()
         self.metrics = MetricsRegistry(clock=lambda: env.now)
-        # The shared stage contract: same context type, hooks, and stage
-        # names as the Ilúvatar worker's pipeline, OpenWhisk semantics.
-        self.lifecycle = StageTracker(env)
+        # The shared stage contract: same context type, stage names and
+        # terminal path as the Ilúvatar worker's pipeline, OpenWhisk
+        # semantics.
+        self.lifecycle = StageTracker(env, self.name, self.metrics)
         self.registrations: dict[str, FunctionRegistration] = {}
         self.inflight = 0          # activations inside the pipeline
         self.executing = 0         # activations actually on-CPU
         self.kafka_backlog = 0
-        self.dropped = 0
         self._started = False
 
     # ---------------------------------------------------------------- API
@@ -170,7 +169,7 @@ class OpenWhiskWorker:
         self.characteristics.record_arrival(inv.function.fqdn(), self.env.now)
 
         if not self._admit(ctx):
-            self._drop(ctx, "activation buffer full")
+            self.lifecycle.drop(ctx, "activation buffer full")
             return
 
         self.inflight += 1
@@ -233,10 +232,12 @@ class OpenWhiskWorker:
         else:
             inv.cold = True
             lc.stage_enter(ctx, COLD_CREATE)
-            took = yield from self._take_memory(inv.function.memory_mb)
+            took = yield from self.pool.take_memory(
+                inv.function.memory_mb, cfg.memory_wait_timeout
+            )
             if not took:
                 lc.stage_exit(ctx, COLD_CREATE)
-                self._drop(ctx, "insufficient memory")
+                lc.drop(ctx, "insufficient memory")
                 return False
             # Docker container create (no namespace pool, no reuse).
             create = cfg.container_create_mean
@@ -286,7 +287,6 @@ class OpenWhiskWorker:
         result write on the critical path."""
         lc = self.lifecycle
         inv = ctx.inv
-        fqdn = inv.function.fqdn()
         lc.stage_enter(ctx, COMPLETE)
         self.pool.return_entry(ctx.entry)
         ctx.entry = None
@@ -297,59 +297,17 @@ class OpenWhiskWorker:
         )
 
         inv.completed_at = self.env.now
-        self.characteristics.record_execution(fqdn, ctx.exec_time, inv.cold)
-        outcome = Outcome.COLD if inv.cold else Outcome.WARM
-        self.metrics.record_invocation(
-            InvocationRecord(
-                function=fqdn,
-                arrival=inv.arrival,
-                outcome=outcome,
-                exec_time=inv.exec_time,
-                e2e_time=inv.e2e_time,
-                queue_time=inv.queue_time,
-                overhead=inv.overhead,
-                cold=inv.cold,
-                worker=self.name,
-            )
+        self.characteristics.record_execution(
+            inv.function.fqdn(), ctx.exec_time, inv.cold
         )
-        lc.stage_exit(ctx, COMPLETE)
-        lc.close(ctx, outcome)
-        ctx.done.succeed(inv)
-
-    def _take_memory(self, memory_mb: float) -> Generator:
-        if self.memory.try_take(memory_mb):
-            return True
-        self.pool.evict_for(memory_mb - max(self.memory.level, 0.0))
-        take = self.memory.take(memory_mb)
-        timeout = self.env.timeout(self.config.memory_wait_timeout)
-        result = yield self.env.any_of([take, timeout])
-        if take in result:
-            return True
-        take.callbacks.append(lambda _e: self.memory.give(memory_mb))
-        return False
-
-    def _drop(self, ctx: InvocationContext, reason: str) -> None:
-        """Drop stage: buffer overflow or memory-admission failure."""
-        lc = self.lifecycle
-        inv = ctx.inv
-        lc.stage_enter(ctx, DROP)
-        inv.dropped = True
-        inv.drop_reason = reason
-        inv.completed_at = self.env.now
-        self.dropped += 1
-        self.metrics.record_invocation(
-            InvocationRecord(
-                function=inv.function.fqdn(),
-                arrival=inv.arrival,
-                outcome=Outcome.DROPPED,
-                worker=self.name,
-            )
-        )
-        lc.stage_exit(ctx, DROP)
-        lc.close(ctx, Outcome.DROPPED)
-        ctx.done.succeed(inv)
+        lc.finish(ctx, COMPLETE, Outcome.COLD if inv.cold else Outcome.WARM)
 
     # -------------------------------------------------------------- status
+    @property
+    def dropped(self) -> int:
+        """Activations shed (buffer full / memory), as recorded."""
+        return self.metrics.count("invocations.dropped")
+
     def status(self) -> dict:
         return {
             "name": self.name,

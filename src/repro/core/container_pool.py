@@ -7,8 +7,9 @@ invocation, returned afterwards, and evicted by the configured caching
 policy.  The shell adds only what a live worker needs:
 
 * **Memory admission** — the worker's :class:`Gauge` admits cold starts
-  and is credited when a destroyed container is gone, so the store itself
-  runs without a budget;
+  (:meth:`ContainerPool.take_memory`, evicting on demand) and is credited
+  when a destroyed container is gone, so the store itself runs without a
+  budget;
 * **Asynchronous destroy** — evicted containers are torn down by a DES
   process, wired through the store's ``on_evict`` hook;
 * **Background eviction** — victims are picked and destroyed by a periodic
@@ -131,6 +132,27 @@ class ContainerPool:
         """Destroy a claimed container without pooling it (failure path)."""
         self.cache.discard(entry)
         yield from self._destroy(entry)
+
+    # -- memory admission --------------------------------------------------
+    def take_memory(self, memory_mb: float, wait_timeout: float) -> Generator:
+        """Admission: obtain memory for a cold start, evicting if needed.
+
+        Returns True on success; False when the wait outlasted
+        ``wait_timeout`` (the caller then sheds the invocation)."""
+        memory = self.memory
+        if memory.try_take(memory_mb):
+            return True
+        # Pick victims synchronously (destruction is async).
+        self.evict_for(memory_mb - max(memory.level, 0.0))
+        take = memory.take(memory_mb)
+        timeout = self.env.timeout(wait_timeout)
+        result = yield self.env.any_of([take, timeout])
+        if take in result:
+            return True
+        # Timed out: the gauge will eventually grant the take; return the
+        # memory as soon as it does so accounting stays balanced.
+        take.callbacks.append(lambda _e: memory.give(memory_mb))
+        return False
 
     # -- eviction ----------------------------------------------------------
     def _destroy(self, entry: WarmContainer) -> Generator:

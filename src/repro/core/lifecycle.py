@@ -26,8 +26,10 @@ Two pieces make up the seam:
   golden A/B fixture under ``tests/data/``.
 
 :class:`StageTracker` is the substrate the OpenWhisk baseline shares: it
-owns the context store and the enter/exit contract, while the
-baseline keeps its own latency components and queueing semantics.
+owns the context store, the enter/exit contract and the terminal
+:meth:`~StageTracker.finish` / :meth:`~StageTracker.drop`, which write
+every invocation record, while the baseline keeps its own latency
+components and queueing semantics.
 
 Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
@@ -148,23 +150,6 @@ class InvocationContext:
         self.exec_time: Optional[float] = None
         self.outcome: Optional[Outcome] = None
 
-    # Convenience views over the carried invocation.
-    @property
-    def registration(self) -> FunctionRegistration:
-        return self.inv.function
-
-    @property
-    def invocation_id(self) -> int:
-        return self.inv.id
-
-    @property
-    def cold(self) -> bool:
-        return self.inv.cold
-
-    @property
-    def drop_reason(self) -> Optional[str]:
-        return self.inv.drop_reason
-
     @property
     def stage_times(self) -> Optional[dict]:
         """``{stage: [t0, t1|None]}`` in stage-enter order (``t1`` is
@@ -185,20 +170,27 @@ class InvocationContext:
 
 
 class StageTracker:
-    """The uniform stage enter/exit contract plus the context store.
+    """The uniform stage enter/exit contract, the context store and the
+    one way an invocation ends.
 
     Shared by the worker's :class:`InvocationLifecycle` and the OpenWhisk
     baseline: both stamp stage boundaries through :meth:`stage_enter` /
-    :meth:`stage_exit` and retain every opened context for telemetry when
-    ``keep_contexts`` is set (flipped by ``Telemetry.attach_worker``).
+    :meth:`stage_exit`, end every invocation through :meth:`finish` (or
+    :meth:`drop`, which ends in it), and retain every opened context for
+    telemetry when ``keep_contexts`` is set (flipped by
+    ``Telemetry.attach_worker``).  ``name`` labels the records and
+    ``metrics`` receives them; drop and timeout counts are read back
+    from ``metrics``.
     """
 
-    def __init__(self, env):
+    def __init__(self, env, name: str, metrics):
         self.env = env
+        self.name = name
+        self.metrics = metrics
         self.keep_contexts = False
         self.contexts: list[InvocationContext] = []
         # Dispatch-layer completion seam: when a pull engine drives this
-        # tracker it registers itself here and close() notifies it for
+        # tracker it registers itself here and finish() notifies it for
         # *every* terminal outcome — complete, drop, and timeout — so
         # claim slots can never leak.
         self.dispatch_seam = None
@@ -221,12 +213,36 @@ class StageTracker:
         if ctx.collect:
             ctx.exited[stage] = self.env.now
 
-    def close(self, ctx: InvocationContext, outcome: Outcome) -> None:
-        """Record the terminal outcome."""
+    def finish(self, ctx: InvocationContext, stage: str, outcome: Outcome) -> None:
+        """End terminal ``stage``: record the invocation (a dropped one
+        carries no times), exit the stage, set the outcome, notify the
+        dispatch seam and succeed ``ctx.done``."""
+        inv = ctx.inv
+        if outcome is Outcome.DROPPED:
+            times = ()
+        else:
+            times = (inv.exec_time, inv.e2e_time, inv.queue_time,
+                     inv.overhead, inv.cold)
+        self.metrics.record_invocation(InvocationRecord(
+            inv.function.fqdn(), inv.arrival, outcome, *times,
+            worker=self.name, invocation_id=inv.id,
+        ))
+        self.stage_exit(ctx, stage)
         ctx.outcome = outcome
         seam = self.dispatch_seam
         if seam is not None:
             seam.on_complete(ctx)
+        ctx.done.succeed(inv)
+
+    def drop(self, ctx: InvocationContext, reason: str) -> None:
+        """Terminal stage: shed the invocation (admission / overflow /
+        memory)."""
+        inv = ctx.inv
+        self.stage_enter(ctx, DROP)
+        inv.dropped = True
+        inv.drop_reason = reason
+        inv.completed_at = self.env.now
+        self.finish(ctx, DROP, Outcome.DROPPED)
 
 
 class InvocationLifecycle(StageTracker):
@@ -236,22 +252,21 @@ class InvocationLifecycle(StageTracker):
     :class:`~repro.core.function.Invocation` and the completion event
     succeeding: component latencies (means from paper Table 2 with a
     batched exponential tail), interval collection, metrics/characteristics
-    recording at stage boundaries, memory admission, container creation,
-    and the terminal drop/timeout paths.  The worker keeps only the
+    recording at stage boundaries, container creation, and the
+    complete/timeout terminal stages.  The worker keeps only the
     background processes (dispatcher, evictor, samplers) and the public
     API.
     """
 
     def __init__(self, worker):
-        super().__init__(worker.env)
+        cfg = worker.config
+        super().__init__(worker.env, cfg.name, worker.metrics)
         self.worker = worker
         # Stable aliases for the per-invocation path (all of these live as
         # long as the worker; telemetry flips switches on the aliased
         # objects, never replaces them).
-        cfg = worker.config
         self.config = cfg
         self.latency = cfg.latency
-        self.metrics = worker.metrics
         self.characteristics = worker.characteristics
         self.pool = worker.pool
         self.queue = worker.queue
@@ -261,12 +276,9 @@ class InvocationLifecycle(StageTracker):
         self.energy = worker.energy
         self.http_clients = worker.http_clients
         self.backend = worker.backend
-        self.name = cfg.name
         self._histogram_keepalive = isinstance(
             worker.keepalive_policy, HistogramPolicy
         )
-        self.dropped = 0
-        self.timeouts = 0
         # Jitter draws are batched: standard exponentials are drawn 256 at
         # a time and scaled per use, which is bit-identical to per-call
         # rng.exponential(scale) (numpy computes standard_exp * scale from
@@ -497,7 +509,9 @@ class InvocationLifecycle(StageTracker):
 
         if collect:
             start = env.now
-        took = yield from self.take_memory(inv.function.memory_mb)
+        took = yield from self.pool.take_memory(
+            inv.function.memory_mb, self.config.memory_wait_timeout
+        )
         if not took:
             if collect:
                 ctx.intervals.extend(("cold_create", start, env.now))
@@ -605,28 +619,12 @@ class InvocationLifecycle(StageTracker):
             ctx.intervals.extend(("return_results", start, env.now))
 
         inv.completed_at = env.now
-        fqdn = inv.function.fqdn()
-        self.characteristics.record_execution(fqdn, ctx.exec_time, inv.cold)
-        outcome = Outcome.BYPASSED if inv.bypassed else (
+        self.characteristics.record_execution(
+            inv.function.fqdn(), ctx.exec_time, inv.cold
+        )
+        self.finish(ctx, COMPLETE, Outcome.BYPASSED if inv.bypassed else (
             Outcome.COLD if inv.cold else Outcome.WARM
-        )
-        self.metrics.record_invocation(
-            InvocationRecord(
-                function=fqdn,
-                arrival=inv.arrival,
-                outcome=outcome,
-                exec_time=inv.exec_time,
-                e2e_time=inv.e2e_time,
-                queue_time=inv.queue_time,
-                overhead=inv.overhead,
-                cold=inv.cold,
-                worker=self.name,
-                invocation_id=inv.id,
-            )
-        )
-        self.stage_exit(ctx, COMPLETE)
-        self.close(ctx, outcome)
-        ctx.done.succeed(inv)
+        ))
 
     def timeout_kill(self, ctx: InvocationContext) -> Generator:
         """Terminal stage: terminate a timed-out invocation and report it."""
@@ -636,48 +634,10 @@ class InvocationLifecycle(StageTracker):
         inv.timed_out = True
         inv.exec_finished_at = env.now
         inv.completed_at = env.now
-        self.timeouts += 1
         self.http_clients.forget(ctx.entry.container.id)
         entry, ctx.entry = ctx.entry, None
         yield env.process(self.pool.discard_in_use(entry))
-        self.metrics.record_invocation(
-            InvocationRecord(
-                function=inv.function.fqdn(),
-                arrival=inv.arrival,
-                outcome=Outcome.TIMEOUT,
-                exec_time=inv.exec_time,
-                e2e_time=inv.e2e_time,
-                queue_time=inv.queue_time,
-                overhead=inv.overhead,
-                cold=inv.cold,
-                worker=self.name,
-                invocation_id=inv.id,
-            )
-        )
-        self.stage_exit(ctx, TIMEOUT)
-        self.close(ctx, Outcome.TIMEOUT)
-        ctx.done.succeed(inv)
-
-    def drop(self, ctx: InvocationContext, reason: str) -> None:
-        """Terminal stage: shed the invocation (admission / overflow)."""
-        inv = ctx.inv
-        self.stage_enter(ctx, DROP)
-        inv.dropped = True
-        inv.drop_reason = reason
-        inv.completed_at = self.env.now
-        self.dropped += 1
-        self.metrics.record_invocation(
-            InvocationRecord(
-                function=inv.function.fqdn(),
-                arrival=inv.arrival,
-                outcome=Outcome.DROPPED,
-                worker=self.name,
-                invocation_id=inv.id,
-            )
-        )
-        self.stage_exit(ctx, DROP)
-        self.close(ctx, Outcome.DROPPED)
-        ctx.done.succeed(inv)
+        self.finish(ctx, TIMEOUT, Outcome.TIMEOUT)
 
     # --------------------------------------------------- shared sub-steps
     def _await_with_timeout(self, invoke_proc, limit: float) -> Generator:
@@ -689,26 +649,6 @@ class InvocationLifecycle(StageTracker):
             return False
         invoke_proc.interrupt("function timeout")
         return True
-
-    def take_memory(self, memory_mb: float) -> Generator:
-        """Admission: obtain memory for a cold start, evicting if needed.
-
-        Returns True on success; False when the wait timed out (the
-        invocation is then shed)."""
-        w = self.worker
-        if w.memory.try_take(memory_mb):
-            return True
-        # Ask the pool to synchronously pick victims (destruction is async).
-        self.pool.evict_for(memory_mb - max(w.memory.level, 0.0))
-        take = w.memory.take(memory_mb)
-        timeout = self.env.timeout(self.config.memory_wait_timeout)
-        result = yield self.env.any_of([take, timeout])
-        if take in result:
-            return True
-        # Timed out: the gauge will eventually grant the take; return the
-        # memory as soon as it does so accounting stays balanced.
-        take.callbacks.append(lambda _e: w.memory.give(memory_mb))
-        return False
 
     def create_container(
         self, registration: FunctionRegistration, prewarmed: bool = False

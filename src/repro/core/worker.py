@@ -166,7 +166,9 @@ class Worker:
     def prewarm(self, fqdn: str) -> Generator:
         """DES process: start a container + agent and add it to the pool."""
         registration = self._lookup(fqdn)
-        took = yield from self.lifecycle.take_memory(registration.memory_mb)
+        took = yield from self.pool.take_memory(
+            registration.memory_mb, self.config.memory_wait_timeout
+        )
         if not took:
             return False
         entry = yield from self.lifecycle.create_container(
@@ -265,23 +267,16 @@ class Worker:
                 self.lifecycle.handle(ctx), name=f"handler-{ctx.inv.id}"
             )
 
-    # ---------------------------------------------------------- telemetry
-    def attach_telemetry(self, telemetry) -> None:
-        """Register this worker with a :class:`repro.telemetry.Telemetry`
-        pipeline (gauge sampling, latency histograms, span retention).
-        Equivalent to ``telemetry.attach_worker(self)``."""
-        telemetry.attach_worker(self)
-
     # ------------------------------------------------------------- status
     @property
     def dropped(self) -> int:
-        """Invocations shed (admission / overflow); counted by the pipeline."""
-        return self.lifecycle.dropped
+        """Invocations shed (admission / overflow), as recorded."""
+        return self.metrics.count("invocations.dropped")
 
     @property
     def timeouts(self) -> int:
-        """Invocations killed at their execution limit."""
-        return self.lifecycle.timeouts
+        """Invocations killed at their execution limit, as recorded."""
+        return self.metrics.count("invocations.timeout")
 
     def status(self) -> dict:
         """Load/status snapshot, as served to the load balancer."""

@@ -102,7 +102,7 @@ class PullEngine:
 
     # -- completion (the lifecycle's dispatch seam) ----------------------
     def on_complete(self, ctx) -> None:
-        """Called from ``StageTracker.close`` for every terminal outcome,
+        """Called from ``StageTracker.finish`` for every terminal outcome,
         just before the lifecycle succeeds ``ctx.done`` (the offer's)."""
         request = self._claims.pop(ctx.done, None)
         if request is not None:

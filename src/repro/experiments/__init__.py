@@ -3,7 +3,7 @@
 from .cluster_study import ClusterStudyResult, run_cluster_lb_sweep, run_cluster_study
 from .defaults import FULL, MEDIUM, SMALL, Scale
 from .fig1_overhead_scaling import Fig1Row, fig1_rows, run_fig1
-from .fig6_litmus import LITMUS_WORKLOADS, fig6_rows, litmus_plan, run_litmus
+from .fig6_litmus import LITMUS_WORKLOADS, fig6_rows, run_litmus
 from .fig7_faasbench import fig7_rows, run_faasbench, warm_hit_ratios
 from .fig8_dynamic import DynamicSizingOutcome, run_fig8
 from .keepalive_sweep import fig4_rows, fig5_rows, make_traces, run_keepalive_sweep
@@ -36,7 +36,6 @@ __all__ = [
     "run_fig1",
     "LITMUS_WORKLOADS",
     "fig6_rows",
-    "litmus_plan",
     "run_litmus",
     "fig7_rows",
     "run_faasbench",

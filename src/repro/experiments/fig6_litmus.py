@@ -26,7 +26,7 @@ from ..sim.distributions import Constant, Exponential
 from ..workloads.functionbench import FUNCTIONBENCH, registration_for
 from .defaults import MEDIUM, Scale
 
-__all__ = ["LITMUS_WORKLOADS", "litmus_workload", "litmus_plan", "run_litmus", "fig6_rows"]
+__all__ = ["LITMUS_WORKLOADS", "litmus_workload", "run_litmus", "fig6_rows"]
 
 LITMUS_WORKLOADS = ("skew_frequency", "cyclic", "two_size")
 
@@ -98,11 +98,6 @@ def litmus_workload(
             mixes.append(FunctionMix(reg.fqdn(), Exponential(10.0 + (i % 5) * 4.0)))
         return regs, build_plan(mixes, duration, seed=seed)
     raise ValueError(f"unknown litmus workload {workload!r}; choose from {LITMUS_WORKLOADS}")
-
-
-def litmus_plan(workload: str, duration: float, seed: int = 0) -> InvocationPlan:
-    """Back-compat helper: just the invocation plan."""
-    return litmus_workload(workload, duration, seed=seed)[1]
 
 
 @dataclass(frozen=True)

@@ -568,8 +568,9 @@ class Environment:
             while failures:
                 process, exc = failures.popleft()
                 # A waited-on process delivers the exception to its
-                # waiters instead; only orphan failures propagate.
-                if not process.callbacks:
+                # waiters instead; only orphan failures propagate (an
+                # interrupted waiter's tombstone is no waiter).
+                if all(cb is _tombstone for cb in process.callbacks):
                     raise exc
             if stop is not None and stop._state:
                 return

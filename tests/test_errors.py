@@ -139,7 +139,7 @@ def test_drop_path_records_reason_and_outcome():
     inv = dropped_inv["inv"]
     assert inv.dropped is True
     assert inv.drop_reason == "insufficient memory"
-    assert worker.dropped == 1 and worker.lifecycle.dropped == 1
+    assert worker.dropped == 1 and worker.metrics.count("invocations.dropped") == 1
     [record] = [r for r in worker.metrics.records if r.outcome is Outcome.DROPPED]
     assert record.function == late.fqdn()
     # The invocation state maps onto the taxonomy's InvocationDropped.
@@ -175,7 +175,7 @@ def test_timeout_kill_records_timeout_outcome():
     worker, inv = _run_one(WorkerConfig(cores=2, memory_mb=1024, free_memory_buffer_mb=0.0), reg)
     assert inv.timed_out is True
     assert inv.dropped is False
-    assert worker.timeouts == 1 and worker.lifecycle.timeouts == 1
+    assert worker.timeouts == 1 and worker.metrics.count("invocations.timeout") == 1
     [record] = worker.metrics.records
     assert record.outcome is Outcome.TIMEOUT
     # The killed container was discarded, not returned to the pool.

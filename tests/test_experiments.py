@@ -18,7 +18,6 @@ from repro.experiments import (
     fig4_rows,
     fig5_rows,
     format_table,
-    litmus_plan,
     make_traces,
     run_coldpath_ablation,
     run_fig1,
@@ -140,7 +139,7 @@ def test_litmus_workload_definitions():
         assert set(plan.fqdns) <= fqdns
     with pytest.raises(ValueError):
         litmus_workload("nope", duration=60.0)
-    assert len(litmus_plan("cyclic", duration=60.0)) > 0
+    assert len(litmus_workload("cyclic", duration=60.0)[1]) > 0
 
 
 # ------------------------------------------------------------------ Fig 7

@@ -26,7 +26,7 @@ from repro.core.lifecycle import (
     StageTracker,
 )
 from repro.core.worker import Worker
-from repro.metrics.registry import Outcome
+from repro.metrics.registry import MetricsRegistry, Outcome
 from repro.sim.core import Environment
 from repro.telemetry.decomposition import decompose_contexts, match_records
 
@@ -96,7 +96,7 @@ def test_contexts_record_every_stage_cold_and_warm():
 
 def test_stage_times_stamped_only_while_collecting():
     env = Environment()
-    tracker = StageTracker(env)
+    tracker = StageTracker(env, "w", MetricsRegistry())
     done = env.event()
     quiet = tracker.open(Invocation(function=REG, arrival=0.0), done)
     tracker.keep_contexts = True
@@ -119,7 +119,7 @@ def test_drop_stage_closes_context_with_dropped_outcome():
                if c.outcome is Outcome.DROPPED]
     assert dropped, "expected overflow drops"
     for ctx in dropped:
-        assert ctx.inv.dropped and ctx.drop_reason == "queue overflow"
+        assert ctx.inv.dropped and ctx.inv.drop_reason == "queue overflow"
         assert ctx.stage == DROP
         assert stage_walk(ctx) == [ADMIT, ENQUEUE, DROP]
 
@@ -180,9 +180,9 @@ def test_context_retention_and_interval_collection():
     assert [ctx.inv.id for ctx in contexts] == [inv.id for inv in results]
     for ctx, inv in zip(contexts, results):
         assert ctx.outcome in (Outcome.COLD, Outcome.WARM)
-        assert ctx.registration is REG
-        assert ctx.invocation_id == inv.id
-        assert ctx.cold == inv.cold
+        assert ctx.inv.function is REG
+        assert ctx.inv.id == inv.id
+        assert ctx.inv.cold == inv.cold
         names = ctx.intervals[0::3]
         assert "exec" in names and "invoke" in names
     # The intervals account for every control-plane second: each phase

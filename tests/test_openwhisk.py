@@ -226,6 +226,6 @@ def test_ow_drop_closes_shared_context():
                if c.outcome is Outcome.DROPPED]
     assert dropped, "expected buffer-full drops"
     for ctx in dropped:
-        assert ctx.drop_reason == "activation buffer full"
+        assert ctx.inv.drop_reason == "activation buffer full"
         # A full activation buffer sheds the invocation at admission.
         assert stage_walk(ctx) == [ADMIT, DROP]

@@ -73,18 +73,19 @@ def test_observed_pull_replay_leaves_no_cyclic_garbage():
     assert cyclic_garbage(lambda: pull_run(config)) == {}
 
 
-def timeout_and_shed_replay():
+def timeout_and_shed_replay(**config):
     """Three small workers, each with memory for two 256 MB containers
     and one 64 MB one: a 64 MB function that always overruns its limit
     (an interrupted backend invoke on every call), and bursts of eight
     256 MB functions, some of which wait for memory longer than
-    ``memory_wait_timeout`` and are shed."""
+    ``memory_wait_timeout`` and are shed.  ``config`` overrides the
+    workers' configuration."""
     env = Environment()
     cluster = Cluster(
         env, num_workers=3, status_interval=1.0,
         config=WorkerConfig(cores=4, memory_mb=576.0, backend="containerd",
                             free_memory_buffer_mb=0.0,
-                            memory_wait_timeout=0.3, seed=5),
+                            memory_wait_timeout=0.3, seed=5, **config),
     )
     cluster.start()
     functions = [

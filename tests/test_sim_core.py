@@ -6,7 +6,7 @@ import traceback
 import weakref
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Interrupt, SimulationError
@@ -422,6 +422,45 @@ def test_failed_event_with_only_tombstoned_waiters_still_propagates():
         env.run()
 
 
+def _interrupted_parent_of_failing_child(env):
+    """A parent waits on a child that raises at t=2; the parent is
+    interrupted at t=1 and moves on, so the child's failure has no waiter
+    left.  Returns the interrupting driver's generator."""
+    def child():
+        yield env.timeout(2.0)
+        raise ValueError("orphan child")
+
+    def parent():
+        try:
+            yield env.process(child())
+        except Interrupt:
+            yield env.timeout(100.0)
+
+    proc = env.process(parent())
+
+    def driver():
+        yield env.timeout(1.0)
+        proc.interrupt()
+        yield env.timeout(5.0)
+
+    return driver()
+
+
+def test_child_failure_after_its_waiter_was_interrupted_propagates_from_run():
+    env = Environment()
+    env.process(_interrupted_parent_of_failing_child(env))
+    with pytest.raises(ValueError, match="orphan child"):
+        env.run()
+    assert env.now == 2.0
+
+
+def test_child_failure_after_its_waiter_was_interrupted_propagates_from_run_process():
+    env = Environment()
+    with pytest.raises(ValueError, match="orphan child"):
+        env.run_process(_interrupted_parent_of_failing_child(env))
+    assert env.now == 2.0
+
+
 def test_interrupt_twice_is_idempotent_on_callbacks():
     env = Environment()
     causes = []
@@ -677,8 +716,14 @@ def _spawn(env, workload, log):
 
 
 def _log_of(drive, env, workload):
+    """The run's log; a failure that escapes the run (a child whose waiter
+    was interrupted raises with nobody left to catch it) ends the log
+    with its type, args and time, so the drivers must agree on it too."""
     log = []
-    drive(env, lambda: _spawn(env, workload, log))
+    try:
+        drive(env, lambda: _spawn(env, workload, log))
+    except ValueError as exc:
+        log.append((type(exc).__name__, exc.args, env.now))
     return log
 
 
@@ -711,9 +756,18 @@ def _driven(env, spawn):
     workload=_WORKLOADS,
     cuts=st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.5]), min_size=1, max_size=5),
 )
+# Process 0 interrupts process 1 at 0.5 while it waits on its child, and
+# the child raises at 0.5 with no waiter left: every driver must raise at
+# the same instant.
+@example(
+    workload=[[("sleep", 0.5), ("interrupt", 1)], [("sleep", 0.0), ("fail", 0.5)],
+              [("sleep", 0.0), ("sleep", 0.0)]],
+    cuts=[0.0],
+)
 def test_every_driver_dispatches_the_same_order(workload, cuts):
     reference = _log_of(_whole, Environment(), workload)
-    assert len(reference) == sum(len(ops) for ops in workload)
+    if reference[-1][0] != "ValueError":
+        assert len(reference) == sum(len(ops) for ops in workload)
     assert _log_of(_chunked(cuts), Environment(), workload) == reference
     assert _log_of(_driven, Environment(), workload) == reference
 
