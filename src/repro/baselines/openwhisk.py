@@ -244,9 +244,7 @@ class OpenWhiskWorker:
             yield self.env.timeout(
                 create + float(self.rng.exponential(0.15 * create))
             )
-            container = yield self.env.process(
-                self.backend.create(inv.function)
-            )
+            container = yield from self.backend.create(inv.function)
             ctx.entry = self.pool.add_in_use(
                 container, init_cost=inv.function.init_time
             )

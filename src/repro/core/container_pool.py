@@ -10,8 +10,13 @@ policy.  The shell adds only what a live worker needs:
   (:meth:`ContainerPool.take_memory`, evicting on demand) and is credited
   when a destroyed container is gone, so the store itself runs without a
   budget;
-* **Asynchronous destroy** — evicted containers are torn down by a DES
-  process, wired through the store's ``on_evict`` hook;
+* **Destroy in the caller's step** — a container is torn down by stepping
+  the backend's destroy inside the process that needs it (a sub-generator:
+  no helper process, no zero-time hop).  An eviction, wired through the
+  store's ``on_evict`` hook, does not wait for its destroy: the destroy
+  runs inline up to its first wait and only a destroy that costs time
+  continues in a DES process from there, so a zero-cost destroy credits
+  the gauge before :meth:`ContainerPool.evict_for` returns;
 * **Background eviction** — victims are picked and destroyed by a periodic
   process off the critical path (like the kernel page cache), maintaining
   a free-memory buffer so bursts do not stall on eviction; expired
@@ -59,7 +64,7 @@ class ContainerPool:
         self.eviction_interval = float(eviction_interval)
         # The gauge admits memory, so the store needs no budget of its own.
         self.cache = KeepAliveCache(
-            policy, float("inf"), on_evict=self._destroy_evicted
+            policy, float("inf"), on_evict=self._destroy_detached
         )
         self._running = False
 
@@ -83,16 +88,24 @@ class ContainerPool:
     def in_use_count(self) -> int:
         return len(self.cache) - len(self._idle())
 
+    def occupancy(self) -> tuple[int, int]:
+        """``(available, in_use)`` container counts from one scan."""
+        available = len(self._idle())
+        return available, len(self.cache) - available
+
     def pooled_memory_mb(self) -> float:
         """Memory held by idle warm containers (the keep-alive footprint)."""
         return sum(e.memory_mb for e in self._idle())
 
     def stats(self) -> dict:
-        """Point-in-time pool gauges, as the telemetry sampler reads them."""
+        """Point-in-time pool gauges from one scan of the store (the same
+        counts and the same sum, in the same order, as the methods
+        above)."""
+        idle = self._idle()
         return {
-            "available": self.available_count(),
-            "in_use": self.in_use_count(),
-            "pooled_memory_mb": self.pooled_memory_mb(),
+            "available": len(idle),
+            "in_use": len(self.cache) - len(idle),
+            "pooled_memory_mb": sum(e.memory_mb for e in idle),
             "evictions": self.evictions,
             "expirations": self.expirations,
         }
@@ -129,43 +142,74 @@ class ContainerPool:
         self.cache.release(entry, self.env.now)
 
     def discard_in_use(self, entry: WarmContainer) -> Generator:
-        """Destroy a claimed container without pooling it (failure path)."""
+        """Destroy a claimed container without pooling it (timeout path);
+        a sub-generator of the caller's process."""
         self.cache.discard(entry)
         yield from self._destroy(entry)
+
+    def drop_in_use(self, entry: WarmContainer) -> None:
+        """Destroy a claimed container without pooling it and without
+        waiting for the destroy (failure path)."""
+        self.cache.discard(entry)
+        self._destroy_detached(entry)
 
     # -- memory admission --------------------------------------------------
     def take_memory(self, memory_mb: float, wait_timeout: float) -> Generator:
         """Admission: obtain memory for a cold start, evicting if needed.
 
-        Returns True on success; False when the wait outlasted
-        ``wait_timeout`` (the caller then sheds the invocation)."""
+        Returns True on success; False when the function needs more than
+        the gauge's capacity (shed at once, nothing evicted) or the wait
+        outlasted ``wait_timeout`` (the caller then sheds the
+        invocation)."""
         memory = self.memory
         if memory.try_take(memory_mb):
             return True
-        # Pick victims synchronously (destruction is async).
+        if memory_mb > memory.capacity:
+            return False
+        # Pick victims synchronously: a zero-cost destroy credits the
+        # gauge before evict_for returns.  Take at once only when nothing
+        # else is due at this instant, so no same-instant order moves
+        # (invocations released together, say by a GC pause, queue as
+        # before); try_take fails while anyone is queued (FIFO).
         self.evict_for(memory_mb - max(memory.level, 0.0))
+        if self.env.peek() > self.env.now and memory.try_take(memory_mb):
+            return True
         take = memory.take(memory_mb)
         timeout = self.env.timeout(wait_timeout)
         result = yield self.env.any_of([take, timeout])
         if take in result:
             return True
         # Timed out: the gauge will eventually grant the take; return the
-        # memory as soon as it does so accounting stays balanced.
-        take.callbacks.append(lambda _e: memory.give(memory_mb))
+        # memory as soon as it does so accounting stays balanced.  A grant
+        # at the timeout's own instant may already have been processed
+        # (a callback added now would never run): return it at once.
+        if take.processed:
+            memory.give(memory_mb)
+        else:
+            take.callbacks.append(lambda _e: memory.give(memory_mb))
         return False
 
     # -- eviction ----------------------------------------------------------
     def _destroy(self, entry: WarmContainer) -> Generator:
-        yield self.env.process(self.backend.destroy(entry.container))
+        yield from self.backend.destroy(entry.container)
         self.memory.give(entry.memory_mb)
 
-    def _destroy_evicted(self, entry: WarmContainer) -> None:
-        self.env.process(self._destroy(entry))
+    def _destroy_detached(self, entry: WarmContainer) -> None:
+        """Destroy ``entry`` without waiting for it: step the destroy in
+        the caller's step, and continue it in a DES process only from
+        its first wait (a destroy that costs no time needs none)."""
+        destroy = self._destroy(entry)
+        try:
+            first = destroy.send(None)
+        except StopIteration:
+            return
+        self.env.process(_resumed(destroy, first), name="destroy")
 
     def evict_for(self, needed_mb: float) -> float:
         """Synchronously pick victims to free ``needed_mb``; returns the
-        amount of memory that will be freed (destruction is async but the
-        gauge is credited on completion)."""
+        amount of memory that will be freed (the gauge is credited when
+        each victim's destroy is done: before this returns when the
+        destroy costs no time)."""
         return self.cache.evict_for(needed_mb, self.env.now)
 
     def sweep(self) -> None:
@@ -184,3 +228,19 @@ class ContainerPool:
 
     def stop(self) -> None:
         self._running = False
+
+
+def _resumed(gen: Generator, event) -> Generator:
+    """Continue ``gen``, already stepped to its first wait on ``event``:
+    each value or failure a wait delivers (an ``Interrupt`` included) is
+    forwarded into ``gen`` until it returns."""
+    while True:
+        try:
+            try:
+                value = yield event
+            except Exception as exc:
+                event = gen.throw(exc)
+            else:
+                event = gen.send(value)
+        except StopIteration as stop:
+            return stop.value

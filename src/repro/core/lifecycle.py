@@ -33,9 +33,14 @@ components and queueing semantics.
 
 Hot-path discipline: component latencies are spent inline (a
 contextmanager or per-component sub-generator costs an allocation per
-component per invocation), and stage stamps and per-invocation interval
-collection cost one attribute test unless telemetry attached; a site
-records its interval with one ``extend`` of the flat list.  The context
+component per invocation).  Container operations — backend create,
+restore and destroy — are sub-generators of the invoking process
+(``yield from``), never helper processes: a null-backend operation
+that costs no time then costs no calendar entry either, as the paper's
+in-situ simulation makes it a plain sleep (§3.4).  Stage stamps and
+per-invocation interval collection cost one attribute test unless
+telemetry attached; a site records its interval with one ``extend`` of
+the flat list.  The context
 ``intervals`` are the only per-invocation record of component timing:
 spans, phase breakdowns, trace trees and Table 2 are all derived from
 them (trace trees together with the stage times).
@@ -348,7 +353,7 @@ class InvocationLifecycle(StageTracker):
                 ctx.token = None
             if ctx.entry is not None:
                 # Failure path: never leak a claimed container.
-                self.env.process(self.pool.discard_in_use(ctx.entry))
+                self.pool.drop_in_use(ctx.entry)
 
     # --------------------------------------------------------------- stages
     def admit(self, ctx: InvocationContext) -> Generator:
@@ -636,7 +641,7 @@ class InvocationLifecycle(StageTracker):
         inv.completed_at = env.now
         self.http_clients.forget(ctx.entry.container.id)
         entry, ctx.entry = ctx.entry, None
-        yield env.process(self.pool.discard_in_use(entry))
+        yield from self.pool.discard_in_use(entry)
         self.finish(ctx, TIMEOUT, Outcome.TIMEOUT)
 
     # --------------------------------------------------- shared sub-steps
@@ -665,15 +670,13 @@ class InvocationLifecycle(StageTracker):
         plan = w.snapshots.restore_plan(registration)
         if plan is not None:
             restore_latency, _remaining = plan
-            container = yield self.env.process(
-                self.backend.restore(
-                    registration, restore_latency, namespace=namespace
-                )
+            container = yield from self.backend.restore(
+                registration, restore_latency, namespace=namespace
             )
             self.metrics.incr("containers.restored")
         else:
-            container = yield self.env.process(
-                self.backend.create(registration, namespace=namespace)
+            container = yield from self.backend.create(
+                registration, namespace=namespace
             )
             self.metrics.incr("containers.created")
             if w.snapshots.enabled:

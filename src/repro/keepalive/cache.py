@@ -3,7 +3,7 @@
 Both simulators run on this store.  The fast trace simulator (Figures
 4/5) drives it directly; the DES worker and the OpenWhisk model drive it
 through :class:`~repro.core.container_pool.ContainerPool`, a thin shell
-that adds the memory gauge, asynchronous destroy and background eviction.
+that adds the memory gauge, container destroy and background eviction.
 It tracks warm containers per function under a total memory budget, using
 a lazy-deletion min-heap ordered by policy priority for eviction, and lazy
 expiry for non-work-conserving policies (TTL/HIST).

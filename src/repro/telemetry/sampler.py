@@ -147,12 +147,13 @@ class TelemetrySampler:
         if self.sample_energy:
             def probe() -> None:
                 now = env.now
+                available, in_use = pool.occupancy()
                 ts.append(
                     now,
                     len(queue),
                     load.running,
-                    pool.available_count(),
-                    pool.in_use_count(),
+                    available,
+                    in_use,
                     memory.in_use,
                     load.busy_cores,
                     energy.power,
@@ -160,12 +161,13 @@ class TelemetrySampler:
                 )
         else:
             def probe() -> None:
+                available, in_use = pool.occupancy()
                 ts.append(
                     env.now,
                     len(queue),
                     load.running,
-                    pool.available_count(),
-                    pool.in_use_count(),
+                    available,
+                    in_use,
                     memory.in_use,
                     load.busy_cores,
                 )

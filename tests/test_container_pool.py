@@ -3,7 +3,7 @@
 import pytest
 
 from repro.containers.backends import NullBackend
-from repro.core.container_pool import ContainerPool
+from repro.core.container_pool import ContainerPool, _resumed
 from repro.core.function import FunctionRegistration
 from repro.keepalive.policies import (
     POLICY_NAMES,
@@ -13,6 +13,7 @@ from repro.keepalive.policies import (
     make_policy,
 )
 from repro.sim import Environment, Gauge
+from repro.sim.core import Interrupt
 
 
 REG = FunctionRegistration(name="f", memory_mb=100.0, warm_time=0.1, cold_time=0.5)
@@ -168,6 +169,51 @@ def test_discard_in_use_releases_memory():
     env.run_process(pool.discard_in_use(entry))
     assert pool.in_use_count() == 0
     assert memory.level == pytest.approx(1000.0)
+
+
+def test_discard_in_use_without_waiting_credits_memory_after_the_destroy():
+    env = Environment()
+    memory = Gauge(env, capacity=1000.0)
+    pool = ContainerPool(env, NullBackend(env, destroy_latency=0.5),
+                         LRUPolicy(), memory)
+    entry = cold_start(env, memory, pool)
+    pool.drop_in_use(entry)
+    assert pool.in_use_count() == 0
+    assert memory.level == pytest.approx(900.0)
+    env.run(until=0.4)
+    assert memory.level == pytest.approx(900.0)
+    env.run(until=0.6)
+    assert memory.level == pytest.approx(1000.0)
+
+
+def test_a_detached_destroy_receives_what_its_wait_delivers():
+    """The continuation of a destroy that waits forwards an interrupt, a
+    failed event and the value into the destroy generator."""
+    env = Environment()
+    seen = []
+
+    def destroy(done):
+        try:
+            yield env.timeout(1.0)
+        except Interrupt as exc:
+            seen.append(("interrupt", exc.cause))
+        try:
+            yield done
+        except ValueError as exc:
+            seen.append(("failed", str(exc)))
+        seen.append(("value", (yield env.timeout(0.5, value=7))))
+        return "destroyed"
+
+    done = env.event()
+    gen = destroy(done)
+    proc = env.process(_resumed(gen, gen.send(None)))
+    env.run(until=0.5)
+    proc.interrupt("stop")
+    env.run(until=0.6)
+    done.fail(ValueError("lost"))
+    env.run()
+    assert seen == [("interrupt", "stop"), ("failed", "lost"), ("value", 7)]
+    assert proc.value == "destroyed"
 
 
 def test_pool_validation():
