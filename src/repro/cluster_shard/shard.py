@@ -4,12 +4,12 @@ The shard's event pattern is a *mirror* of the single-process replay
 restricted to its workers: one injector process walks the seam's epoch
 messages in time order, yielding exactly the timeouts the single-process
 open-loop injector would have yielded at this shard's relevant arrivals,
-and starting the same ``lb-forward`` processes in the same
+and scheduling the same LB→worker hop timeouts in the same
 event-processing slots.  Because workers share nothing and the DES kernel
 breaks ties by ``(time, priority, seq)``, preserving the *relative*
 scheduling order of the shard's own events is sufficient for bit-identical
 records — the determinism argument is spelled out in ``docs/SHARDING.md``.
-The forward process is started by the serial cluster's own
+The hop is scheduled by the serial cluster's own
 :func:`~repro.loadbalancer.frontend.start_forward`; the pick side (the
 placement log) lives in the coordinator.
 

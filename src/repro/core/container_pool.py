@@ -97,19 +97,6 @@ class ContainerPool:
         """Memory held by idle warm containers (the keep-alive footprint)."""
         return sum(e.memory_mb for e in self._idle())
 
-    def stats(self) -> dict:
-        """Point-in-time pool gauges from one scan of the store (the same
-        counts and the same sum, in the same order, as the methods
-        above)."""
-        idle = self._idle()
-        return {
-            "available": len(idle),
-            "in_use": len(self.cache) - len(idle),
-            "pooled_memory_mb": sum(e.memory_mb for e in idle),
-            "evictions": self.evictions,
-            "expirations": self.expirations,
-        }
-
     def has_available(self, fqdn: str) -> bool:
         return self.cache.has_idle(fqdn, self.env.now)
 

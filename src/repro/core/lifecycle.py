@@ -37,7 +37,10 @@ component per invocation).  Container operations — backend create,
 restore and destroy — are sub-generators of the invoking process
 (``yield from``), never helper processes: a null-backend operation
 that costs no time then costs no calendar entry either, as the paper's
-in-situ simulation makes it a plain sleep (§3.4).  Stage stamps and
+in-situ simulation makes it a plain sleep (§3.4).  So is the backend
+call of a function without an execution limit; only a limit needs the
+call as a process of its own, which the kill can interrupt while the
+invocation waits on the call or the limit.  Stage stamps and
 per-invocation interval collection cost one attribute test unless
 telemetry attached; a site records its interval with one ``extend`` of
 the flat list.  The context
@@ -562,11 +565,15 @@ class InvocationLifecycle(StageTracker):
         ctx.exec_time = exec_time
         inv.exec_started_at = env.now
         call_start = env.now
-        invoke_proc = env.process(
-            self.backend.invoke(ctx.entry.container, exec_time)
-        )
         limit = inv.function.timeout
-        if limit is not None:
+        if limit is None:
+            yield from self.backend.invoke(ctx.entry.container, exec_time)
+        else:
+            # Only a limit needs the call as a process of its own: the
+            # kill interrupts it while this process waits on either.
+            invoke_proc = env.process(
+                self.backend.invoke(ctx.entry.container, exec_time)
+            )
             timed_out = yield from self._await_with_timeout(invoke_proc, limit)
             if timed_out:
                 # Kill the over-running invocation: the container is
@@ -574,8 +581,6 @@ class InvocationLifecycle(StageTracker):
                 # a timeout outcome.
                 yield from self.timeout_kill(ctx)
                 return True
-        else:
-            yield invoke_proc
         inv.exec_finished_at = inv.exec_started_at + exec_time
         if collect:
             # The execution window itself (the decomposition subtracts

@@ -14,8 +14,11 @@ Performance notes: the loop is deliberately lean.  It walks two NumPy
 arrays converted to lists, does dictionary lookups keyed by function
 index, and defers every reduction to the end.  HIST's prewarm requests are
 interleaved through a heap; its IAT percentiles are kept incrementally and
-its keep-alive windows memoised per function, so HIST costs about what the
-other policies cost per invocation.
+its keep-alive windows memoised per function.  HIST is still the dearest
+policy per invocation: every arrival updates its histogram, and every
+start may push preload requests through the heap.  Two traced ledger
+``keepalive_sweep`` runs (seed 1, 2-core VM) read HIST at 4.6–5.4 µs per
+invocation, two to three times TTL, LRU, FREQ, GD and LND (1.5–2.5 µs).
 """
 
 from __future__ import annotations

@@ -14,8 +14,9 @@ when observed, appends one ``(t, fqdn, target)`` entry to the placement
 log.  That log is the LB's only record: it supplies the ``lb`` entry of
 each invocation's timeline row at export, from which the ``lb_pick``/
 ``lb_rpc`` spans and trace events are derived.  :func:`start_forward`
-starts the LB→worker RPC hop (:func:`forward_hop`) after a placement, in
-both engines.
+models the LB→worker RPC hop after a placement, in both engines: one
+timeout whose callback hands the invocation to the worker, with no
+process of its own.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Callable, Iterable, Optional
 
 from .policies import StatusBoard, make_balancer
 
-__all__ = ["PushFrontEnd", "forward_hop", "load_signal", "start_forward"]
+__all__ = ["PushFrontEnd", "load_signal", "start_forward"]
 
 
 def load_signal(workers: dict) -> Callable[[str], float]:
@@ -37,22 +38,17 @@ def load_signal(workers: dict) -> Callable[[str], float]:
     return load
 
 
-def forward_hop(env, latency, worker, fqdn, args, invocation_id, done):
-    """The LB→worker RPC hop: deliver after ``latency``, then succeed
-    ``done`` with the finished invocation."""
-    yield env.timeout(latency)
-    inv = yield worker.async_invoke(fqdn, args, invocation_id=invocation_id)
-    done.succeed(inv)
-
-
 def start_forward(env, latency, worker, fqdn, args, invocation_id):
-    """Start the ``lb-forward`` process for one placement; the returned
-    event succeeds with the finished invocation."""
+    """The LB→worker RPC hop for one placement: after ``latency``, the
+    worker takes the invocation.  The returned event succeeds with the
+    finished invocation; the worker succeeds it directly (``done=``)."""
     done = env.event()
-    env.process(
-        forward_hop(env, latency, worker, fqdn, args, invocation_id, done),
-        name=f"lb-forward-{fqdn}",
-    )
+
+    def deliver(_event):
+        worker.async_invoke(fqdn, args, invocation_id=invocation_id,
+                            done=done)
+
+    env.timeout(latency).callbacks.append(deliver)
     return done
 
 

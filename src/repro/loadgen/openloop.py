@@ -111,7 +111,9 @@ def build_plan(
 
 def plan_from_trace(trace: Trace) -> InvocationPlan:
     """Turn a Trace into an invocation plan (fqdn = function name + '.1')."""
-    fqdns = [f"{trace.functions[i].name}.1" for i in trace.function_idx]
+    # One string per function, shared by its invocations.
+    names = [f"{f.name}.1" for f in trace.functions]
+    fqdns = [names[i] for i in trace.function_idx.tolist()]
     return InvocationPlan(trace.timestamps.copy(), fqdns, trace.duration)
 
 

@@ -46,6 +46,12 @@ Fast-path design (the per-invocation cost of the kernel itself):
   replay runs.  A waiter's frame that catches the failure joins its
   traceback, so a waiter that keeps the failed process in a local still
   makes a cycle; the kernel cannot cut that one.
+* **Unwaited ends** — a process that returns while nobody waits on it
+  (no ``callbacks``) is marked processed with its value in the step that
+  returned, instead of spending a calendar entry to tell no one.  A later
+  ``yield proc`` resumes at that instant through the processed-target
+  path, as for any processed event.  Failures keep their entry: an
+  orphan failure must still propagate out of :meth:`Environment.run`.
 """
 
 from __future__ import annotations
@@ -291,7 +297,13 @@ class Process(Event):
         except StopIteration as exc:
             env._active_process = None
             self._resume_cb = None
-            self.succeed(exc.value)
+            if self.callbacks:
+                self.succeed(exc.value)
+            else:
+                # Nobody waits: end without a calendar entry.  A later
+                # ``yield self`` takes the processed-target path below.
+                self._value = exc.value
+                self._state = PROCESSED
             return
         except Interrupt as exc:
             # An un-caught interrupt terminates the process with a failure.
