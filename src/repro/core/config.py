@@ -26,6 +26,8 @@ class WorkerLatencyProfile:
     These are *spent* as DES timeouts on the invocation path, so the
     measured span breakdown reproduces the table by construction and the
     end-to-end overhead (~2 ms warm) matches Figure 1's Ilúvatar line.
+    Each field is named after the component interval it spends: the
+    lifecycle looks its base up by that name.
     """
 
     invoke: float = 0.000026

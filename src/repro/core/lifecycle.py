@@ -31,22 +31,26 @@ owns the context store, the enter/exit contract and the terminal
 every invocation record, while the baseline keeps its own latency
 components and queueing semantics.
 
-Hot-path discipline: component latencies are spent inline (a
-contextmanager or per-component sub-generator costs an allocation per
-component per invocation).  Container operations — backend create,
-restore and destroy — are sub-generators of the invoking process
-(``yield from``), never helper processes: a null-backend operation
-that costs no time then costs no calendar entry either, as the paper's
-in-situ simulation makes it a plain sleep (§3.4).  So is the backend
-call of a function without an execution limit; only a limit needs the
-call as a process of its own, which the kill can interrupt while the
-invocation waits on the call or the limit.  Stage stamps and
-per-invocation interval collection cost one attribute test unless
-telemetry attached; a site records its interval with one ``extend`` of
-the flat list.  The context
-``intervals`` are the only per-invocation record of component timing:
-spans, phase breakdowns, trace trees and Table 2 are all derived from
-them (trace trees together with the stage times).
+Hot-path discipline: each component is one line,
+``yield self._spend(ctx, name)``, which draws the component's latency
+and returns its timeout.  It is neither a ``_spend`` sub-generator
+(``yield from``), which costs a generator per component per invocation,
+nor a timeout held in a local across the yield, which the kernel cannot
+recycle (it recycles a timeout only when nothing else references it).
+Container operations — backend create, restore and destroy — are
+sub-generators of the invoking process (``yield from``), never helper
+processes: a null-backend operation that costs no time then costs no
+calendar entry either, as the paper's in-situ simulation makes it a
+plain sleep (§3.4).  So is the backend call of a function without an
+execution limit; only a limit needs the call as a process of its own,
+which the kill can interrupt while the invocation waits on the call or
+the limit.  Stage stamps and per-invocation interval collection cost one
+attribute test unless telemetry attached; a collecting context's
+component interval is recorded by a callback on its timeout, when it
+fires.  The context ``intervals`` are the only per-invocation record of
+component timing: spans, phase breakdowns, trace trees and Table 2 are
+all derived from them (trace trees together with the stage times), and
+:data:`COMPONENT_STAGE` names the stage that owns each of them.
 """
 
 from __future__ import annotations
@@ -55,7 +59,7 @@ from typing import Generator, Iterator, Optional, Sequence
 
 from ..keepalive.policies import HistogramPolicy
 from ..metrics.registry import InvocationRecord, Outcome
-from ..sim.core import Event
+from ..sim.core import Event, Timeout
 from .function import FunctionRegistration, Invocation
 
 __all__ = [
@@ -70,6 +74,7 @@ __all__ = [
     "DROP",
     "TIMEOUT",
     "STAGES",
+    "COMPONENT_STAGE",
     "interval_triples",
     "InvocationContext",
     "StageTracker",
@@ -102,6 +107,31 @@ STAGES = (
     DROP,
     TIMEOUT,
 )
+
+# The stage that owns each component interval, in paper Table 2 order
+# (``http_client_create`` and the execution window ``exec`` are not
+# Table 2 rows).  The one statement of which stage spends what: trace
+# trees parent component events on it, and the phase decomposition and
+# Table 2's groups are read off the owning stage.  The latency profile
+# names its components the same way (see _spend).
+COMPONENT_STAGE: dict[str, str] = {
+    "invoke": ADMIT,
+    "sync_invoke": ADMIT,
+    "enqueue_invocation": ENQUEUE,
+    "add_item_to_q": ENQUEUE,
+    "spawn_worker": DISPATCH,
+    "dequeue": DISPATCH,
+    "acquire_container": ACQUIRE,
+    "try_lock_container": WARM,
+    "cold_create": COLD_CREATE,
+    "prepare_invoke": EXECUTE,
+    "http_client_create": EXECUTE,
+    "exec": EXECUTE,
+    "call_container": EXECUTE,
+    "download_result": EXECUTE,
+    "return_container": COMPLETE,
+    "return_results": COMPLETE,
+}
 
 
 def interval_triples(intervals: Sequence) -> Iterator[tuple]:
@@ -296,22 +326,38 @@ class InvocationLifecycle(StageTracker):
         self._jitter_fraction = cfg.latency.jitter_fraction
         self._jitter_buf: list[float] = []
         self._jitter_i = 0
+        # The one callback that records a collecting context's intervals
+        # (see _spend), bound once instead of per component.
+        self._record = self._record_interval
 
     # ------------------------------------------------------------------ util
-    def _lat(self, base: float) -> float:
-        """One control-plane component latency: base + exponential tail."""
-        if base <= 0:
-            return 0.0
-        frac = self._jitter_fraction
-        if frac <= 0:
-            return base
-        i = self._jitter_i
-        buf = self._jitter_buf
-        if i >= len(buf):
-            buf = self._jitter_buf = self.rng.standard_exponential(256).tolist()
-            i = 0
-        self._jitter_i = i + 1
-        return base + frac * base * buf[i]
+    def _spend(self, ctx: InvocationContext, name: str) -> Timeout:
+        """The timeout that spends component ``name``: its base on the
+        latency profile plus an exponential tail (no draw for a zero
+        base).  A collecting context's interval is recorded when the
+        timeout fires, ahead of the process it resumes, so a run cut
+        mid-component keeps only the components that finished."""
+        cost = getattr(self.latency, name)
+        if cost > 0:
+            frac = self._jitter_fraction
+            if frac > 0:
+                i = self._jitter_i
+                buf = self._jitter_buf
+                if i >= len(buf):
+                    buf = self._jitter_buf = self.rng.standard_exponential(256).tolist()
+                    i = 0
+                self._jitter_i = i + 1
+                cost += frac * cost * buf[i]
+        env = self.env
+        if not ctx.collect:
+            return env.timeout(cost)
+        spend = env.timeout(cost, (ctx.intervals, name, env.now))
+        spend.callbacks.append(self._record)
+        return spend
+
+    def _record_interval(self, spend: Timeout) -> None:
+        intervals, name, start = spend.value
+        intervals.extend((name, start, self.env.now))
 
     # -------------------------------------------------------------- drivers
     def ingest(self, inv: Invocation, done: Event) -> Generator:
@@ -362,44 +408,28 @@ class InvocationLifecycle(StageTracker):
     def admit(self, ctx: InvocationContext) -> Generator:
         """API handling and the bypass decision; True to bypass the queue.
 
-        Component latencies are spent inline, each interval recorded
-        once behind the ``collect`` guard — a contextmanager (or a
-        ``_spend`` sub-generator) here costs an allocation per component
-        per invocation.
+        Each component is one ``yield self._spend(ctx, name)``: the
+        stage yields the timeout itself, because a ``_spend``
+        sub-generator costs a generator per component per invocation,
+        and a timeout held in a local across the yield cannot be
+        recycled by the kernel.
         """
-        env = self.env
-        lat = self.latency
         inv = ctx.inv
-        collect = ctx.collect
         self.stage_enter(ctx, ADMIT)
-
-        if collect and inv.offered_at is not None:
+        if ctx.collect and inv.offered_at is not None:
             # Pull dispatch: the wait between the offer landing on the
             # shared queue and a worker claiming it is control-plane
             # time — surface it as its own interval so the overhead
             # decomposition can attribute it (a "claim_wait" phase).
             ctx.intervals.extend(("claim_wait", inv.offered_at, inv.claimed_at))
+        yield self._spend(ctx, "invoke")
+        yield self._spend(ctx, "sync_invoke")
 
-        if collect:
-            start = env.now
-        cost = self._lat(lat.invoke)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("invoke", start, env.now))
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.sync_invoke)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("sync_invoke", start, env.now))
-
+        now = self.env.now
         fqdn = inv.function.fqdn()
-        self.characteristics.record_arrival(fqdn, env.now)
+        self.characteristics.record_arrival(fqdn, now)
         if self._histogram_keepalive:
-            self.worker.keepalive_policy.record_arrival(fqdn, env.now)
+            self.worker.keepalive_policy.record_arrival(fqdn, now)
 
         ctx.warm_available = warm_available = self.pool.has_available(fqdn)
         decision = self.bypass.should_bypass(inv, warm_available)
@@ -408,30 +438,12 @@ class InvocationLifecycle(StageTracker):
 
     def enqueue(self, ctx: InvocationContext) -> Generator:
         """Queue insertion: priority assignment and the admission check."""
-        env = self.env
-        lat = self.latency
         inv = ctx.inv
-        collect = ctx.collect
         self.stage_enter(ctx, ENQUEUE)
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.enqueue_invocation)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("enqueue_invocation", start, env.now))
-
+        yield self._spend(ctx, "enqueue_invocation")
         priority = self.queue_policy.priority(inv, ctx.warm_available)
-        inv.enqueued_at = env.now
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.add_item_to_q)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("add_item_to_q", start, env.now))
+        inv.enqueued_at = self.env.now
+        yield self._spend(ctx, "add_item_to_q")
         # Admission check at the moment of insertion, so concurrent
         # ingests observe the queue they are actually joining.
         max_len = self.config.queue_max_len
@@ -444,45 +456,17 @@ class InvocationLifecycle(StageTracker):
 
     def dispatch(self, ctx: InvocationContext) -> Generator:
         """The dispatched invocation's handoff to a handler process."""
-        env = self.env
-        lat = self.latency
-        collect = ctx.collect
         self.stage_enter(ctx, DISPATCH)
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.dequeue)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("dequeue", start, env.now))
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.spawn_worker)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("spawn_worker", start, env.now))
+        yield self._spend(ctx, "dequeue")
+        yield self._spend(ctx, "spawn_worker")
         self.stage_exit(ctx, DISPATCH)
 
     def acquire(self, ctx: InvocationContext) -> Generator:
         """Container acquisition; False when the cold path shed the
         invocation (the only way acquisition fails)."""
-        env = self.env
-        collect = ctx.collect
-        fqdn = ctx.inv.function.fqdn()
         self.stage_enter(ctx, ACQUIRE)
-
-        if collect:
-            start = env.now
-        cost = self._lat(self.latency.acquire_container)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("acquire_container", start, env.now))
-
-        ctx.entry = self.pool.try_acquire(fqdn)
+        yield self._spend(ctx, "acquire_container")
+        ctx.entry = self.pool.try_acquire(ctx.inv.function.fqdn())
         self.stage_exit(ctx, ACQUIRE)
         if ctx.entry is not None:
             yield from self.warm(ctx)
@@ -491,17 +475,8 @@ class InvocationLifecycle(StageTracker):
 
     def warm(self, ctx: InvocationContext) -> Generator:
         """Warm branch: lock the already-running container."""
-        env = self.env
-        collect = ctx.collect
         self.stage_enter(ctx, WARM)
-
-        if collect:
-            start = env.now
-        cost = self._lat(self.latency.try_lock_container)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("try_lock_container", start, env.now))
+        yield self._spend(ctx, "try_lock_container")
         ctx.inv.cold = False
         self.stage_exit(ctx, WARM)
 
@@ -536,18 +511,10 @@ class InvocationLifecycle(StageTracker):
         """Agent communication around the execution window; True when the
         invocation exceeded its execution limit (timeout stage taken)."""
         env = self.env
-        lat = self.latency
         inv = ctx.inv
         collect = ctx.collect
         self.stage_enter(ctx, EXECUTE)
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.prepare_invoke)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("prepare_invoke", start, env.now))
+        yield self._spend(ctx, "prepare_invoke")
 
         conn_cost = self.http_clients.connection_cost(ctx.entry.container.id)
         if conn_cost > 0:
@@ -589,46 +556,20 @@ class InvocationLifecycle(StageTracker):
             comm = max(env.now - call_start - exec_time, 0.0)
             ctx.intervals.extend(("exec", call_start, call_start + exec_time,
                                   "call_container", env.now - comm, env.now))
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.download_result)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("download_result", start, env.now))
+        yield self._spend(ctx, "download_result")
         self.stage_exit(ctx, EXECUTE)
         return False
 
     def complete(self, ctx: InvocationContext) -> Generator:
         """Terminal stage: return the container to the pool and the
         results to the caller, record the invocation."""
-        env = self.env
-        lat = self.latency
         inv = ctx.inv
-        collect = ctx.collect
         self.stage_enter(ctx, COMPLETE)
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.return_container)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("return_container", start, env.now))
-
+        yield self._spend(ctx, "return_container")
         self.pool.return_entry(ctx.entry)
         ctx.entry = None
-
-        if collect:
-            start = env.now
-        cost = self._lat(lat.return_results)
-        if cost > 0:
-            yield env.timeout(cost)
-        if collect:
-            ctx.intervals.extend(("return_results", start, env.now))
-
-        inv.completed_at = env.now
+        yield self._spend(ctx, "return_results")
+        inv.completed_at = self.env.now
         self.characteristics.record_execution(
             inv.function.fqdn(), ctx.exec_time, inv.cold
         )

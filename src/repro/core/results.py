@@ -87,7 +87,3 @@ class ResultStore:
     @property
     def pending_count(self) -> int:
         return len(self._pending)
-
-    @property
-    def done_count(self) -> int:
-        return len(self._done)

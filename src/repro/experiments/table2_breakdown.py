@@ -14,9 +14,19 @@ from collections import defaultdict
 from typing import Iterable
 
 from ..core.config import WorkerConfig
-from ..core.lifecycle import interval_triples
+from ..core.lifecycle import (
+    ACQUIRE,
+    ADMIT,
+    COLD_CREATE,
+    COMPLETE,
+    COMPONENT_STAGE,
+    DISPATCH,
+    ENQUEUE,
+    EXECUTE,
+    WARM,
+    interval_triples,
+)
 from ..core.worker import Worker
-from ..metrics.spans import SPAN_GROUPS
 from ..sim.core import Environment
 from ..workloads.functionbench import registration_for
 
@@ -44,25 +54,38 @@ PAPER_TABLE2_MS = {
 # own execution window and the pull queue's claim wait.
 NOT_COMPONENTS = ("exec", "claim_wait")
 
+# Paper Table 2's group of each lifecycle stage's components.
+GROUP_OF_STAGE = {
+    ADMIT: "Ingestion & Queuing",
+    ENQUEUE: "Ingestion & Queuing",
+    DISPATCH: "Container Operations",
+    ACQUIRE: "Container Operations",
+    WARM: "Container Operations",
+    COLD_CREATE: "Container Operations",
+    EXECUTE: "Agent Communication",
+    COMPLETE: "Returning",
+}
+
 
 def component_table(contexts: Iterable, scale: float = 1.0) -> list[dict]:
     """Rows in the shape of paper Table 2 — group, component, mean interval
     duration — over lifecycle ``contexts`` whose intervals were collected.
 
     ``scale`` converts seconds into the reporting unit (1000.0 for
-    milliseconds).  Canonical components come in :data:`SPAN_GROUPS`
-    order, any others last, alphabetically.
+    milliseconds).  Components come in
+    :data:`~repro.core.lifecycle.COMPONENT_STAGE` order, grouped by
+    their owning stage; any others last, alphabetically, as "Other".
     """
     durations: dict[str, list[float]] = defaultdict(list)
     for ctx in contexts:
         for name, start, end in interval_triples(ctx.intervals):
             if name not in NOT_COMPONENTS:
                 durations[name].append(end - start)
-    names = [name for name in SPAN_GROUPS if name in durations]
-    names += sorted(set(durations) - set(SPAN_GROUPS))
+    names = [name for name in COMPONENT_STAGE if name in durations]
+    names += sorted(set(durations) - set(COMPONENT_STAGE))
     return [
         {
-            "group": SPAN_GROUPS.get(name, "Other"),
+            "group": GROUP_OF_STAGE.get(COMPONENT_STAGE.get(name), "Other"),
             "function": name,
             "time": sum(durations[name]) / len(durations[name]) * scale,
         }

@@ -34,9 +34,6 @@ class ClosedLoopResult:
         """Per-invocation control-plane overhead (seconds)."""
         return np.array([i.overhead for i in self.completed])
 
-    def e2e_times(self) -> np.ndarray:
-        return np.array([i.e2e_time for i in self.completed])
-
     @property
     def throughput(self) -> float:
         if self.duration <= 0:

@@ -2,7 +2,7 @@
 
 from .energy import EnergyModel, EnergyMonitor
 from .registry import InvocationRecord, MetricsRegistry, Outcome
-from .spans import SPAN_GROUPS, Span
+from .spans import Span
 from .stats import LatencySummary, OnlineStats, bin_timeseries, percentile, summarize
 
 __all__ = [
@@ -11,7 +11,6 @@ __all__ = [
     "InvocationRecord",
     "MetricsRegistry",
     "Outcome",
-    "SPAN_GROUPS",
     "Span",
     "LatencySummary",
     "OnlineStats",

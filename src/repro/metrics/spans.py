@@ -5,7 +5,6 @@
 spans themselves: the lifecycle contexts hold each component interval
 once, and telemetry derives spans from the run's timeline rows
 (:func:`repro.tracing.events.derive_spans`).
-:data:`SPAN_GROUPS` is the paper's Table 2 grouping of those components.
 """
 
 from __future__ import annotations
@@ -13,28 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-__all__ = [
-    "Span",
-    "SPAN_GROUPS",
-]
-
-# Paper Table 2 grouping of worker components.
-SPAN_GROUPS: dict[str, str] = {
-    "invoke": "Ingestion & Queuing",
-    "sync_invoke": "Ingestion & Queuing",
-    "enqueue_invocation": "Ingestion & Queuing",
-    "add_item_to_q": "Ingestion & Queuing",
-    "spawn_worker": "Container Operations",
-    "dequeue": "Container Operations",
-    "acquire_container": "Container Operations",
-    "try_lock_container": "Container Operations",
-    "cold_create": "Container Operations",
-    "prepare_invoke": "Agent Communication",
-    "call_container": "Agent Communication",
-    "download_result": "Agent Communication",
-    "return_container": "Returning",
-    "return_results": "Returning",
-}
+__all__ = ["Span"]
 
 
 @dataclass(slots=True)

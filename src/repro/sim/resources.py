@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 from .core import Environment, Event, SimulationError
 
@@ -95,12 +95,6 @@ class Resource:
             self._users.append(req)
             req.succeed()
 
-    def acquire(self) -> Generator:
-        """Generator helper: ``req = yield from resource.acquire()``."""
-        req = self.request()
-        yield req
-        return req
-
 
 class Store:
     """Unbounded-or-bounded FIFO store of Python objects."""
@@ -172,15 +166,13 @@ class PriorityStore(Store):
 
     def __init__(self, env: Environment, capacity: Optional[int] = None):
         super().__init__(env, capacity)
-        self._heap: list[tuple[Any, int, Any]] = []
+        # ``_items`` holds the heap of ``(priority, counter, item)``
+        # entries; ``__len__`` and ``_dispatch`` are the store's own.
         self._counter = itertools.count()
-
-    def __len__(self) -> int:
-        return len(self._heap)
 
     @property
     def items(self) -> list:
-        return [entry[2] for entry in sorted(self._heap)]
+        return [entry[2] for entry in sorted(self._items)]
 
     def put(self, item: Any, priority: Any = 0) -> Event:
         event = Event(self.env)
@@ -189,34 +181,18 @@ class PriorityStore(Store):
         return event
 
     def _insert_item(self, entry: Any) -> None:
-        heapq.heappush(self._heap, entry)
+        heapq.heappush(self._items, entry)
 
     def _pop_item(self) -> Any:
-        return heapq.heappop(self._heap)[2]
-
-    def _dispatch(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            while self._putters and (
-                self.capacity is None or len(self._heap) < self.capacity
-            ):
-                event, entry = self._putters.pop(0)
-                self._insert_item(entry)
-                event.succeed()
-                progressed = True
-            while self._getters and self._heap:
-                event = self._getters.pop(0)
-                event.succeed(self._pop_item())
-                progressed = True
+        return heapq.heappop(self._items)[2]
 
     def remove(self, predicate: Callable[[Any], bool]) -> list:
         """Remove and return all queued items matching ``predicate``."""
         kept, removed = [], []
-        for entry in self._heap:
+        for entry in self._items:
             (removed if predicate(entry[2]) else kept).append(entry)
         heapq.heapify(kept)
-        self._heap = kept
+        self._items = kept
         return [entry[2] for entry in removed]
 
 

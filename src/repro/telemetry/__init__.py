@@ -27,7 +27,6 @@ control plane's behavior and timing are bit-identical.
 
 from .decomposition import (
     EXEC_SPAN,
-    PHASE_OF_SPAN,
     PHASES,
     InvocationBreakdown,
     PhaseColumns,
@@ -71,7 +70,6 @@ from .sampler import (
 __all__ = [
     "EXEC_SPAN",
     "PHASES",
-    "PHASE_OF_SPAN",
     "InvocationBreakdown",
     "PhaseColumns",
     "aggregate_phases",

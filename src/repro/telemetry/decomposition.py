@@ -46,12 +46,23 @@ from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
-from ..core.lifecycle import interval_triples
+from ..core.lifecycle import (
+    ACQUIRE,
+    ADMIT,
+    COLD_CREATE,
+    COMPLETE,
+    COMPONENT_STAGE,
+    DISPATCH,
+    ENQUEUE,
+    EXECUTE,
+    WARM,
+    interval_triples,
+)
 
 __all__ = [
     "PHASES",
     "CLAIM_WAIT_PHASE",
-    "PHASE_OF_SPAN",
+    "PHASE_OF_STAGE",
     "EXEC_SPAN",
     "InvocationBreakdown",
     "PhaseColumns",
@@ -69,23 +80,17 @@ PHASES = ("queue", "acquire", "cold_create", "exec_comm", "post", "other")
 # Conditional phase: present only in pull-dispatch runs (see module doc).
 CLAIM_WAIT_PHASE = "claim_wait"
 
-PHASE_OF_SPAN: dict[str, str] = {
-    "claim_wait": CLAIM_WAIT_PHASE,
-    "invoke": "queue",
-    "sync_invoke": "queue",
-    "enqueue_invocation": "queue",
-    "add_item_to_q": "queue",
-    "dequeue": "queue",
-    "spawn_worker": "queue",
-    "acquire_container": "acquire",
-    "try_lock_container": "acquire",
-    "cold_create": "cold_create",
-    "prepare_invoke": "exec_comm",
-    "http_client_create": "exec_comm",
-    "call_container": "exec_comm",
-    "download_result": "exec_comm",
-    "return_container": "post",
-    "return_results": "post",
+# Each lifecycle stage's phase: a component interval counts toward the
+# phase of the stage that owns it (COMPONENT_STAGE).
+PHASE_OF_STAGE: dict[str, str] = {
+    ADMIT: "queue",
+    ENQUEUE: "queue",
+    DISPATCH: "queue",
+    ACQUIRE: "acquire",
+    WARM: "acquire",
+    COLD_CREATE: "cold_create",
+    EXECUTE: "exec_comm",
+    COMPLETE: "post",
 }
 
 
@@ -115,7 +120,9 @@ class InvocationBreakdown:
 _SLOTS = PHASES + (CLAIM_WAIT_PHASE,)
 _CLAIM = len(PHASES)
 _EXEC = _CLAIM + 1
-_SLOT_OF_SPAN = {name: _SLOTS.index(phase) for name, phase in PHASE_OF_SPAN.items()}
+_SLOT_OF_SPAN = {name: _SLOTS.index(PHASE_OF_STAGE[stage])
+                 for name, stage in COMPONENT_STAGE.items()}
+_SLOT_OF_SPAN[CLAIM_WAIT_PHASE] = _CLAIM
 _SLOT_OF_SPAN[EXEC_SPAN] = _EXEC
 _OTHER = PHASES.index("other")
 

@@ -19,6 +19,7 @@ Enable with ``TelemetryConfig(trace=True)`` (CLI:
 time).
 """
 
+from ..core.lifecycle import COMPONENT_STAGE
 from .critical_path import (
     CriticalPath,
     PathSegment,
@@ -27,7 +28,6 @@ from .critical_path import (
     render_critical_path,
 )
 from .events import (
-    COMPONENT_STAGE,
     TraceEvent,
     derive_spans,
     derive_trace_events,

@@ -39,7 +39,8 @@ Within a trace, ``seq`` orders events in causal-emission order and
   spine;
 * ``component`` events are the fine-grained intervals telemetry already
   decomposes (``exec``, ``cold_create``, ``add_item_to_q``, …), parented
-  on their owning stage via :data:`COMPONENT_STAGE`.
+  on their owning stage via
+  :data:`~repro.core.lifecycle.COMPONENT_STAGE`.
 
 Events are frozen and totally ordered by ``(trace_id, seq)``.
 """
@@ -52,49 +53,17 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from ..core.lifecycle import (
-    ACQUIRE,
-    ADMIT,
-    COLD_CREATE,
-    COMPLETE,
-    DISPATCH,
-    ENQUEUE,
-    EXECUTE,
-    WARM,
-    interval_triples,
-)
+from ..core.lifecycle import COMPONENT_STAGE, interval_triples
 from ..metrics.spans import Span
 from ..telemetry.timeline import TimelineRow, parse_row
 
 __all__ = [
     "TraceEvent",
-    "COMPONENT_STAGE",
     "derive_trace_events",
     "derive_spans",
     "load_timeline",
     "load_trace_jsonl",
 ]
-
-# Which lifecycle stage owns each component interval (the parent link for
-# ``component`` events).  Mirrors the recording sites in core/lifecycle.py.
-COMPONENT_STAGE: dict[str, str] = {
-    "invoke": ADMIT,
-    "sync_invoke": ADMIT,
-    "enqueue_invocation": ENQUEUE,
-    "add_item_to_q": ENQUEUE,
-    "dequeue": DISPATCH,
-    "spawn_worker": DISPATCH,
-    "acquire_container": ACQUIRE,
-    "try_lock_container": WARM,
-    "cold_create": COLD_CREATE,
-    "prepare_invoke": EXECUTE,
-    "http_client_create": EXECUTE,
-    "exec": EXECUTE,
-    "call_container": EXECUTE,
-    "download_result": EXECUTE,
-    "return_container": COMPLETE,
-    "return_results": COMPLETE,
-}
 
 
 @dataclass(frozen=True, slots=True)

@@ -201,3 +201,23 @@ def test_context_slots_reject_stray_attributes():
     ctx = InvocationContext.__new__(InvocationContext)
     with pytest.raises(AttributeError):
         ctx.not_a_field = 1
+
+
+def test_a_zero_base_component_still_takes_its_timeout_and_records_it():
+    """Every component is one timeout, a zero base included: the
+    invocation completes, the component records ``(name, t, t)``, and the
+    run spends as many calendar entries as with a positive base."""
+    from repro.core.config import WorkerLatencyProfile
+    from repro.core.lifecycle import interval_triples
+
+    entries = []
+    for base in (0.0, 1e-6):
+        env, worker = make_worker(latency=WorkerLatencyProfile(invoke=base))
+        inv = env.run_process(worker.invoke(REG.fqdn()))
+        (ctx,) = worker.lifecycle.contexts
+        assert ctx.outcome is Outcome.COLD and not inv.dropped
+        entries.append(env._seq)
+        if base == 0.0:
+            t = ctx.entered[ADMIT]
+            assert next(interval_triples(ctx.intervals)) == ("invoke", t, t)
+    assert entries[0] == entries[1]

@@ -505,6 +505,43 @@ def test_cut_off_invocation_exports_finished_spans_but_no_breakdown():
     assert telemetry.breakdowns() == []
 
 
+def _cold_then_warm(until):
+    """A cold invocation and then a warm one on a telemetry-attached
+    worker, cut at ``until``; each retained context's intervals as
+    ``(name, start, end)`` triples, in recording order."""
+    env = Environment()
+    worker = Worker(env, WorkerConfig(cores=2, memory_mb=4096))
+    telemetry = Telemetry(env, TelemetryConfig())
+    telemetry.attach_worker(worker)
+    worker.start()
+    worker.register_sync(REG)
+
+    def two():
+        yield from worker.invoke(REG.fqdn())
+        yield from worker.invoke(REG.fqdn())
+
+    env.process(two(), name="two")
+    env.run(until=until)
+    return [list(interval_triples(ctx.intervals))
+            for ctx in worker.lifecycle.contexts]
+
+
+def test_a_cut_run_keeps_exactly_the_components_that_finished():
+    """Cut inside every interval an uncut run records, and at its exact
+    end: the cut contexts keep the uncut run's intervals that ended at
+    or before the cut, in the same order, and no others."""
+    from repro.core.lifecycle import COMPONENT_STAGE
+
+    whole = _cold_then_warm(until=30.0)
+    assert {name for ctx in whole for name, _, _ in ctx} == set(COMPONENT_STAGE)
+    for cut in sorted({t for ctx in whole for _, t0, t1 in ctx
+                       for t in ((t0 + t1) / 2, t1)}):
+        got = _cold_then_warm(until=cut)
+        want = [[t for t in ctx if t[2] <= cut] for ctx in whole]
+        assert got == want[:len(got)], cut
+        assert not any(want[len(got):]), cut
+
+
 # -------------------------------------------------------------- exporters
 def test_timeseries_csv_round_trip(tmp_path):
     ts = Timeseries(("t", "v"))
